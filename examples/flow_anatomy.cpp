@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   const int show = argc > 1 ? std::atoi(argv[1]) : 40;
 
   ExperimentConfig config;
-  config.stack.trace_capacity = 1 << 16;
+  config.obs.trace_capacity = 1 << 16;
   config.warmup = 0;
   config.duration = 2 * kMillisecond;
   const Metrics metrics = run_experiment(config);

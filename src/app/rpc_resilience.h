@@ -12,8 +12,8 @@
 namespace hostsim {
 
 struct RpcResilienceConfig {
-  /// Master switch.  Off by default so legacy configurations hash and
-  /// serialize bit-identically; the block is only emitted when enabled.
+  /// Master switch.  Off by default, so rpc clients are plain ping-pong;
+  /// the block is part of the canonical config JSON either way.
   bool enabled = false;
 
   /// Per-request deadline: a response not received within this window

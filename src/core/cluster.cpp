@@ -399,8 +399,8 @@ void Cluster::build_cluster() {
   fabric_config.buffer_bytes = topo.switch_buffer;
   fabric_config.ecn_threshold_bytes = topo.switch_ecn_bytes;
   fabric_ = std::make_unique<Switch>(root, fabric_config);
-  if (config_.stack.trace_capacity > 0) {
-    fabric_->enable_trace(config_.stack.trace_capacity);
+  if (config_.obs.trace_capacity > 0) {
+    fabric_->enable_trace(config_.obs.trace_capacity);
   }
 
   for (int i = 0; i < num_hosts; ++i) {

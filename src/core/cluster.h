@@ -5,8 +5,8 @@
 // The degenerate configuration — 2 hosts, no switch — takes the *exact*
 // legacy construction path (loop, one back-to-back wire, sender host,
 // receiver host, then the fault injector iff the plan is non-empty), so
-// every historical figure, campaign, cache key, and RNG stream is
-// preserved bit-for-bit.  `Testbed` (core/testbed.h) is now an alias for
+// every historical figure, campaign result, and RNG stream is preserved
+// bit-for-bit.  `Testbed` (core/testbed.h) is now an alias for
 // this class.
 //
 // Cluster mode wires each host's NIC to Side::a of its own uplink Link;
@@ -18,9 +18,10 @@
 // egress serialization at the port rate, and the downlink propagation.
 //
 // Sharded execution (config.shards > 1): the hosts are partitioned over
-// K event loops — host h on shard h*K/H — each advanced by its own
-// worker thread under conservative link-latency synchronization
-// (sim/sharded_executor.h).  Everything a host touches (its cores, NIC,
+// K event loops — host h on shard h*K/H — advanced in parallel (shard 0
+// on the calling thread, one worker thread per other shard) under
+// conservative link-latency synchronization (sim/sharded_executor.h).
+// Everything a host touches (its cores, NIC,
 // stack, uplink Link, and the switch egress port toward it) lives on its
 // shard's loop; the only cross-shard traffic is frames leaving a Link's
 // switch side, which travel through per-(src,dst)-shard channels

@@ -60,9 +60,6 @@ struct StackConfig {
   bool receiver_driven = false;
   GrantPolicy grant_policy;
 
-  /// Flight-recorder capacity (events per host); 0 disables tracing.
-  std::size_t trace_capacity = 0;
-
   int nic_ring_size = 1024;       ///< rx descriptors per queue
   Bytes tcp_rx_buf = 0;           ///< fixed receive buffer; 0 = autotune
   Bytes tcp_rx_buf_max = 6400 * kKiB;  ///< autotune cap (tcp_rmem[2])
@@ -70,12 +67,10 @@ struct StackConfig {
 
   /// Consecutive RTO expirations before a connection is declared dead
   /// with ETIMEDOUT (Linux tcp_retries2 analogue); 0 probes forever.
-  /// Serialized only when non-default, so legacy config hashes hold.
   int max_consecutive_rtos = 8;
 
   /// Protocol behind the net::Transport seam: classic TCP (default) or
-  /// the Homa-style receiver-driven message transport.  Serialized only
-  /// when non-default, so legacy config hashes hold.
+  /// the Homa-style receiver-driven message transport.
   TransportConfig transport;
 
   Bytes mtu_payload() const { return jumbo ? 9000 : 1500; }
@@ -137,13 +132,11 @@ struct TrafficConfig {
   /// no preemption-sensitive batching).
   Bytes sender_chunk = 128 * kKiB;
   /// Resilient-RPC policy for the rpc patterns (deadlines, retries,
-  /// circuit breaker).  Disabled by default; serialized only when
-  /// enabled, so legacy config hashes hold.
+  /// circuit breaker).  Disabled by default.
   RpcResilienceConfig resilience;
   /// Open-loop engine parameters (Pattern::open_loop: arrival process,
-  /// size mix, churn, fan-out).  Disabled by default; serialized only
-  /// when enabled, so legacy config hashes hold.  `flows` above is the
-  /// connection-pool size.
+  /// size mix, churn, fan-out).  Disabled by default.  `flows` above is
+  /// the connection-pool size.
   WorkloadConfig workload;
 };
 
@@ -202,10 +195,11 @@ struct ExperimentConfig {
   /// multi-millisecond silent windows legitimate.
   WatchdogConfig watchdog;
 
-  /// Observability (spans / sampler / exporters).  Deliberately NOT part
-  /// of config_to_json()/config_hash(): obs is a read-only lens, so two
-  /// configs differing only here are the same experiment — sweep cache
-  /// keys and legacy artifacts stay bit-identical when it is enabled.
+  /// Observability (spans / sampler / exporters / flight recorder).
+  /// Deliberately NOT part of config_to_json()/config_hash(): obs is a
+  /// read-only lens, so two configs differing only here are the same
+  /// experiment — sweep cache keys and artifacts stay bit-identical when
+  /// it is enabled.
   ObsConfig obs;
 };
 

@@ -300,7 +300,7 @@ Metrics Experiment::run() {
     metrics.flows.push_back(fm);
   }
 
-  if (config_.stack.trace_capacity > 0) {
+  if (config_.obs.trace_capacity > 0) {
     for (int h = 0; h < num_hosts; ++h) {
       const auto host_trace = testbed.host(h).stack().tracer().snapshot();
       metrics.trace.insert(metrics.trace.end(), host_trace.begin(),

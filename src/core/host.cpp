@@ -7,7 +7,7 @@ namespace {
 
 StackOptions stack_options(const ExperimentConfig& config, int host_id) {
   StackOptions options;
-  options.trace_capacity = config.stack.trace_capacity;
+  options.trace_capacity = config.obs.trace_capacity;
   options.host_id = host_id;
   options.segmentation = config.stack.segmentation();
   options.gro = config.stack.gro;

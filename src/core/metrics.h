@@ -9,11 +9,11 @@
 #include <vector>
 
 #include "cpu/cycle_account.h"
+#include "obs/event_trace.h"
 #include "obs/latency_monitor.h"
 #include "obs/request_trace.h"
 #include "obs/span.h"
 #include "sim/fault_injector.h"
-#include "sim/trace.h"
 #include "sim/units.h"
 #include "workload/request_record.h"
 
@@ -190,7 +190,7 @@ struct Metrics {
   std::vector<workload::RequestRecord> workload_records;
 
   /// Merged flight-recorder trace from both hosts (empty unless
-  /// StackConfig::trace_capacity was set), time-ordered.
+  /// ObsConfig::trace_capacity was set), time-ordered.
   std::vector<TraceRecord> trace;
 
   /// Per-stage pipeline latency breakdown (empty unless span tracing was

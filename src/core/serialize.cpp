@@ -317,6 +317,10 @@ std::optional<JsonValue> JsonValue::parse(std::string_view text) {
 }
 
 // --- Config serialization ---------------------------------------------------
+//
+// Schema 2: every field of ExperimentConfig except `shards` and `obs` is
+// written on every call, whatever its value, so the document describes
+// the run completely and nothing in it is implied by a default.
 
 namespace {
 
@@ -349,32 +353,22 @@ void write_stack(JsonWriter& w, const StackConfig& s) {
   w.key("grant_max_active").value(s.grant_policy.max_active);
   w.key("grant_bytes").value(s.grant_policy.grant_bytes);
   w.key("grant_unscheduled_bytes").value(s.grant_policy.unscheduled_bytes);
-  w.key("trace_capacity").value(static_cast<std::uint64_t>(s.trace_capacity));
   w.key("nic_ring_size").value(s.nic_ring_size);
   w.key("tcp_rx_buf").value(s.tcp_rx_buf);
   w.key("tcp_rx_buf_max").value(s.tcp_rx_buf_max);
   w.key("tcp_tx_buf").value(s.tcp_tx_buf);
-  // The connection-failure threshold is new; the default stays
-  // unserialized so legacy configs hash exactly as before.
-  if (s.max_consecutive_rtos != 8) {
-    w.key("max_consecutive_rtos").value(s.max_consecutive_rtos);
-  }
-  // The transport seam is new; only non-TCP configurations emit it, so
-  // every legacy (default-transport) config keeps its canonical form
-  // and hash.
-  if (s.transport.kind != TransportKind::tcp) {
-    const TransportConfig& t = s.transport;
-    w.key("transport").begin_object();
-    w.key("kind").value(to_string(t.kind));
-    w.key("homa_max_active").value(t.homa.max_active);
-    w.key("homa_grant_bytes").value(t.homa.grant_bytes);
-    w.key("homa_unscheduled_bytes").value(t.homa.unscheduled_bytes);
-    w.key("homa_rcv_buf").value(t.homa_rcv_buf);
-    w.key("homa_max_tx_msgs").value(t.homa_max_tx_msgs);
-    w.key("homa_resend_interval").value(t.homa_resend_interval);
-    w.key("homa_max_resends").value(t.homa_max_resends);
-    w.end_object();
-  }
+  w.key("max_consecutive_rtos").value(s.max_consecutive_rtos);
+  const TransportConfig& t = s.transport;
+  w.key("transport").begin_object();
+  w.key("kind").value(to_string(t.kind));
+  w.key("homa_max_active").value(t.homa.max_active);
+  w.key("homa_grant_bytes").value(t.homa.grant_bytes);
+  w.key("homa_unscheduled_bytes").value(t.homa.unscheduled_bytes);
+  w.key("homa_rcv_buf").value(t.homa_rcv_buf);
+  w.key("homa_max_tx_msgs").value(t.homa_max_tx_msgs);
+  w.key("homa_resend_interval").value(t.homa_resend_interval);
+  w.key("homa_max_resends").value(t.homa_max_resends);
+  w.end_object();
   w.end_object();
 }
 
@@ -387,49 +381,40 @@ void write_traffic(JsonWriter& w, const TrafficConfig& t) {
   w.key("segregate_mixed_cores").value(t.segregate_mixed_cores);
   w.key("app_chunk").value(t.app_chunk);
   w.key("sender_chunk").value(t.sender_chunk);
-  // Resilience policy is new; only enabled configurations emit it, so
-  // every legacy traffic block keeps its canonical form and hash.
-  if (t.resilience.enabled) {
-    const RpcResilienceConfig& r = t.resilience;
-    w.key("resilience").begin_object();
-    w.key("enabled").value(r.enabled);
-    w.key("deadline").value(r.deadline);
-    w.key("max_retries").value(r.max_retries);
-    w.key("backoff_base").value(r.backoff_base);
-    w.key("backoff_cap").value(r.backoff_cap);
-    w.key("jitter").value(r.jitter);
-    w.key("breaker_threshold").value(r.breaker_threshold);
-    w.key("breaker_cooldown").value(r.breaker_cooldown);
-    w.end_object();
-  }
-  // The open-loop workload section is new; only enabled configurations
-  // emit it, so every legacy traffic block keeps its canonical form and
-  // hash (and therefore its sweep cache key).
-  if (t.workload.enabled) {
-    const WorkloadConfig& wl = t.workload;
-    w.key("workload").begin_object();
-    w.key("enabled").value(wl.enabled);
-    w.key("arrivals").value(to_string(wl.arrivals));
-    w.key("rate_rps").value(wl.rate_rps);
-    w.key("burst_factor").value(wl.burst_factor);
-    w.key("burst_on_mean").value(wl.burst_on_mean);
-    w.key("burst_off_mean").value(wl.burst_off_mean);
-    w.key("diurnal_amplitude").value(wl.diurnal_amplitude);
-    w.key("diurnal_period").value(wl.diurnal_period);
-    w.key("sizes").value(to_string(wl.sizes));
-    w.key("lognormal_sigma").value(wl.lognormal_sigma);
-    w.key("pareto_alpha").value(wl.pareto_alpha);
-    w.key("size_min").value(wl.size_min);
-    w.key("size_max").value(wl.size_max);
-    w.key("churn_prob").value(wl.churn_prob);
-    w.key("time_wait").value(wl.time_wait);
-    w.key("listen_backlog").value(wl.listen_backlog);
-    w.key("syn_retry").value(wl.syn_retry);
-    w.key("max_syn_retries").value(wl.max_syn_retries);
-    w.key("fan_out").value(wl.fan_out);
-    w.key("slo").value(wl.slo);
-    w.end_object();
-  }
+  const RpcResilienceConfig& r = t.resilience;
+  w.key("resilience").begin_object();
+  w.key("enabled").value(r.enabled);
+  w.key("deadline").value(r.deadline);
+  w.key("max_retries").value(r.max_retries);
+  w.key("backoff_base").value(r.backoff_base);
+  w.key("backoff_cap").value(r.backoff_cap);
+  w.key("jitter").value(r.jitter);
+  w.key("breaker_threshold").value(r.breaker_threshold);
+  w.key("breaker_cooldown").value(r.breaker_cooldown);
+  w.end_object();
+  const WorkloadConfig& wl = t.workload;
+  w.key("workload").begin_object();
+  w.key("enabled").value(wl.enabled);
+  w.key("arrivals").value(to_string(wl.arrivals));
+  w.key("rate_rps").value(wl.rate_rps);
+  w.key("burst_factor").value(wl.burst_factor);
+  w.key("burst_on_mean").value(wl.burst_on_mean);
+  w.key("burst_off_mean").value(wl.burst_off_mean);
+  w.key("diurnal_amplitude").value(wl.diurnal_amplitude);
+  w.key("diurnal_period").value(wl.diurnal_period);
+  w.key("sizes").value(to_string(wl.sizes));
+  w.key("lognormal_sigma").value(wl.lognormal_sigma);
+  w.key("pareto_alpha").value(wl.pareto_alpha);
+  w.key("size_min").value(wl.size_min);
+  w.key("size_max").value(wl.size_max);
+  w.key("churn_prob").value(wl.churn_prob);
+  w.key("time_wait").value(wl.time_wait);
+  w.key("listen_backlog").value(wl.listen_backlog);
+  w.key("syn_retry").value(wl.syn_retry);
+  w.key("max_syn_retries").value(wl.max_syn_retries);
+  w.key("fan_out").value(wl.fan_out);
+  w.key("slo").value(wl.slo);
+  w.end_object();
   w.end_object();
 }
 
@@ -497,9 +482,7 @@ void write_faults(JsonWriter& w, const FaultPlan& f) {
     w.begin_object();
     w.key("at").value(flap.at);
     w.key("duration").value(flap.duration);
-    // Targeted flaps are new; the global default stays unserialized so
-    // legacy plans hash exactly as before.
-    if (flap.link >= 0) w.key("link").value(flap.link);
+    w.key("link").value(flap.link);
     w.end_object();
   }
   w.end_array();
@@ -509,7 +492,7 @@ void write_faults(JsonWriter& w, const FaultPlan& f) {
     w.key("at").value(stall.at);
     w.key("duration").value(stall.duration);
     w.key("queue").value(stall.queue);
-    if (stall.host >= 0) w.key("host").value(stall.host);
+    w.key("host").value(stall.host);
     w.end_object();
   }
   w.end_array();
@@ -522,30 +505,24 @@ void write_faults(JsonWriter& w, const FaultPlan& f) {
     w.end_object();
   }
   w.end_array();
-  // Crash/blackhole schedules are new; empty ones stay unserialized so
-  // legacy fault plans keep their canonical form and hash.
-  if (!f.host_crashes.empty()) {
-    w.key("host_crashes").begin_array();
-    for (const HostCrash& crash : f.host_crashes) {
-      w.begin_object();
-      w.key("at").value(crash.at);
-      w.key("down_for").value(crash.down_for);
-      w.key("host").value(crash.host);
-      w.end_object();
-    }
-    w.end_array();
+  w.key("host_crashes").begin_array();
+  for (const HostCrash& crash : f.host_crashes) {
+    w.begin_object();
+    w.key("at").value(crash.at);
+    w.key("down_for").value(crash.down_for);
+    w.key("host").value(crash.host);
+    w.end_object();
   }
-  if (!f.port_blackholes.empty()) {
-    w.key("port_blackholes").begin_array();
-    for (const PortBlackhole& hole : f.port_blackholes) {
-      w.begin_object();
-      w.key("at").value(hole.at);
-      w.key("duration").value(hole.duration);
-      w.key("port").value(hole.port);
-      w.end_object();
-    }
-    w.end_array();
+  w.end_array();
+  w.key("port_blackholes").begin_array();
+  for (const PortBlackhole& hole : f.port_blackholes) {
+    w.begin_object();
+    w.key("at").value(hole.at);
+    w.key("duration").value(hole.duration);
+    w.key("port").value(hole.port);
+    w.end_object();
   }
+  w.end_array();
   w.end_object();
 }
 
@@ -571,21 +548,14 @@ std::string config_to_json(const ExperimentConfig& config) {
   w.key("ways").value(config.llc.ways);
   w.key("ddio_ways").value(config.llc.ddio_ways);
   w.end_object();
-  // Topology is emitted only when it differs from the default two-host
-  // back-to-back testbed, so every historical config keeps its exact
-  // canonical form — and therefore its hash and sweep cache key.
   const TopologyConfig& topology = config.topology;
-  if (topology.num_hosts != 2 || topology.use_switch ||
-      topology.port_gbps != 0 || topology.switch_buffer != 0 ||
-      topology.switch_ecn_bytes != 0) {
-    w.key("topology").begin_object();
-    w.key("num_hosts").value(topology.num_hosts);
-    w.key("use_switch").value(topology.use_switch);
-    w.key("port_gbps").value(topology.port_gbps);
-    w.key("switch_buffer").value(topology.switch_buffer);
-    w.key("switch_ecn_bytes").value(topology.switch_ecn_bytes);
-    w.end_object();
-  }
+  w.key("topology").begin_object();
+  w.key("num_hosts").value(topology.num_hosts);
+  w.key("use_switch").value(topology.use_switch);
+  w.key("port_gbps").value(topology.port_gbps);
+  w.key("switch_buffer").value(topology.switch_buffer);
+  w.key("switch_ecn_bytes").value(topology.switch_ecn_bytes);
+  w.end_object();
   w.key("link_gbps").value(config.link_gbps);
   w.key("wire_propagation").value(config.wire_propagation);
   w.key("loss_rate").value(config.loss_rate);
@@ -626,530 +596,295 @@ std::string hash_hex(std::uint64_t hash) {
 
 namespace {
 
-void write_cycles(JsonWriter& w, const CycleAccount& account) {
-  w.begin_object();
-  for (std::size_t i = 0; i < kNumCpuCategories; ++i) {
-    const auto category = static_cast<CpuCategory>(i);
-    w.key(to_string(category)).value(account.get(category));
-  }
-  w.end_object();
+/// One member per Table-1 category, named by to_string(CpuCategory).
+/// CycleAccount hands out values, not cells, so each count goes through
+/// a local that a reader then stores back.
+template <typename Account, typename V>
+void visit_cycles(std::string_view name, Account& account, V& v) {
+  v.object(name, [&] {
+    for (std::size_t i = 0; i < kNumCpuCategories; ++i) {
+      const auto category = static_cast<CpuCategory>(i);
+      Cycles cycles = account.get(category);
+      v.num(to_string(category), cycles);
+      if constexpr (!std::is_const_v<Account>) {
+        account.add(category, cycles - account.get(category));
+      }
+    }
+  });
 }
 
-bool read_cycles(const JsonValue* value, CycleAccount* account) {
-  if (value == nullptr || !value->is_object()) return false;
-  for (std::size_t i = 0; i < kNumCpuCategories; ++i) {
-    const auto category = static_cast<CpuCategory>(i);
-    const JsonValue* cell = value->find(to_string(category));
-    if (cell == nullptr) return false;
-    account->add(category, cell->as_i64());
-  }
-  return true;
+/// Every serialized Metrics field, named once, in document order.  `M` is
+/// `const Metrics` when writing and `Metrics` when reading; `v` (a
+/// MetricsWriter or MetricsReader) gives each construct its meaning:
+///
+///   num(name, x)                     a number member
+///   object(name, body)               a nested object, always present
+///   section(name, has, body)         an object written when `has`; on
+///                                    read, `has` is whether it appears
+///   optional(written, body)          members written only when
+///                                    `written`, optional on read
+///   array(name, xs, required, body)  an array of objects; when not
+///                                    `required`, written only when
+///                                    non-empty and optional on read
+///
+/// The in-memory-only members (trace, workload_records, obs_*) are not
+/// listed: they never enter a document.
+template <typename M, typename V>
+void visit_metrics(M& m, V& v) {
+  v.num("window", m.window);
+  v.num("app_bytes", m.app_bytes);
+  v.num("total_gbps", m.total_gbps);
+  v.num("sender_cores_used", m.sender_cores_used);
+  v.num("receiver_cores_used", m.receiver_cores_used);
+  v.num("sender_peak_core_util", m.sender_peak_core_util);
+  v.num("receiver_peak_core_util", m.receiver_peak_core_util);
+  v.num("throughput_per_core_gbps", m.throughput_per_core_gbps);
+  v.num("throughput_per_sender_core_gbps", m.throughput_per_sender_core_gbps);
+  v.num("throughput_per_receiver_core_gbps",
+        m.throughput_per_receiver_core_gbps);
+  visit_cycles("sender_cycles", m.sender_cycles, v);
+  visit_cycles("receiver_cycles", m.receiver_cycles, v);
+  v.num("rx_copy_miss_rate", m.rx_copy_miss_rate);
+  v.num("tx_copy_miss_rate", m.tx_copy_miss_rate);
+  v.num("napi_to_copy_avg", m.napi_to_copy_avg);
+  v.num("napi_to_copy_p99", m.napi_to_copy_p99);
+  v.num("mean_skb_bytes", m.mean_skb_bytes);
+  v.num("skb_64kb_fraction", m.skb_64kb_fraction);
+  v.num("retransmits", m.retransmits);
+  v.num("dup_acks_received", m.dup_acks_received);
+  v.num("acks_received", m.acks_received);
+  v.num("wire_drops", m.wire_drops);
+  v.object("faults", [&] {
+    auto& f = m.faults;
+    v.num("random_drops", f.random_drops);
+    v.num("bursty_drops", f.bursty_drops);
+    v.num("flap_drops", f.flap_drops);
+    v.num("corrupt_frames", f.corrupt_frames);
+    v.num("flaps", f.flaps);
+    v.num("ring_stall_drops", f.ring_stall_drops);
+    v.num("pool_denials", f.pool_denials);
+    v.num("watchdog_trips", f.watchdog_trips);
+    // The chaos counters ride the recovery section.
+    v.optional(m.has_recovery, [&] {
+      v.num("host_crashes", f.host_crashes);
+      v.num("crash_drops", f.crash_drops);
+      v.num("blackhole_drops", f.blackhole_drops);
+    });
+  });
+  v.num("rx_csum_drops", m.rx_csum_drops);
+  v.num("invariant_checks", m.invariant_checks);
+  v.num("invariant_violations", m.invariant_violations);
+  v.num("sender_pageset_miss", m.sender_pageset_miss);
+  v.num("receiver_pageset_miss", m.receiver_pageset_miss);
+  v.num("rpc_transactions", m.rpc_transactions);
+  v.num("rpc_transactions_per_sec", m.rpc_transactions_per_sec);
+  v.num("rpc_latency_p50", m.rpc_latency_p50);
+  v.num("rpc_latency_p99", m.rpc_latency_p99);
+  v.array("flows", m.flows, /*required=*/true, [&](auto& flow) {
+    v.num("flow", flow.flow);
+    v.num("delivered", flow.delivered);
+    v.num("gbps", flow.gbps);
+  });
+  v.array("per_host", m.per_host, /*required=*/false, [&](auto& host) {
+    v.num("host", host.host);
+    v.num("cores_used", host.cores_used);
+    v.num("peak_core_util", host.peak_core_util);
+    v.num("app_bytes", host.app_bytes);
+    v.num("gbps", host.gbps);
+  });
+  v.section("fabric", m.has_fabric, [&] {
+    auto& fab = m.fabric;
+    v.num("forwarded", fab.forwarded);
+    v.num("drops", fab.drops);
+    v.num("ecn_marks", fab.ecn_marks);
+    v.num("flap_drops", fab.flap_drops);
+    v.num("peak_queue_bytes", fab.peak_queue_bytes);
+  });
+  v.section("recovery", m.has_recovery, [&] {
+    auto& rec = m.recovery;
+    v.num("time_to_recover", rec.time_to_recover);
+    v.num("pre_fault_gbps", rec.pre_fault_gbps);
+    v.num("rpc_retries", rec.rpc_retries);
+    v.num("rpc_timeouts", rec.rpc_timeouts);
+    v.num("rpc_resets", rec.rpc_resets);
+    v.num("rpc_failed", rec.rpc_failed);
+    v.num("breaker_opens", rec.breaker_opens);
+    v.num("reconnects", rec.reconnects);
+    v.num("sockets_killed", rec.sockets_killed);
+    v.num("bytes_destroyed", rec.bytes_destroyed);
+  });
+  v.section("workload", m.has_workload, [&] {
+    auto& wl = m.workload;
+    v.num("offered", wl.offered);
+    v.num("completed", wl.completed);
+    v.num("incomplete", wl.incomplete);
+    v.num("offered_rps", wl.offered_rps);
+    v.num("completed_rps", wl.completed_rps);
+    v.num("latency_p50", wl.latency_p50);
+    v.num("latency_p95", wl.latency_p95);
+    v.num("latency_p99", wl.latency_p99);
+    v.num("latency_p999", wl.latency_p999);
+    v.num("queue_p50", wl.queue_p50);
+    v.num("queue_p99", wl.queue_p99);
+    v.num("first_byte_p99", wl.first_byte_p99);
+    v.num("connect_p99", wl.connect_p99);
+    v.num("leaf_p99", wl.leaf_p99);
+    v.num("fanout_leaves", wl.fanout_leaves);
+    v.num("slo_violations", wl.slo_violations);
+    v.num("conns_opened", wl.conns_opened);
+    v.num("conns_closed", wl.conns_closed);
+    v.num("redispatches", wl.redispatches);
+    v.num("syns_sent", wl.syns_sent);
+    v.num("syn_retries", wl.syn_retries);
+    v.num("syns_received", wl.syns_received);
+    v.num("listen_overflows", wl.listen_overflows);
+    v.num("accepts", wl.accepts);
+    v.num("connect_failures", wl.connect_failures);
+    v.num("time_wait_entered", wl.time_wait_entered);
+    v.num("time_wait_reaped", wl.time_wait_reaped);
+    v.num("time_wait_peak", wl.time_wait_peak);
+    v.num("socket_table_peak", wl.socket_table_peak);
+  });
 }
 
-}  // namespace
-
-std::string metrics_to_json(const Metrics& m) {
+struct MetricsWriter {
   JsonWriter w;
-  w.begin_object();
-  w.key("window").value(m.window);
-  w.key("app_bytes").value(m.app_bytes);
-  w.key("total_gbps").value(m.total_gbps);
-  w.key("sender_cores_used").value(m.sender_cores_used);
-  w.key("receiver_cores_used").value(m.receiver_cores_used);
-  w.key("sender_peak_core_util").value(m.sender_peak_core_util);
-  w.key("receiver_peak_core_util").value(m.receiver_peak_core_util);
-  w.key("throughput_per_core_gbps").value(m.throughput_per_core_gbps);
-  w.key("throughput_per_sender_core_gbps")
-      .value(m.throughput_per_sender_core_gbps);
-  w.key("throughput_per_receiver_core_gbps")
-      .value(m.throughput_per_receiver_core_gbps);
-  w.key("sender_cycles");
-  write_cycles(w, m.sender_cycles);
-  w.key("receiver_cycles");
-  write_cycles(w, m.receiver_cycles);
-  w.key("rx_copy_miss_rate").value(m.rx_copy_miss_rate);
-  w.key("tx_copy_miss_rate").value(m.tx_copy_miss_rate);
-  w.key("napi_to_copy_avg").value(m.napi_to_copy_avg);
-  w.key("napi_to_copy_p99").value(m.napi_to_copy_p99);
-  w.key("mean_skb_bytes").value(m.mean_skb_bytes);
-  w.key("skb_64kb_fraction").value(m.skb_64kb_fraction);
-  w.key("retransmits").value(m.retransmits);
-  w.key("dup_acks_received").value(m.dup_acks_received);
-  w.key("acks_received").value(m.acks_received);
-  w.key("wire_drops").value(m.wire_drops);
-  w.key("faults").begin_object();
-  w.key("random_drops").value(m.faults.random_drops);
-  w.key("bursty_drops").value(m.faults.bursty_drops);
-  w.key("flap_drops").value(m.faults.flap_drops);
-  w.key("corrupt_frames").value(m.faults.corrupt_frames);
-  w.key("flaps").value(m.faults.flaps);
-  w.key("ring_stall_drops").value(m.faults.ring_stall_drops);
-  w.key("pool_denials").value(m.faults.pool_denials);
-  w.key("watchdog_trips").value(m.faults.watchdog_trips);
-  // Crash/blackhole counters ride the recovery gate so legacy fault
-  // objects keep their exact member list.
-  if (m.has_recovery) {
-    w.key("host_crashes").value(m.faults.host_crashes);
-    w.key("crash_drops").value(m.faults.crash_drops);
-    w.key("blackhole_drops").value(m.faults.blackhole_drops);
+
+  template <typename T>
+  void num(std::string_view name, const T& value) {
+    w.key(name).value(value);
   }
-  w.end_object();
-  w.key("rx_csum_drops").value(m.rx_csum_drops);
-  w.key("invariant_checks").value(m.invariant_checks);
-  w.key("invariant_violations").value(m.invariant_violations);
-  w.key("sender_pageset_miss").value(m.sender_pageset_miss);
-  w.key("receiver_pageset_miss").value(m.receiver_pageset_miss);
-  w.key("rpc_transactions").value(m.rpc_transactions);
-  w.key("rpc_transactions_per_sec").value(m.rpc_transactions_per_sec);
-  w.key("rpc_latency_p50").value(m.rpc_latency_p50);
-  w.key("rpc_latency_p99").value(m.rpc_latency_p99);
-  w.key("flows").begin_array();
-  for (const Metrics::FlowMetrics& flow : m.flows) {
-    w.begin_object();
-    w.key("flow").value(flow.flow);
-    w.key("delivered").value(flow.delivered);
-    w.key("gbps").value(flow.gbps);
+
+  template <typename Body>
+  void object(std::string_view name, Body&& body) {
+    w.key(name).begin_object();
+    body();
     w.end_object();
   }
-  w.end_array();
-  // Cluster-only sections; absent for two-host runs so their documents
-  // stay byte-identical to earlier versions.
-  if (!m.per_host.empty()) {
-    w.key("per_host").begin_array();
-    for (const Metrics::HostMetrics& host : m.per_host) {
+
+  template <typename Body>
+  void section(std::string_view name, bool present, Body&& body) {
+    if (present) object(name, body);
+  }
+
+  template <typename Body>
+  void optional(bool written, Body&& body) {
+    if (written) body();
+  }
+
+  template <typename T, typename Body>
+  void array(std::string_view name, const std::vector<T>& items,
+             bool required, Body&& body) {
+    if (!required && items.empty()) return;
+    w.key(name).begin_array();
+    for (const T& item : items) {
       w.begin_object();
-      w.key("host").value(host.host);
-      w.key("cores_used").value(host.cores_used);
-      w.key("peak_core_util").value(host.peak_core_util);
-      w.key("app_bytes").value(host.app_bytes);
-      w.key("gbps").value(host.gbps);
+      body(item);
       w.end_object();
     }
     w.end_array();
   }
-  if (m.has_fabric) {
-    w.key("fabric").begin_object();
-    w.key("forwarded").value(m.fabric.forwarded);
-    w.key("drops").value(m.fabric.drops);
-    w.key("ecn_marks").value(m.fabric.ecn_marks);
-    w.key("flap_drops").value(m.fabric.flap_drops);
-    w.key("peak_queue_bytes").value(m.fabric.peak_queue_bytes);
-    w.end_object();
+};
+
+/// Fails (ok == false) on any missing required member and on any
+/// present member of the wrong JSON kind.
+class MetricsReader {
+ public:
+  explicit MetricsReader(const JsonValue& root) : at_(&root) {}
+
+  bool ok() const { return ok_; }
+
+  template <typename T>
+  void num(std::string_view name, T& out) {
+    const JsonValue* cell = at_->find(name);
+    if (cell == nullptr) {
+      ok_ = ok_ && optional_;
+      return;
+    }
+    if (!cell->is_number()) {
+      ok_ = false;
+    } else if constexpr (std::is_floating_point_v<T>) {
+      out = cell->as_double();
+    } else if constexpr (std::is_unsigned_v<T>) {
+      out = static_cast<T>(cell->as_u64());
+    } else {
+      out = static_cast<T>(cell->as_i64());
+    }
   }
-  if (m.has_recovery) {
-    w.key("recovery").begin_object();
-    w.key("time_to_recover").value(m.recovery.time_to_recover);
-    w.key("pre_fault_gbps").value(m.recovery.pre_fault_gbps);
-    w.key("rpc_retries").value(m.recovery.rpc_retries);
-    w.key("rpc_timeouts").value(m.recovery.rpc_timeouts);
-    w.key("rpc_resets").value(m.recovery.rpc_resets);
-    w.key("rpc_failed").value(m.recovery.rpc_failed);
-    w.key("breaker_opens").value(m.recovery.breaker_opens);
-    w.key("reconnects").value(m.recovery.reconnects);
-    w.key("sockets_killed").value(m.recovery.sockets_killed);
-    w.key("bytes_destroyed").value(m.recovery.bytes_destroyed);
-    w.end_object();
+
+  template <typename Body>
+  void object(std::string_view name, Body&& body) {
+    enter(at_->find(name), body);
   }
-  // Optional open-loop workload section (Pattern::open_loop runs only),
-  // so legacy documents stay byte-identical.  Per-request lifecycle
-  // records are deliberately NOT serialized here — like the trace, they
-  // are in-memory only, exported separately as JSONL.
-  if (m.has_workload) {
-    const Metrics::WorkloadMetrics& wl = m.workload;
-    w.key("workload").begin_object();
-    w.key("offered").value(wl.offered);
-    w.key("completed").value(wl.completed);
-    w.key("incomplete").value(wl.incomplete);
-    w.key("offered_rps").value(wl.offered_rps);
-    w.key("completed_rps").value(wl.completed_rps);
-    w.key("latency_p50").value(wl.latency_p50);
-    w.key("latency_p95").value(wl.latency_p95);
-    w.key("latency_p99").value(wl.latency_p99);
-    w.key("latency_p999").value(wl.latency_p999);
-    w.key("queue_p50").value(wl.queue_p50);
-    w.key("queue_p99").value(wl.queue_p99);
-    w.key("first_byte_p99").value(wl.first_byte_p99);
-    w.key("connect_p99").value(wl.connect_p99);
-    w.key("leaf_p99").value(wl.leaf_p99);
-    w.key("fanout_leaves").value(wl.fanout_leaves);
-    w.key("slo_violations").value(wl.slo_violations);
-    w.key("conns_opened").value(wl.conns_opened);
-    w.key("conns_closed").value(wl.conns_closed);
-    w.key("redispatches").value(wl.redispatches);
-    w.key("syns_sent").value(wl.syns_sent);
-    w.key("syn_retries").value(wl.syn_retries);
-    w.key("syns_received").value(wl.syns_received);
-    w.key("listen_overflows").value(wl.listen_overflows);
-    w.key("accepts").value(wl.accepts);
-    w.key("connect_failures").value(wl.connect_failures);
-    w.key("time_wait_entered").value(wl.time_wait_entered);
-    w.key("time_wait_reaped").value(wl.time_wait_reaped);
-    w.key("time_wait_peak").value(wl.time_wait_peak);
-    w.key("socket_table_peak").value(wl.socket_table_peak);
-    w.end_object();
+
+  template <typename Body>
+  void section(std::string_view name, bool& present, Body&& body) {
+    present = at_->find(name) != nullptr;
+    if (present) object(name, body);
   }
-  w.end_object();
-  return w.str();
+
+  template <typename Body>
+  void optional(bool /*written*/, Body&& body) {
+    const bool outer = optional_;
+    optional_ = true;
+    body();
+    optional_ = outer;
+  }
+
+  template <typename T, typename Body>
+  void array(std::string_view name, std::vector<T>& items, bool required,
+             Body&& body) {
+    const JsonValue* list = at_->find(name);
+    if (list == nullptr || !list->is_array()) {
+      ok_ = ok_ && list == nullptr && !required;
+      return;
+    }
+    for (const JsonValue& item : list->items()) {
+      enter(&item, [&] { body(items.emplace_back()); });
+    }
+  }
+
+ private:
+  template <typename Body>
+  void enter(const JsonValue* value, Body&& body) {
+    if (value == nullptr || !value->is_object()) {
+      ok_ = false;
+      return;
+    }
+    const JsonValue* outer = at_;
+    at_ = value;
+    body();
+    at_ = outer;
+  }
+
+  const JsonValue* at_;
+  bool ok_ = true;
+  bool optional_ = false;
+};
+
+}  // namespace
+
+std::string metrics_to_json(const Metrics& metrics) {
+  MetricsWriter writer;
+  writer.w.begin_object();
+  visit_metrics(metrics, writer);
+  writer.w.end_object();
+  return writer.w.str();
 }
 
-std::optional<Metrics> metrics_from_json(const JsonValue& v) {
-  if (!v.is_object()) return std::nullopt;
-  Metrics m;
-  const auto num = [&v](std::string_view name, auto* out) {
-    const JsonValue* cell = v.find(name);
-    if (cell == nullptr || !cell->is_number()) return false;
-    using T = std::remove_pointer_t<decltype(out)>;
-    if constexpr (std::is_same_v<T, double>) {
-      *out = cell->as_double();
-    } else if constexpr (std::is_unsigned_v<T>) {
-      *out = static_cast<T>(cell->as_u64());
-    } else {
-      *out = static_cast<T>(cell->as_i64());
-    }
-    return true;
-  };
-  bool ok = true;
-  ok &= num("window", &m.window);
-  ok &= num("app_bytes", &m.app_bytes);
-  ok &= num("total_gbps", &m.total_gbps);
-  ok &= num("sender_cores_used", &m.sender_cores_used);
-  ok &= num("receiver_cores_used", &m.receiver_cores_used);
-  ok &= num("sender_peak_core_util", &m.sender_peak_core_util);
-  ok &= num("receiver_peak_core_util", &m.receiver_peak_core_util);
-  ok &= num("throughput_per_core_gbps", &m.throughput_per_core_gbps);
-  ok &= num("throughput_per_sender_core_gbps",
-            &m.throughput_per_sender_core_gbps);
-  ok &= num("throughput_per_receiver_core_gbps",
-            &m.throughput_per_receiver_core_gbps);
-  ok &= read_cycles(v.find("sender_cycles"), &m.sender_cycles);
-  ok &= read_cycles(v.find("receiver_cycles"), &m.receiver_cycles);
-  ok &= num("rx_copy_miss_rate", &m.rx_copy_miss_rate);
-  ok &= num("tx_copy_miss_rate", &m.tx_copy_miss_rate);
-  ok &= num("napi_to_copy_avg", &m.napi_to_copy_avg);
-  ok &= num("napi_to_copy_p99", &m.napi_to_copy_p99);
-  ok &= num("mean_skb_bytes", &m.mean_skb_bytes);
-  ok &= num("skb_64kb_fraction", &m.skb_64kb_fraction);
-  ok &= num("retransmits", &m.retransmits);
-  ok &= num("dup_acks_received", &m.dup_acks_received);
-  ok &= num("acks_received", &m.acks_received);
-  ok &= num("wire_drops", &m.wire_drops);
-  const JsonValue* faults = v.find("faults");
-  if (faults != nullptr && faults->is_object()) {
-    const auto fnum = [&faults](std::string_view name, std::uint64_t* out) {
-      const JsonValue* cell = faults->find(name);
-      if (cell == nullptr || !cell->is_number()) return false;
-      *out = cell->as_u64();
-      return true;
-    };
-    ok &= fnum("random_drops", &m.faults.random_drops);
-    ok &= fnum("bursty_drops", &m.faults.bursty_drops);
-    ok &= fnum("flap_drops", &m.faults.flap_drops);
-    ok &= fnum("corrupt_frames", &m.faults.corrupt_frames);
-    ok &= fnum("flaps", &m.faults.flaps);
-    ok &= fnum("ring_stall_drops", &m.faults.ring_stall_drops);
-    ok &= fnum("pool_denials", &m.faults.pool_denials);
-    ok &= fnum("watchdog_trips", &m.faults.watchdog_trips);
-    // Crash/blackhole counters only appear in recovery-enabled
-    // documents; absence is not an error.
-    fnum("host_crashes", &m.faults.host_crashes);
-    fnum("crash_drops", &m.faults.crash_drops);
-    fnum("blackhole_drops", &m.faults.blackhole_drops);
-  } else {
-    ok = false;
-  }
-  ok &= num("rx_csum_drops", &m.rx_csum_drops);
-  ok &= num("invariant_checks", &m.invariant_checks);
-  ok &= num("invariant_violations", &m.invariant_violations);
-  ok &= num("sender_pageset_miss", &m.sender_pageset_miss);
-  ok &= num("receiver_pageset_miss", &m.receiver_pageset_miss);
-  ok &= num("rpc_transactions", &m.rpc_transactions);
-  ok &= num("rpc_transactions_per_sec", &m.rpc_transactions_per_sec);
-  ok &= num("rpc_latency_p50", &m.rpc_latency_p50);
-  ok &= num("rpc_latency_p99", &m.rpc_latency_p99);
-  const JsonValue* flows = v.find("flows");
-  if (flows != nullptr && flows->is_array()) {
-    for (const JsonValue& entry : flows->items()) {
-      Metrics::FlowMetrics fm;
-      const JsonValue* id = entry.find("flow");
-      const JsonValue* delivered = entry.find("delivered");
-      const JsonValue* gbps = entry.find("gbps");
-      if (id == nullptr || delivered == nullptr || gbps == nullptr) {
-        ok = false;
-        break;
-      }
-      fm.flow = static_cast<int>(id->as_i64());
-      fm.delivered = delivered->as_i64();
-      fm.gbps = gbps->as_double();
-      m.flows.push_back(fm);
-    }
-  } else {
-    ok = false;
-  }
-  // Optional cluster sections (absent in two-host documents).
-  const JsonValue* per_host = v.find("per_host");
-  if (per_host != nullptr && per_host->is_array()) {
-    for (const JsonValue& entry : per_host->items()) {
-      Metrics::HostMetrics hm;
-      const JsonValue* id = entry.find("host");
-      const JsonValue* used = entry.find("cores_used");
-      const JsonValue* peak = entry.find("peak_core_util");
-      const JsonValue* bytes = entry.find("app_bytes");
-      const JsonValue* gbps = entry.find("gbps");
-      if (id == nullptr || used == nullptr || peak == nullptr ||
-          bytes == nullptr || gbps == nullptr) {
-        ok = false;
-        break;
-      }
-      hm.host = static_cast<int>(id->as_i64());
-      hm.cores_used = used->as_double();
-      hm.peak_core_util = peak->as_double();
-      hm.app_bytes = bytes->as_i64();
-      hm.gbps = gbps->as_double();
-      m.per_host.push_back(hm);
-    }
-  }
-  const JsonValue* fabric = v.find("fabric");
-  if (fabric != nullptr && fabric->is_object()) {
-    m.has_fabric = true;
-    const auto fab = [&fabric](std::string_view name, std::uint64_t* out) {
-      const JsonValue* cell = fabric->find(name);
-      if (cell == nullptr || !cell->is_number()) return false;
-      *out = cell->as_u64();
-      return true;
-    };
-    ok &= fab("forwarded", &m.fabric.forwarded);
-    ok &= fab("drops", &m.fabric.drops);
-    ok &= fab("ecn_marks", &m.fabric.ecn_marks);
-    ok &= fab("flap_drops", &m.fabric.flap_drops);
-    const JsonValue* peak_queue = fabric->find("peak_queue_bytes");
-    if (peak_queue != nullptr && peak_queue->is_number()) {
-      m.fabric.peak_queue_bytes = peak_queue->as_i64();
-    } else {
-      ok = false;
-    }
-  }
-  // Optional recovery section (absent in legacy / no-fault documents).
-  const JsonValue* recovery = v.find("recovery");
-  if (recovery != nullptr && recovery->is_object()) {
-    m.has_recovery = true;
-    const auto rec_u64 = [&recovery](std::string_view name,
-                                     std::uint64_t* out) {
-      const JsonValue* cell = recovery->find(name);
-      if (cell == nullptr || !cell->is_number()) return false;
-      *out = cell->as_u64();
-      return true;
-    };
-    const JsonValue* ttr = recovery->find("time_to_recover");
-    const JsonValue* pre = recovery->find("pre_fault_gbps");
-    const JsonValue* destroyed = recovery->find("bytes_destroyed");
-    if (ttr == nullptr || !ttr->is_number() || pre == nullptr ||
-        !pre->is_number() || destroyed == nullptr ||
-        !destroyed->is_number()) {
-      ok = false;
-    } else {
-      m.recovery.time_to_recover = ttr->as_i64();
-      m.recovery.pre_fault_gbps = pre->as_double();
-      m.recovery.bytes_destroyed = destroyed->as_i64();
-    }
-    ok &= rec_u64("rpc_retries", &m.recovery.rpc_retries);
-    ok &= rec_u64("rpc_timeouts", &m.recovery.rpc_timeouts);
-    ok &= rec_u64("rpc_resets", &m.recovery.rpc_resets);
-    ok &= rec_u64("rpc_failed", &m.recovery.rpc_failed);
-    ok &= rec_u64("breaker_opens", &m.recovery.breaker_opens);
-    ok &= rec_u64("reconnects", &m.recovery.reconnects);
-    ok &= rec_u64("sockets_killed", &m.recovery.sockets_killed);
-  }
-  // Optional workload section (absent in legacy / closed-loop documents).
-  const JsonValue* workload = v.find("workload");
-  if (workload != nullptr && workload->is_object()) {
-    m.has_workload = true;
-    const auto wl_u64 = [&workload](std::string_view name,
-                                    std::uint64_t* out) {
-      const JsonValue* cell = workload->find(name);
-      if (cell == nullptr || !cell->is_number()) return false;
-      *out = cell->as_u64();
-      return true;
-    };
-    const auto wl_i64 = [&workload](std::string_view name, Nanos* out) {
-      const JsonValue* cell = workload->find(name);
-      if (cell == nullptr || !cell->is_number()) return false;
-      *out = cell->as_i64();
-      return true;
-    };
-    const auto wl_dbl = [&workload](std::string_view name, double* out) {
-      const JsonValue* cell = workload->find(name);
-      if (cell == nullptr || !cell->is_number()) return false;
-      *out = cell->as_double();
-      return true;
-    };
-    Metrics::WorkloadMetrics& wl = m.workload;
-    ok &= wl_u64("offered", &wl.offered);
-    ok &= wl_u64("completed", &wl.completed);
-    ok &= wl_u64("incomplete", &wl.incomplete);
-    ok &= wl_dbl("offered_rps", &wl.offered_rps);
-    ok &= wl_dbl("completed_rps", &wl.completed_rps);
-    ok &= wl_i64("latency_p50", &wl.latency_p50);
-    ok &= wl_i64("latency_p95", &wl.latency_p95);
-    ok &= wl_i64("latency_p99", &wl.latency_p99);
-    ok &= wl_i64("latency_p999", &wl.latency_p999);
-    ok &= wl_i64("queue_p50", &wl.queue_p50);
-    ok &= wl_i64("queue_p99", &wl.queue_p99);
-    ok &= wl_i64("first_byte_p99", &wl.first_byte_p99);
-    ok &= wl_i64("connect_p99", &wl.connect_p99);
-    ok &= wl_i64("leaf_p99", &wl.leaf_p99);
-    ok &= wl_u64("fanout_leaves", &wl.fanout_leaves);
-    ok &= wl_u64("slo_violations", &wl.slo_violations);
-    ok &= wl_u64("conns_opened", &wl.conns_opened);
-    ok &= wl_u64("conns_closed", &wl.conns_closed);
-    ok &= wl_u64("redispatches", &wl.redispatches);
-    ok &= wl_u64("syns_sent", &wl.syns_sent);
-    ok &= wl_u64("syn_retries", &wl.syn_retries);
-    ok &= wl_u64("syns_received", &wl.syns_received);
-    ok &= wl_u64("listen_overflows", &wl.listen_overflows);
-    ok &= wl_u64("accepts", &wl.accepts);
-    ok &= wl_u64("connect_failures", &wl.connect_failures);
-    ok &= wl_u64("time_wait_entered", &wl.time_wait_entered);
-    ok &= wl_u64("time_wait_reaped", &wl.time_wait_reaped);
-    ok &= wl_u64("time_wait_peak", &wl.time_wait_peak);
-    ok &= wl_u64("socket_table_peak", &wl.socket_table_peak);
-  }
-  if (!ok) return std::nullopt;
-  return m;
+std::optional<Metrics> metrics_from_json(const JsonValue& value) {
+  if (!value.is_object()) return std::nullopt;
+  Metrics metrics;
+  MetricsReader reader(value);
+  visit_metrics(metrics, reader);
+  if (!reader.ok()) return std::nullopt;
+  return metrics;
 }
 
 std::optional<Metrics> metrics_from_json(std::string_view text) {
   const std::optional<JsonValue> value = JsonValue::parse(text);
   if (!value) return std::nullopt;
   return metrics_from_json(*value);
-}
-
-std::vector<std::pair<std::string, double>> scalar_metrics(const Metrics& m) {
-  std::vector<std::pair<std::string, double>> out;
-  const auto add = [&out](std::string name, double value) {
-    out.emplace_back(std::move(name), value);
-  };
-  add("total_gbps", m.total_gbps);
-  add("throughput_per_core_gbps", m.throughput_per_core_gbps);
-  add("throughput_per_sender_core_gbps", m.throughput_per_sender_core_gbps);
-  add("throughput_per_receiver_core_gbps",
-      m.throughput_per_receiver_core_gbps);
-  add("sender_cores_used", m.sender_cores_used);
-  add("receiver_cores_used", m.receiver_cores_used);
-  add("sender_peak_core_util", m.sender_peak_core_util);
-  add("receiver_peak_core_util", m.receiver_peak_core_util);
-  add("rx_copy_miss_rate", m.rx_copy_miss_rate);
-  add("tx_copy_miss_rate", m.tx_copy_miss_rate);
-  add("napi_to_copy_avg", static_cast<double>(m.napi_to_copy_avg));
-  add("napi_to_copy_p99", static_cast<double>(m.napi_to_copy_p99));
-  add("mean_skb_bytes", m.mean_skb_bytes);
-  add("skb_64kb_fraction", m.skb_64kb_fraction);
-  add("retransmits", static_cast<double>(m.retransmits));
-  add("dup_acks_received", static_cast<double>(m.dup_acks_received));
-  add("acks_received", static_cast<double>(m.acks_received));
-  add("wire_drops", static_cast<double>(m.wire_drops));
-  add("rx_csum_drops", static_cast<double>(m.rx_csum_drops));
-  add("sender_pageset_miss", m.sender_pageset_miss);
-  add("receiver_pageset_miss", m.receiver_pageset_miss);
-  add("rpc_transactions", static_cast<double>(m.rpc_transactions));
-  add("rpc_transactions_per_sec", m.rpc_transactions_per_sec);
-  add("rpc_latency_p50", static_cast<double>(m.rpc_latency_p50));
-  add("rpc_latency_p99", static_cast<double>(m.rpc_latency_p99));
-  add("flow_fairness", m.flow_fairness());
-  add("faults.random_drops", static_cast<double>(m.faults.random_drops));
-  add("faults.bursty_drops", static_cast<double>(m.faults.bursty_drops));
-  add("faults.flap_drops", static_cast<double>(m.faults.flap_drops));
-  add("faults.corrupt_frames", static_cast<double>(m.faults.corrupt_frames));
-  add("faults.flaps", static_cast<double>(m.faults.flaps));
-  add("faults.ring_stall_drops",
-      static_cast<double>(m.faults.ring_stall_drops));
-  add("faults.pool_denials", static_cast<double>(m.faults.pool_denials));
-  add("faults.watchdog_trips", static_cast<double>(m.faults.watchdog_trips));
-  for (std::size_t i = 0; i < kNumCpuCategories; ++i) {
-    const auto category = static_cast<CpuCategory>(i);
-    add("sender_cycles." + std::string(to_string(category)),
-        static_cast<double>(m.sender_cycles.get(category)));
-    add("receiver_cycles." + std::string(to_string(category)),
-        static_cast<double>(m.receiver_cycles.get(category)));
-  }
-  // Cluster rollups, appended only when populated so two-host artifacts
-  // (CSV columns, baseline keys) are unchanged.
-  if (m.has_fabric) {
-    add("fabric.forwarded", static_cast<double>(m.fabric.forwarded));
-    add("fabric.drops", static_cast<double>(m.fabric.drops));
-    add("fabric.ecn_marks", static_cast<double>(m.fabric.ecn_marks));
-    add("fabric.flap_drops", static_cast<double>(m.fabric.flap_drops));
-    add("fabric.peak_queue_bytes",
-        static_cast<double>(m.fabric.peak_queue_bytes));
-  }
-  for (const Metrics::HostMetrics& host : m.per_host) {
-    const std::string prefix = "host" + std::to_string(host.host) + ".";
-    add(prefix + "cores_used", host.cores_used);
-    add(prefix + "gbps", host.gbps);
-  }
-  // Recovery rollups, appended only for chaos/resilience runs so legacy
-  // artifacts keep their column set.
-  if (m.has_recovery) {
-    add("faults.host_crashes", static_cast<double>(m.faults.host_crashes));
-    add("faults.crash_drops", static_cast<double>(m.faults.crash_drops));
-    add("faults.blackhole_drops",
-        static_cast<double>(m.faults.blackhole_drops));
-    add("recovery.time_to_recover",
-        static_cast<double>(m.recovery.time_to_recover));
-    add("recovery.pre_fault_gbps", m.recovery.pre_fault_gbps);
-    add("recovery.rpc_retries", static_cast<double>(m.recovery.rpc_retries));
-    add("recovery.rpc_timeouts",
-        static_cast<double>(m.recovery.rpc_timeouts));
-    add("recovery.rpc_resets", static_cast<double>(m.recovery.rpc_resets));
-    add("recovery.rpc_failed", static_cast<double>(m.recovery.rpc_failed));
-    add("recovery.breaker_opens",
-        static_cast<double>(m.recovery.breaker_opens));
-    add("recovery.reconnects", static_cast<double>(m.recovery.reconnects));
-    add("recovery.sockets_killed",
-        static_cast<double>(m.recovery.sockets_killed));
-    add("recovery.bytes_destroyed",
-        static_cast<double>(m.recovery.bytes_destroyed));
-  }
-  // Workload rollups, appended only for open-loop runs so legacy
-  // artifacts keep their column set.  These are the names SLO percentile
-  // gates address, e.g. "workload.latency_p99".
-  if (m.has_workload) {
-    const Metrics::WorkloadMetrics& wl = m.workload;
-    add("workload.offered", static_cast<double>(wl.offered));
-    add("workload.completed", static_cast<double>(wl.completed));
-    add("workload.incomplete", static_cast<double>(wl.incomplete));
-    add("workload.offered_rps", wl.offered_rps);
-    add("workload.completed_rps", wl.completed_rps);
-    add("workload.latency_p50", static_cast<double>(wl.latency_p50));
-    add("workload.latency_p95", static_cast<double>(wl.latency_p95));
-    add("workload.latency_p99", static_cast<double>(wl.latency_p99));
-    add("workload.latency_p999", static_cast<double>(wl.latency_p999));
-    add("workload.queue_p50", static_cast<double>(wl.queue_p50));
-    add("workload.queue_p99", static_cast<double>(wl.queue_p99));
-    add("workload.first_byte_p99", static_cast<double>(wl.first_byte_p99));
-    add("workload.connect_p99", static_cast<double>(wl.connect_p99));
-    add("workload.leaf_p99", static_cast<double>(wl.leaf_p99));
-    add("workload.fanout_leaves", static_cast<double>(wl.fanout_leaves));
-    add("workload.slo_violations", static_cast<double>(wl.slo_violations));
-    add("workload.conns_opened", static_cast<double>(wl.conns_opened));
-    add("workload.conns_closed", static_cast<double>(wl.conns_closed));
-    add("workload.redispatches", static_cast<double>(wl.redispatches));
-    add("workload.syns_sent", static_cast<double>(wl.syns_sent));
-    add("workload.syn_retries", static_cast<double>(wl.syn_retries));
-    add("workload.syns_received", static_cast<double>(wl.syns_received));
-    add("workload.listen_overflows",
-        static_cast<double>(wl.listen_overflows));
-    add("workload.accepts", static_cast<double>(wl.accepts));
-    add("workload.connect_failures",
-        static_cast<double>(wl.connect_failures));
-    add("workload.time_wait_entered",
-        static_cast<double>(wl.time_wait_entered));
-    add("workload.time_wait_reaped",
-        static_cast<double>(wl.time_wait_reaped));
-    add("workload.time_wait_peak", static_cast<double>(wl.time_wait_peak));
-    add("workload.socket_table_peak",
-        static_cast<double>(wl.socket_table_peak));
-  }
-  return out;
 }
 
 }  // namespace hostsim

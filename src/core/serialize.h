@@ -8,6 +8,11 @@
 // ExperimentConfig.  Bump kConfigSchemaVersion whenever a config field
 // is added, removed, or changes meaning — it is folded into the hash, so
 // stale cache entries from older schemas can never be returned.
+//
+// Schema 2 rule: config_to_json writes every field of ExperimentConfig
+// except `shards` and `obs`, every time — no field is dropped for being
+// at its default.  Metrics documents list each field once
+// (visit_metrics in serialize.cpp), which drives both directions.
 #ifndef HOSTSIM_CORE_SERIALIZE_H
 #define HOSTSIM_CORE_SERIALIZE_H
 
@@ -24,7 +29,7 @@
 namespace hostsim {
 
 /// Config-serialization schema version (part of every cache key).
-inline constexpr std::uint32_t kConfigSchemaVersion = 1;
+inline constexpr std::uint32_t kConfigSchemaVersion = 2;
 
 /// Minimal JSON writer with canonical number formatting.
 class JsonWriter {
@@ -93,7 +98,9 @@ class JsonValue {
 };
 
 /// Canonical JSON of every field that influences a run's outcome
-/// (stack, traffic, cost model, topology, LLC, network, faults, seed).
+/// (stack, traffic, cost model, topology, LLC, network, faults, seed):
+/// all of ExperimentConfig but the execution strategy (`shards`) and the
+/// read-only lens (`obs`, flight recorder included).
 std::string config_to_json(const ExperimentConfig& config);
 
 /// FNV-1a hash of the canonical config JSON + schema version.  Two
@@ -103,18 +110,13 @@ std::uint64_t config_hash(const ExperimentConfig& config);
 /// "0x"-prefixed lower-case hex of a hash, for artifacts and filenames.
 std::string hash_hex(std::uint64_t hash);
 
-/// Full Metrics as JSON (everything except the flight-recorder trace,
-/// which is a debugging artifact and is never cached).
+/// Full Metrics as JSON (everything except the in-memory-only members:
+/// flight-recorder trace, request records and obs rollups).
 std::string metrics_to_json(const Metrics& metrics);
 
 /// Inverse of metrics_to_json; nullopt on malformed or missing fields.
 std::optional<Metrics> metrics_from_json(const JsonValue& value);
 std::optional<Metrics> metrics_from_json(std::string_view text);
-
-/// Flat (name, value) view of every scalar metric, in canonical order —
-/// the namespace the regression gate's tolerances address, e.g.
-/// "total_gbps", "sender_cycles.data_copy", "faults.flap_drops".
-std::vector<std::pair<std::string, double>> scalar_metrics(const Metrics& m);
 
 }  // namespace hostsim
 

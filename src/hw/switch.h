@@ -40,9 +40,9 @@
 
 #include "hw/link.h"
 #include "mem/pool.h"
+#include "obs/event_trace.h"
 #include "sim/event_loop.h"
 #include "sim/fault_injector.h"
-#include "sim/trace.h"
 #include "sim/units.h"
 
 namespace hostsim {

@@ -4,7 +4,11 @@
 // the TCP protocol precludes the receiver to control the number of
 // active flows per core...  We believe receiver-driven protocols can
 // provide such control."  HomaTransport implements that protocol behind
-// the net::Transport seam, subsuming the bolt-on GrantScheduler hack:
+// the net::Transport seam.  It does not replace TCP's receiver-driven
+// GrantScheduler mode (StackConfig::receiver_driven).  On an 8:1 incast
+// (8 ms warm-up, 10 ms window) that mode takes the rx copy miss rate to
+// 0.000 at 56.7 Gbps per core; this transport measures 0.981 at 31.3
+// (0.969 at 32.5 with max_active = 1), and TCP 0.993 at 25.4.
 //
 //  * Messages, not byte streams: each TransportSocket::send() call
 //    delimits one message; the receiver reassembles and delivers whole

@@ -32,9 +32,9 @@
 #include "net/gso.h"
 #include "net/skb.h"
 #include "net/transport.h"
+#include "obs/event_trace.h"
 #include "sim/stats.h"
 #include "sim/timer.h"
-#include "sim/trace.h"
 
 namespace hostsim {
 

@@ -5,8 +5,10 @@
 // requeueing) moved here from Stack::napi_poll byte-for-byte, so every
 // default-transport run is bit-identical to the pre-seam stack (the
 // legacy pinning test holds this to account).  The sockets it builds are
-// plain TcpSockets; the legacy receiver-driven GrantScheduler mode
-// (paper §3.3 bolt-on) also lives here, enrolled at socket creation.
+// plain TcpSockets; the receiver-driven GrantScheduler mode also lives
+// here, enrolled at socket creation.  That mode is the path that shows
+// the paper's §3.3 projection (near-zero rx copy misses under incast);
+// HomaTransport does not reproduce it, so it is not a duplicate.
 #ifndef HOSTSIM_NET_TCP_TRANSPORT_H
 #define HOSTSIM_NET_TCP_TRANSPORT_H
 

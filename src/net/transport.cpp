@@ -1,7 +1,5 @@
 #include "net/transport.h"
 
-#include "sim/contract.h"
-
 namespace hostsim {
 
 std::string_view to_string(TransportKind kind) {
@@ -12,13 +10,6 @@ std::string_view to_string(TransportKind kind) {
       return "homa";
   }
   return "?";
-}
-
-TransportKind transport_kind_from_string(std::string_view name) {
-  if (name == "tcp") return TransportKind::tcp;
-  if (name == "homa") return TransportKind::homa;
-  require(false, "unknown transport kind (expected tcp|homa)");
-  return TransportKind::tcp;
 }
 
 }  // namespace hostsim

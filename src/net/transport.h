@@ -62,16 +62,17 @@ enum class TransportKind : std::uint8_t {
 };
 
 std::string_view to_string(TransportKind kind);
-TransportKind transport_kind_from_string(std::string_view name);
 
 /// Transport selection and Homa parameters.  Defaults reproduce the
-/// legacy TCP stack exactly; the `transport` JSON key is serialized only
-/// when `kind != tcp`, so every legacy config hash stays bit-identical.
+/// legacy TCP stack exactly; the whole block is part of the canonical
+/// config JSON (and hash) whatever the kind.
 struct TransportConfig {
   TransportKind kind = TransportKind::tcp;
   /// Homa receiver policy: per-core active-message cap, grant quantum,
-  /// and the blind unscheduled first window (reuses GrantPolicy — the
-  /// scheduler it used to parameterize is subsumed by HomaTransport).
+  /// and the blind unscheduled first window.  It reuses GrantPolicy, the
+  /// type that also parameterizes TCP's receiver-driven GrantScheduler
+  /// mode (StackConfig::receiver_driven) — a separate path, not one
+  /// HomaTransport replaces.
   GrantPolicy homa;
   /// Receiver-side overload guard: while more than this many unread
   /// bytes sit in completed-message queues, the receiver withholds new

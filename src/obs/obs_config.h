@@ -46,6 +46,12 @@ struct ObsConfig {
   /// Hard cap on retained spans (memory bound for long runs).
   std::size_t max_spans = std::size_t{1} << 20;
 
+  /// Flight-recorder capacity (events kept per host, and for the switch
+  /// fabric); 0 disables the recorder.  It feeds Metrics::trace only:
+  /// it attaches no Observer (enabled() ignores it), and runs that set
+  /// it bypass the sweep cache, which never stores traces.
+  std::size_t trace_capacity = 0;
+
   /// Attach an Observer even when nothing samples — used by bench_engine
   /// to measure the cost of the armed-but-idle hooks.
   bool force_attach = false;

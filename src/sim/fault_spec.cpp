@@ -1,5 +1,6 @@
 #include "sim/fault_spec.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <vector>
 
@@ -17,17 +18,6 @@ std::vector<std::string_view> split_fields(std::string_view value) {
     value.remove_prefix(comma + 1);
   }
   return fields;
-}
-
-/// Parses one whole field as a number; the entire field must be consumed
-/// ("12x" and "" are errors, not 12 and 0).
-std::optional<double> parse_num(std::string_view field) {
-  if (field.empty()) return std::nullopt;
-  const std::string owned(field);
-  char* end = nullptr;
-  const double parsed = std::strtod(owned.c_str(), &end);
-  if (end == nullptr || *end != '\0') return std::nullopt;
-  return parsed;
 }
 
 std::string bad_spec(const char* flag, const char* format,
@@ -73,6 +63,25 @@ Nanos to_ms(double value) {
 }
 
 }  // namespace
+
+std::optional<double> parse_num(std::string_view field) {
+  if (field.empty()) return std::nullopt;
+  const std::string owned(field);
+  char* end = nullptr;
+  const double parsed = std::strtod(owned.c_str(), &end);
+  if (end == nullptr || *end != '\0') return std::nullopt;
+  return parsed;
+}
+
+std::optional<std::int64_t> parse_int(std::string_view field) {
+  if (field.empty()) return std::nullopt;
+  const std::string owned(field);
+  char* end = nullptr;
+  errno = 0;
+  const long long parsed = std::strtoll(owned.c_str(), &end, 10);
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return std::nullopt;
+  return parsed;
+}
 
 std::optional<std::string> parse_ge_spec(std::string_view value,
                                          FaultPlan& plan) {

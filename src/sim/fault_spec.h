@@ -1,4 +1,5 @@
-// Strict parsing for the CLI fault-spec flags (--ge=, --flap=, --stall=,
+// Strict parsing for the command-line tools: whole-field numbers for
+// every numeric flag, and the fault-spec flags (--ge=, --flap=, --stall=,
 // --pressure=, --crash=, --blackhole=).
 //
 // Each parser consumes one flag value ("AT,DUR[,..]"-style field lists),
@@ -10,6 +11,7 @@
 #ifndef HOSTSIM_SIM_FAULT_SPEC_H
 #define HOSTSIM_SIM_FAULT_SPEC_H
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -17,6 +19,14 @@
 #include "sim/fault_injector.h"
 
 namespace hostsim {
+
+/// One whole field as a number: the entire text must be consumed, so
+/// "12x" and "" are errors (nullopt), not 12 and 0.
+std::optional<double> parse_num(std::string_view field);
+
+/// One whole field as a base-10 integer: "1.5", "1e3", "" and values
+/// outside int64 are errors (nullopt).
+std::optional<std::int64_t> parse_int(std::string_view field);
 
 /// Each returns std::nullopt on success (the plan was updated) or a
 /// one-line error message naming the expected format and the offending

@@ -14,11 +14,9 @@ ShardedExecutor::ShardedExecutor(std::vector<EventLoop*> loops,
   require(lookahead_ > 0, "sharded execution needs positive link lookahead");
   storm_.resize(loops_.size());
   errors_.resize(loops_.size());
-  if (loops_.size() > 1) {
-    workers_.reserve(loops_.size());
-    for (std::size_t i = 0; i < loops_.size(); ++i) {
-      workers_.emplace_back([this, i] { worker_main(i); });
-    }
+  workers_.reserve(loops_.size() - 1);
+  for (std::size_t shard = 1; shard < loops_.size(); ++shard) {
+    workers_.emplace_back([this, shard] { worker_main(shard); });
   }
 }
 
@@ -27,7 +25,7 @@ ShardedExecutor::~ShardedExecutor() {
     std::lock_guard<std::mutex> lock(mu_);
     stop_ = true;
   }
-  cv_start_.notify_all();
+  round_cv_.notify_all();
   for (std::thread& worker : workers_) worker.join();
 }
 
@@ -79,13 +77,18 @@ void ShardedExecutor::execute_round(Nanos window) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     round_deadline_ = window;
-    done_ = 0;
+    pending_ = workers_.size();
     ++round_;
   }
-  cv_start_.notify_all();
+  round_cv_.notify_all();
+  try {
+    loops_[0]->run_until(window);
+  } catch (...) {
+    errors_[0] = std::current_exception();
+  }
   {
     std::unique_lock<std::mutex> lock(mu_);
-    cv_done_.wait(lock, [this] { return done_ == workers_.size(); });
+    done_cv_.wait(lock, [this] { return pending_ == 0; });
   }
   now_ = window;
   for (std::size_t i = 0; i < errors_.size(); ++i) {
@@ -103,7 +106,7 @@ void ShardedExecutor::worker_main(std::size_t shard) {
     Nanos window;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      cv_start_.wait(lock, [this, seen] { return stop_ || round_ != seen; });
+      round_cv_.wait(lock, [this, seen] { return stop_ || round_ != seen; });
       if (stop_) return;
       seen = round_;
       window = round_deadline_;
@@ -113,11 +116,12 @@ void ShardedExecutor::worker_main(std::size_t shard) {
     } catch (...) {
       errors_[shard] = std::current_exception();
     }
+    bool last;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      ++done_;
+      last = --pending_ == 0;
     }
-    cv_done_.notify_all();
+    if (last) done_cv_.notify_one();
   }
 }
 

@@ -17,7 +17,8 @@
 //      at some t >= E, so a frame it emits arrives no earlier than
 //      t + lookahead >= E + lookahead > W — strictly beyond the window,
 //      which is what makes the round race-free.
-//   3. Every worker runs its loop to W in parallel; the barrier repeats.
+//   3. Every shard runs its loop to W in parallel (the orchestrator
+//      runs shard 0 itself); the barrier repeats.
 //
 // Determinism does not depend on round boundaries: cross-shard events
 // are keyed by (delivery time, send time, channel subkey) — a pure
@@ -77,9 +78,10 @@ class ShardChannel {
   std::vector<Item> items_;
 };
 
-/// Orchestrates K worker threads, one per shard loop, in conservative
-/// barrier-synchronized rounds.  With a single loop it degenerates to
-/// plain run_until on the calling thread (no threads spawned).
+/// Runs K shard loops in conservative barrier-synchronized rounds: the
+/// calling thread runs shard 0 and one worker thread runs each other
+/// shard.  With a single loop it degenerates to plain run_until on the
+/// calling thread (no threads spawned).
 class ShardedExecutor {
  public:
   /// `lookahead` is the minimum cross-shard link latency (> 0).
@@ -147,14 +149,15 @@ class ShardedExecutor {
   std::function<void(Nanos)> heartbeat_;
   std::vector<StormState> storm_;
 
-  // Round barrier: workers wait for round_ to advance, run their loop
-  // to round_deadline_, then report in via done_.  All fields below are
-  // guarded by mu_.
+  // Round barrier: the calling thread runs shard 0 itself and worker i
+  // runs shard i + 1.  Workers wait for round_ to advance, run their loop
+  // to round_deadline_, then count pending_ down; only the last one
+  // wakes the calling thread.  All fields below are guarded by mu_.
   std::mutex mu_;
-  std::condition_variable cv_start_;
-  std::condition_variable cv_done_;
+  std::condition_variable round_cv_;
+  std::condition_variable done_cv_;
   std::uint64_t round_ = 0;
-  std::size_t done_ = 0;
+  std::size_t pending_ = 0;
   bool stop_ = false;
   std::vector<std::exception_ptr> errors_;
   std::vector<std::thread> workers_;

@@ -32,7 +32,7 @@ class ResultCache {
 
   /// True when `config` is cacheable at all (no flight recorder).
   static bool cacheable(const ExperimentConfig& config) {
-    return config.stack.trace_capacity == 0;
+    return config.obs.trace_capacity == 0;
   }
 
   /// Loads the cached Metrics for `config`, or nullopt on miss, schema

@@ -61,7 +61,10 @@ CampaignResult run_campaign(const Campaign& campaign,
     ExperimentConfig config = slot.point.config;
     if (options.shards > 0) config.shards = options.shards;
     if (options.obs.enabled()) {
+      // The runner's lens replaces the point's, except for the point's
+      // own flight recorder.
       config.obs = options.obs;
+      config.obs.trace_capacity = slot.point.config.obs.trace_capacity;
       // Artifact names keyed by config hash: stable across schedules,
       // unique per point.
       config.obs.out_stem = hash_hex(slot.config_hash);

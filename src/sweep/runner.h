@@ -38,7 +38,9 @@ struct RunnerOptions {
   /// never requested).  Per-point artifacts land in obs.out_dir named by
   /// the point's config hash, so parallel schedules produce identical
   /// files.  The obs section never enters config_hash, so enabling it
-  /// cannot invalidate (or pollute) the cache.
+  /// cannot invalidate (or pollute) the cache.  Applied only when
+  /// obs.enabled(); its trace_capacity is ignored — each point keeps its
+  /// own flight-recorder setting.
   ObsConfig obs;
 };
 

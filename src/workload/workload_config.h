@@ -1,12 +1,11 @@
 // Open-loop workload configuration (units only, no dependencies beyond
 // sim/units.h) — embedded in TrafficConfig as `workload`.
 //
-// `enabled` is the master switch: with it false (the default, and the
-// only state legacy patterns ever see) the workload section is omitted
-// from the canonical config JSON, so every pre-existing config hash,
-// sweep cache key, and baseline artifact stays byte-identical.  The
-// engine itself only forks RNG streams when enabled, so run event
-// sequences of legacy experiments are untouched too.
+// `enabled` is the master switch: false is the default, and the only
+// state legacy patterns ever see.  The section is part of the canonical
+// config JSON either way (config schema 2).  The engine only forks RNG
+// streams when enabled, so run event sequences of legacy experiments —
+// and their metrics documents — are untouched.
 #ifndef HOSTSIM_WORKLOAD_WORKLOAD_CONFIG_H
 #define HOSTSIM_WORKLOAD_WORKLOAD_CONFIG_H
 

@@ -76,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(
              [](ExperimentConfig& c) {
                c.traffic.pattern = Pattern::mixed;
                c.traffic.flows = 4;
-               c.stack.trace_capacity = 1024;
+               c.obs.trace_capacity = 1024;
              })),
     [](const ::testing::TestParamInfo<DetParam>& info) {
       return std::string(info.param.name);

@@ -174,17 +174,10 @@ TEST(ResilienceTest, RecoveryMetricsJsonRoundTrip) {
   EXPECT_EQ(parsed->faults.blackhole_drops, m.faults.blackhole_drops);
 }
 
-// Satellite: legacy no-fault documents carry none of the new keys, so
-// their serialized form — and every derived config hash, cache key, and
-// baseline — is byte-identical to before the resilience layer existed.
+// Satellite: legacy no-fault metrics documents carry none of the new
+// keys, so their serialized form — and every baseline built on it — is
+// byte-identical to before the resilience layer existed.
 TEST(ResilienceTest, LegacyDocumentsCarryNoResilienceKeys) {
-  const ExperimentConfig config;
-  const std::string config_json = config_to_json(config);
-  EXPECT_EQ(config_json.find("resilience"), std::string::npos);
-  EXPECT_EQ(config_json.find("max_consecutive_rtos"), std::string::npos);
-  EXPECT_EQ(config_json.find("host_crashes"), std::string::npos);
-  EXPECT_EQ(config_json.find("port_blackholes"), std::string::npos);
-
   const Metrics metrics;
   const std::string metrics_json = metrics_to_json(metrics);
   EXPECT_EQ(metrics_json.find("recovery"), std::string::npos);

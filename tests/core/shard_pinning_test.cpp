@@ -72,7 +72,7 @@ ExperimentConfig incast_config() {
   config.traffic.pattern = Pattern::incast;
   config.traffic.flows = 8;
   config.stack.cc = CcAlgo::dctcp;
-  config.stack.trace_capacity = 300;
+  config.obs.trace_capacity = 300;
   config.warmup = 1 * kMillisecond;
   config.duration = 3 * kMillisecond;
   return config;
@@ -106,7 +106,7 @@ TEST(ShardPinning, OverlappingFaultWindowsThreeShardsBitIdentical) {
   config.topology.num_hosts = 6;
   config.traffic.pattern = Pattern::one_to_one;
   config.traffic.flows = 4;
-  config.stack.trace_capacity = 200;
+  config.obs.trace_capacity = 200;
   config.warmup = 1 * kMillisecond;
   config.duration = 3 * kMillisecond;
   // Global flap [1.5ms, 1.8ms) on every link; host 2 crashes at 1.6ms
@@ -130,7 +130,7 @@ TEST(ShardPinning, ParallelShardedSweepIsCacheKeyStable) {
   sweep::Campaign campaign;
   campaign.name = "shard_pinning";
   campaign.base = incast_config();
-  campaign.base.stack.trace_capacity = 0;  // trace stays out of sweeps
+  campaign.base.obs.trace_capacity = 0;  // trace stays out of sweeps
   campaign.base.duration = 2 * kMillisecond;
   campaign.axes.push_back(sweep::Axis::flows({4, 8}));
 

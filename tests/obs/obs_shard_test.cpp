@@ -16,6 +16,7 @@
 #include "core/experiment.h"
 #include "core/serialize.h"
 #include "core/testbed.h"
+#include "temp_dir.h"
 
 namespace hostsim {
 namespace {
@@ -51,7 +52,7 @@ ExperimentConfig obs_incast_config() {
   config.traffic.pattern = Pattern::incast;
   config.traffic.flows = 8;
   config.stack.cc = CcAlgo::dctcp;
-  config.stack.trace_capacity = 300;
+  config.obs.trace_capacity = 300;
   config.warmup = 1 * kMillisecond;
   config.duration = 3 * kMillisecond;
   config.obs.span_rate = 1.0;
@@ -82,8 +83,7 @@ std::map<std::string, std::string> run_to_dir(ExperimentConfig config,
                                               int shards,
                                               const std::string& tag,
                                               std::string* metrics_json) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / ("hostsim-obs-shard-" + tag);
+  const fs::path dir = test_temp_dir("hostsim-obs-shard-" + tag);
   fs::remove_all(dir);
   config.shards = shards;
   config.obs.out_dir = dir.string();

@@ -17,6 +17,7 @@
 
 #include "core/experiment.h"
 #include "core/serialize.h"
+#include "temp_dir.h"
 
 namespace hostsim {
 namespace {
@@ -79,8 +80,7 @@ std::vector<SpanRow> parse_spans_jsonl(const std::string& text) {
 class ChaosTraceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    dir_ = new fs::path(fs::path(::testing::TempDir()) /
-                        "hostsim-request-trace");
+    dir_ = new fs::path(test_temp_dir("hostsim-request-trace"));
     fs::remove_all(*dir_);
 
     ExperimentConfig config;
@@ -247,8 +247,7 @@ TEST_F(ChaosTraceTest, PerfettoExportIsStructurallyValid) {
 // Fan-out children are sibling spans: an open-loop request with
 // fan_out=3 records one root and >= 3 leaf attempts directly under it.
 TEST(FanOutTraceTest, LeavesAreSiblingsUnderOneRoot) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "hostsim-fanout-trace";
+  const fs::path dir = test_temp_dir("hostsim-fanout-trace");
   fs::remove_all(dir);
 
   ExperimentConfig config;

@@ -1,4 +1,4 @@
-#include "sim/trace.h"
+#include "obs/event_trace.h"
 
 #include <gtest/gtest.h>
 
@@ -97,7 +97,7 @@ TEST(TracerTest, SnapshotUnwrapsRingAtEveryCursorPosition) {
 
 TEST(TraceIntegrationTest, ExperimentProducesMergedTimeOrderedTrace) {
   ExperimentConfig config;
-  config.stack.trace_capacity = 4096;
+  config.obs.trace_capacity = 4096;
   config.warmup = 3 * kMillisecond;
   config.duration = 4 * kMillisecond;
   const Metrics metrics = run_experiment(config);
@@ -124,7 +124,7 @@ TEST(TraceIntegrationTest, ClusterMergeOrdersByTimeThenHost) {
   config.topology.use_switch = true;
   config.traffic.pattern = Pattern::incast;
   config.traffic.flows = 4;
-  config.stack.trace_capacity = 4096;
+  config.obs.trace_capacity = 4096;
   config.warmup = 2 * kMillisecond;
   config.duration = 4 * kMillisecond;
   const Metrics metrics = run_experiment(config);

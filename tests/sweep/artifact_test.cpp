@@ -8,6 +8,7 @@
 #include <string>
 
 #include "core/serialize.h"
+#include "temp_dir.h"
 
 namespace hostsim::sweep {
 namespace {
@@ -86,7 +87,7 @@ TEST(ArtifactTest, CsvHasPreambleAndEscapedRows) {
 }
 
 TEST(ArtifactTest, WriteCreatesBothFiles) {
-  const fs::path dir = fs::path(::testing::TempDir()) / "hostsim-artifacts";
+  const fs::path dir = test_temp_dir("hostsim-artifacts");
   fs::remove_all(dir);
   const ArtifactPaths paths =
       write_campaign_artifacts(small_result(), dir.string());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "core/serialize.h"
@@ -73,6 +74,49 @@ TEST(GateTest, OutOfToleranceMetricViolates) {
   GateOptions global;
   global.fallback = Tolerance{0.10, 1e-9};
   EXPECT_TRUE(gate_against_baseline(artifact, baseline, global).ok());
+}
+
+// Tolerances address nested metrics by the names the gate flattens out
+// of the metrics JSON: dotted for objects, indexed for arrays.  Each name
+// must be tolerable and violable on its own through per_metric.
+TEST(GateTest, PerMetricTolerancesAddressNestedNames) {
+  CampaignResult base = sample_result();
+  for (PointResult& point : base.points) {
+    point.metrics.sender_cycles.add(CpuCategory::tcpip, 1000);
+    point.metrics.faults.watchdog_trips = 10;
+    point.metrics.per_host.push_back({0, 1.0, 0.5, 1000, 20.0});
+  }
+  CampaignResult drifted = base;
+  for (PointResult& point : drifted.points) {
+    point.metrics.sender_cycles.add(CpuCategory::tcpip, 50);  // +5%
+    point.metrics.faults.watchdog_trips = 11;                 // +10%
+    point.metrics.per_host[0].gbps *= 1.2;                    // +20%
+  }
+  const std::string baseline = campaign_to_json(base, "test");
+  const std::string artifact = campaign_to_json(drifted, "test");
+  const std::map<std::string, double> drift = {
+      {"sender_cycles.tcpip", 0.05},
+      {"faults.watchdog_trips", 0.10},
+      {"per_host.0.gbps", 0.20}};
+
+  for (const auto& [name, rel] : drift) {
+    GateOptions options;
+    for (const auto& [other, other_rel] : drift) {
+      options.per_metric[other] = Tolerance{other_rel * 1.5, 0.0};
+    }
+    const GateReport tolerated =
+        gate_against_baseline(artifact, baseline, options);
+    EXPECT_TRUE(tolerated.ok()) << format_gate_report(tolerated);
+
+    options.per_metric[name] = Tolerance{rel * 0.5, 0.0};
+    const GateReport violated =
+        gate_against_baseline(artifact, baseline, options);
+    ASSERT_EQ(violated.violations.size(), base.points.size())
+        << format_gate_report(violated);
+    for (const GateViolation& v : violated.violations) {
+      EXPECT_EQ(v.metric, name);
+    }
+  }
 }
 
 TEST(GateTest, MissingAndExtraPointsViolate) {

@@ -7,6 +7,7 @@
 #include <string>
 
 #include "core/serialize.h"
+#include "temp_dir.h"
 
 namespace hostsim::sweep {
 namespace {
@@ -16,11 +17,10 @@ namespace fs = std::filesystem;
 class ResultCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) /
-           ("hostsim-cache-" +
-            std::string(::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name()));
+    dir_ = test_temp_dir("hostsim-cache-" +
+                         std::string(::testing::UnitTest::GetInstance()
+                                         ->current_test_info()
+                                         ->name()));
     fs::remove_all(dir_);
   }
   void TearDown() override { fs::remove_all(dir_); }
@@ -69,7 +69,7 @@ TEST_F(ResultCacheTest, DistinctConfigsUseDistinctEntries) {
 TEST_F(ResultCacheTest, TracedConfigsAreNotCacheable) {
   ExperimentConfig config;
   EXPECT_TRUE(ResultCache::cacheable(config));
-  config.stack.trace_capacity = 1024;
+  config.obs.trace_capacity = 1024;
   EXPECT_FALSE(ResultCache::cacheable(config));
 }
 

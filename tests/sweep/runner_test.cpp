@@ -14,6 +14,7 @@
 
 #include "core/serialize.h"
 #include "sim/fault_injector.h"
+#include "temp_dir.h"
 
 namespace hostsim::sweep {
 namespace {
@@ -112,8 +113,7 @@ TEST(RunnerTest, ParallelMatchesSerialUnderFaultInjection) {
 }
 
 TEST(RunnerTest, SecondRunIsFullyCacheServed) {
-  const fs::path dir =
-      fs::path(::testing::TempDir()) / "hostsim-runner-cache-test";
+  const fs::path dir = test_temp_dir("hostsim-runner-cache-test");
   fs::remove_all(dir);
 
   RunnerOptions options;
@@ -135,6 +135,21 @@ TEST(RunnerTest, SecondRunIsFullyCacheServed) {
   EXPECT_EQ(metric_docs(warm), metric_docs(cold));
 
   fs::remove_all(dir);
+}
+
+// The runner's obs lens replaces each simulated point's obs section but
+// keeps the point's own flight recorder, which lives there too.
+TEST(RunnerTest, RunnerObsKeepsThePointsFlightRecorder) {
+  Campaign campaign;
+  campaign.name = "runner_trace_test";
+  campaign.base = quick();
+  campaign.base.obs.trace_capacity = 256;
+  RunnerOptions options = uncached(1);
+  options.obs.span_rate = 0.01;
+  const CampaignResult result = run_campaign(campaign, options);
+  ASSERT_EQ(result.points.size(), 1u);
+  EXPECT_FALSE(result.points[0].metrics.trace.empty());
+  EXPECT_LE(result.points[0].metrics.trace.size(), 2u * 256u);
 }
 
 TEST(RunnerTest, ProgressCallbackSeesEveryPoint) {

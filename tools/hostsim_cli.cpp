@@ -18,11 +18,13 @@
 
 #include "core/experiment.h"
 #include "core/report.h"
+#include "flags.h"
 #include "sim/fault_spec.h"
 
 namespace {
 
 using namespace hostsim;
+using namespace hostsim::tools;
 
 [[noreturn]] void usage(int exit_code) {
   std::printf(R"(hostsim_cli — host network stack performance model
@@ -118,36 +120,6 @@ observability:
   std::exit(exit_code);
 }
 
-std::optional<std::string_view> flag_value(std::string_view arg,
-                                           std::string_view name) {
-  if (arg.substr(0, name.size()) != name) return std::nullopt;
-  if (arg.size() == name.size()) return std::string_view{};
-  if (arg[name.size()] != '=') return std::nullopt;
-  return arg.substr(name.size() + 1);
-}
-
-long parse_long(std::string_view value, const char* what) {
-  char* end = nullptr;
-  const std::string owned(value);
-  const long parsed = std::strtol(owned.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "invalid %s: '%s'\n", what, owned.c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
-double parse_double(std::string_view value, const char* what) {
-  char* end = nullptr;
-  const std::string owned(value);
-  const double parsed = std::strtod(owned.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "invalid %s: '%s'\n", what, owned.c_str());
-    std::exit(2);
-  }
-  return parsed;
-}
-
 /// Applies one fault-spec parse result; malformed specs exit with the
 /// parser's one-line actionable message instead of the generic usage.
 void fault_spec(const std::optional<std::string>& error) {
@@ -202,12 +174,12 @@ int main(int argc, char** argv) {
     else if (auto v = flag_value(arg, "--pattern")) {
       config.traffic.pattern = parse_pattern(*v);
     } else if (auto v = flag_value(arg, "--flows")) {
-      config.traffic.flows = static_cast<int>(parse_long(*v, "--flows"));
+      config.traffic.flows = static_cast<int>(int_flag(*v, "--flows"));
     } else if (auto v = flag_value(arg, "--rpc-kb")) {
-      config.traffic.rpc_size = parse_long(*v, "--rpc-kb") * kKiB;
+      config.traffic.rpc_size = int_flag(*v, "--rpc-kb") * kKiB;
     } else if (auto v = flag_value(arg, "--open-loop-rate")) {
       config.traffic.workload.enabled = true;
-      config.traffic.workload.rate_rps = parse_double(*v, "--open-loop-rate");
+      config.traffic.workload.rate_rps = num_flag(*v, "--open-loop-rate");
     } else if (auto v = flag_value(arg, "--arrivals")) {
       config.traffic.workload.enabled = true;
       if (*v == "poisson") config.traffic.workload.arrivals = ArrivalProcess::poisson;
@@ -222,13 +194,13 @@ int main(int argc, char** argv) {
     } else if (auto v = flag_value(arg, "--fan-out")) {
       config.traffic.workload.enabled = true;
       config.traffic.workload.fan_out =
-          static_cast<int>(parse_long(*v, "--fan-out"));
+          static_cast<int>(int_flag(*v, "--fan-out"));
     } else if (auto v = flag_value(arg, "--churn")) {
       config.traffic.workload.enabled = true;
-      config.traffic.workload.churn_prob = parse_double(*v, "--churn");
+      config.traffic.workload.churn_prob = num_flag(*v, "--churn");
     } else if (auto v = flag_value(arg, "--slo-us")) {
       config.traffic.workload.enabled = true;
-      config.traffic.workload.slo = parse_long(*v, "--slo-us") * kMicrosecond;
+      config.traffic.workload.slo = int_flag(*v, "--slo-us") * kMicrosecond;
     } else if (auto v = flag_value(arg, "--workload-jsonl")) {
       workload_jsonl = std::string(*v);
     } else if (auto v = flag_value(arg, "--steering")) {
@@ -246,35 +218,35 @@ int main(int argc, char** argv) {
       else if (*v == "bbr") config.stack.cc = CcAlgo::bbr;
       else usage(2);
     } else if (auto v = flag_value(arg, "--ring")) {
-      config.stack.nic_ring_size = static_cast<int>(parse_long(*v, "--ring"));
+      config.stack.nic_ring_size = static_cast<int>(int_flag(*v, "--ring"));
     } else if (auto v = flag_value(arg, "--rxbuf-kb")) {
-      config.stack.tcp_rx_buf = parse_long(*v, "--rxbuf-kb") * kKiB;
+      config.stack.tcp_rx_buf = int_flag(*v, "--rxbuf-kb") * kKiB;
     } else if (auto v = flag_value(arg, "--gbps")) {
-      config.link_gbps = parse_double(*v, "--gbps");
+      config.link_gbps = num_flag(*v, "--gbps");
     } else if (auto v = flag_value(arg, "--loss")) {
-      config.loss_rate = parse_double(*v, "--loss");
+      config.loss_rate = num_flag(*v, "--loss");
     } else if (arg == "--switch") {
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--hosts")) {
-      config.topology.num_hosts = static_cast<int>(parse_long(*v, "--hosts"));
+      config.topology.num_hosts = static_cast<int>(int_flag(*v, "--hosts"));
       if (config.topology.num_hosts > 2) config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--switch-buffer-kb")) {
       config.topology.switch_buffer =
-          parse_long(*v, "--switch-buffer-kb") * kKiB;
+          int_flag(*v, "--switch-buffer-kb") * kKiB;
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--switch-ecn-kb")) {
       config.topology.switch_ecn_bytes =
-          parse_long(*v, "--switch-ecn-kb") * kKiB;
+          int_flag(*v, "--switch-ecn-kb") * kKiB;
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--port-gbps")) {
-      config.topology.port_gbps = parse_double(*v, "--port-gbps");
+      config.topology.port_gbps = num_flag(*v, "--port-gbps");
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--ge")) {
       fault_spec(parse_ge_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--flap")) {
       fault_spec(parse_flap_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--corrupt")) {
-      config.faults.corrupt_rate = parse_double(*v, "--corrupt");
+      config.faults.corrupt_rate = num_flag(*v, "--corrupt");
     } else if (auto v = flag_value(arg, "--stall")) {
       fault_spec(parse_stall_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--pressure")) {
@@ -286,38 +258,38 @@ int main(int argc, char** argv) {
     } else if (auto v = flag_value(arg, "--retries")) {
       config.traffic.resilience.enabled = true;
       config.traffic.resilience.max_retries =
-          static_cast<int>(parse_long(*v, "--retries"));
+          static_cast<int>(int_flag(*v, "--retries"));
     } else if (auto v = flag_value(arg, "--rpc-deadline-ms")) {
       config.traffic.resilience.enabled = true;
       config.traffic.resilience.deadline =
-          parse_long(*v, "--rpc-deadline-ms") * kMillisecond;
+          int_flag(*v, "--rpc-deadline-ms") * kMillisecond;
     } else if (auto v = flag_value(arg, "--watchdog-ms")) {
-      config.watchdog.period = parse_long(*v, "--watchdog-ms") * kMillisecond;
+      config.watchdog.period = int_flag(*v, "--watchdog-ms") * kMillisecond;
     } else if (arg == "--no-invariants") {
       config.check_invariants = false;
     } else if (auto v = flag_value(arg, "--warmup-ms")) {
-      config.warmup = parse_long(*v, "--warmup-ms") * kMillisecond;
+      config.warmup = int_flag(*v, "--warmup-ms") * kMillisecond;
     } else if (auto v = flag_value(arg, "--duration-ms")) {
-      config.duration = parse_long(*v, "--duration-ms") * kMillisecond;
+      config.duration = int_flag(*v, "--duration-ms") * kMillisecond;
     } else if (auto v = flag_value(arg, "--seed")) {
-      config.seed = static_cast<std::uint64_t>(parse_long(*v, "--seed"));
+      config.seed = static_cast<std::uint64_t>(int_flag(*v, "--seed"));
     } else if (auto v = flag_value(arg, "--shards")) {
-      config.shards = static_cast<int>(parse_long(*v, "--shards"));
+      config.shards = static_cast<int>(int_flag(*v, "--shards"));
     } else if (auto v = flag_value(arg, "--trace")) {
-      config.stack.trace_capacity =
-          static_cast<std::size_t>(parse_long(*v, "--trace"));
+      config.obs.trace_capacity =
+          static_cast<std::size_t>(int_flag(*v, "--trace"));
     } else if (auto v = flag_value(arg, "--obs-spans")) {
-      config.obs.span_rate = parse_double(*v, "--obs-spans");
+      config.obs.span_rate = num_flag(*v, "--obs-spans");
     } else if (auto v = flag_value(arg, "--obs-trace")) {
-      config.obs.trace_rate = parse_double(*v, "--obs-trace");
+      config.obs.trace_rate = num_flag(*v, "--obs-trace");
     } else if (auto v = flag_value(arg, "--obs-sample-us")) {
       config.obs.sample_period =
-          parse_long(*v, "--obs-sample-us") * kMicrosecond;
+          int_flag(*v, "--obs-sample-us") * kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-window-us")) {
       config.obs.latency_window =
-          parse_long(*v, "--obs-window-us") * kMicrosecond;
+          int_flag(*v, "--obs-window-us") * kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-slo-us")) {
-      config.obs.slo_p99 = parse_long(*v, "--obs-slo-us") * kMicrosecond;
+      config.obs.slo_p99 = int_flag(*v, "--obs-slo-us") * kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-out")) {
       config.obs.out_dir = std::string(*v);
     } else {

@@ -24,6 +24,7 @@
 
 #include "core/report.h"
 #include "core/serialize.h"
+#include "flags.h"
 #include "workload/request_record.h"
 #include "sweep/artifact.h"
 #include "sweep/baseline.h"
@@ -33,6 +34,7 @@
 namespace {
 
 using namespace hostsim;
+using namespace hostsim::tools;
 
 [[noreturn]] void usage(int exit_code) {
   std::printf(R"(hostsim_sweep — parallel experiment campaigns
@@ -75,25 +77,6 @@ gate options (also apply to run --baseline):
   --allow-config-drift   compare metrics even when config hashes moved
 )");
   std::exit(exit_code);
-}
-
-std::optional<std::string_view> flag_value(std::string_view arg,
-                                           std::string_view name) {
-  if (arg.substr(0, name.size()) != name) return std::nullopt;
-  if (arg.size() == name.size()) return std::string_view{};
-  if (arg[name.size()] != '=') return std::nullopt;
-  return arg.substr(name.size() + 1);
-}
-
-double parse_double(std::string_view value, const char* what) {
-  char* end = nullptr;
-  const std::string owned(value);
-  const double parsed = std::strtod(owned.c_str(), &end);
-  if (end == nullptr || *end != '\0') {
-    std::fprintf(stderr, "invalid %s: '%s'\n", what, owned.c_str());
-    std::exit(2);
-  }
-  return parsed;
 }
 
 std::string slurp(const std::string& path) {
@@ -146,18 +129,18 @@ struct RunArgs {
 
 bool parse_gate_flag(std::string_view arg, sweep::GateOptions* gate) {
   if (auto v = flag_value(arg, "--rel")) {
-    gate->fallback.rel = parse_double(*v, "--rel");
+    gate->fallback.rel = num_flag(*v, "--rel");
     return true;
   }
   if (auto v = flag_value(arg, "--abs")) {
-    gate->fallback.abs = parse_double(*v, "--abs");
+    gate->fallback.abs = num_flag(*v, "--abs");
     return true;
   }
   if (auto v = flag_value(arg, "--tol")) {
     const std::size_t eq = v->rfind('=');
     if (eq == std::string_view::npos || eq == 0) usage(2);
     const std::string metric(v->substr(0, eq));
-    gate->per_metric[metric] = {parse_double(v->substr(eq + 1), "--tol"),
+    gate->per_metric[metric] = {num_flag(v->substr(eq + 1), "--tol"),
                                 gate->fallback.abs};
     return true;
   }
@@ -183,9 +166,9 @@ int cmd_run(const std::vector<std::string_view>& args) {
     else if (arg == "--quick") run.quick = true;
     else if (arg == "--quiet") run.quiet = true;
     else if (auto v = flag_value(arg, "--jobs")) {
-      run.runner.jobs = static_cast<int>(parse_double(*v, "--jobs"));
+      run.runner.jobs = static_cast<int>(int_flag(*v, "--jobs"));
     } else if (auto v = flag_value(arg, "--shards")) {
-      run.runner.shards = static_cast<int>(parse_double(*v, "--shards"));
+      run.runner.shards = static_cast<int>(int_flag(*v, "--shards"));
     } else if (auto v = flag_value(arg, "--cache-dir")) {
       run.runner.cache_dir = std::string(*v);
     } else if (auto v = flag_value(arg, "--out")) {
@@ -195,10 +178,10 @@ int cmd_run(const std::vector<std::string_view>& args) {
     } else if (auto v = flag_value(arg, "--write-baseline")) {
       run.write_baseline_path = std::string(*v);
     } else if (auto v = flag_value(arg, "--obs-spans")) {
-      run.runner.obs.span_rate = parse_double(*v, "--obs-spans");
+      run.runner.obs.span_rate = num_flag(*v, "--obs-spans");
     } else if (auto v = flag_value(arg, "--obs-sample-us")) {
       run.runner.obs.sample_period =
-          static_cast<Nanos>(parse_double(*v, "--obs-sample-us")) *
+          static_cast<Nanos>(num_flag(*v, "--obs-sample-us")) *
           kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-out")) {
       run.obs_out = std::string(*v);
