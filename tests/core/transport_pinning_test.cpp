@@ -4,9 +4,12 @@
 //  * the default ExperimentConfig hash and fig03e / fig05 campaign point
 //    hashes under config schema 2 (cache keys: a shift here silently
 //    invalidates .hostsim-cache and every saved baseline),
-//  * full metrics-JSON fingerprints of two short deterministic runs
-//    (single-flow and 8:1 incast), captured on the pre-seam tree, which
-//    pin the simulation itself.
+//  * full metrics-JSON fingerprints of short deterministic runs, which
+//    pin the simulation itself: single-flow and 8:1 incast (captured on
+//    the pre-seam tree), plus a Homa 8:1 incast and a zero-copy,
+//    remote-NUMA, aRFS-off one-to-one (captured before TCP and Homa
+//    moved onto the shared socket core) that reach the core's
+//    message-copy, pin/remap and contended-lock paths.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -84,6 +87,40 @@ TEST(TransportPinning, Incast8ShortRunBitIdentical) {
   EXPECT_DOUBLE_EQ(metrics.total_gbps, 25.246976);
   EXPECT_EQ(metrics.app_bytes, 9467616);
   EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xcd8035ea951d07bdull);
+}
+
+// The shared socket core under the Homa transport: message-granular
+// user copies, completed-message receive queue, grant-side locking.
+TEST(TransportPinning, HomaIncast8ShortRunBitIdentical) {
+  ExperimentConfig config;
+  config.stack.transport.kind = TransportKind::homa;
+  config.traffic.pattern = Pattern::incast;
+  config.traffic.flows = 8;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 3 * kMillisecond;
+  const Metrics metrics = run_experiment(config);
+  EXPECT_DOUBLE_EQ(metrics.total_gbps, 31.710805333333333);
+  EXPECT_EQ(metrics.app_bytes, 11891552);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xefe68f878777beb6ull);
+}
+
+// The shared socket core's side branches: MSG_ZEROCOPY pinning, rx
+// page remapping, receivers on the NIC-remote node (flows 6 and 7), and
+// the cross-core socket lock with aRFS off.
+TEST(TransportPinning, ZeroCopyRemoteNumaShortRunBitIdentical) {
+  ExperimentConfig config;
+  config.traffic.pattern = Pattern::one_to_one;
+  config.traffic.flows = 8;
+  config.traffic.receiver_app_remote_numa = true;
+  config.stack.tx_zerocopy = true;
+  config.stack.rx_zerocopy = true;
+  config.stack.arfs = false;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 3 * kMillisecond;
+  const Metrics metrics = run_experiment(config);
+  EXPECT_DOUBLE_EQ(metrics.total_gbps, 99.017877333333331);
+  EXPECT_EQ(metrics.app_bytes, 37131704);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x509cd80b974fc97full);
 }
 
 }  // namespace
