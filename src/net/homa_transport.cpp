@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <utility>
 
-#include "net/gso.h"
 #include "net/stack.h"
-#include "obs/observer.h"
 #include "sim/contract.h"
 
 namespace hostsim {
@@ -26,23 +24,12 @@ Nanos restart_interval(const TransportConfig& config) {
 
 HomaSocket::HomaSocket(Stack& stack, HomaTransport& transport, int flow,
                        int app_core)
-    : stack_(&stack),
+    : TransportSocket(stack, flow, app_core),
       transport_(&transport),
-      flow_(flow),
-      app_core_(app_core),
       restart_timer_(stack.loop(), [this] { on_restart_fired(); }),
       resend_timer_(stack.loop(), [this] { on_resend_scan_fired(); }) {}
 
 HomaSocket::~HomaSocket() = default;
-
-void HomaSocket::lock(Core& core) {
-  // Same socket-spinlock model as TCP: contended when softirq and
-  // application alternate cores (§3.1).
-  const bool contended = last_lock_core_ >= 0 && last_lock_core_ != core.id();
-  core.charge(CpuCategory::lock, contended ? core.cost().lock_contended
-                                           : core.cost().lock_uncontended);
-  last_lock_core_ = core.id();
-}
 
 void HomaSocket::sample_rtt(Nanos echo_ts) {
   if (echo_ts < 0) return;
@@ -56,63 +43,41 @@ void HomaSocket::note_tx_activity() {
 }
 
 // --------------------------------------------------------------------------
-// Failure surface
+// Socket-core hooks
 // --------------------------------------------------------------------------
 
-void HomaSocket::abort(Core& core, SocketError reason, bool killed_by_fault) {
-  require(reason != SocketError::none, "abort needs a terminal error");
-  if (dead()) {
-    killed_by_fault_ = killed_by_fault_ || killed_by_fault;
-    return;
-  }
-  error_ = reason;
-  killed_by_fault_ = killed_by_fault;
-
+void HomaSocket::release_tx(Core& core) {
   restart_timer_.cancel();
   restart_task_pending_ = false;
   resend_timer_.cancel();
-
   for (TxMessage& msg : tx_messages_) {
     for (Page* page : msg.pages) stack_->allocator().release(core, page);
   }
   tx_messages_.clear();
   tx_buffered_ = 0;
+}
 
-  // Completed-but-unread message bytes are rx_covered (the peer saw the
-  // MSG_ACK) but never reached the application: conservation credits
-  // them as destroyed.  Reassembly bytes were never covered, so their
-  // pages release without a ledger entry.
-  destroyed_rx_bytes_ += rq_bytes_;
-  for (const Skb& skb : rq_) {
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
-  }
-  rq_.clear();
-  rq_bytes_ = 0;
+void HomaSocket::release_rx(Core& core) {
   for (auto& [id, msg] : rx_messages_) {
-    for (auto& [offset, skb] : msg.frags) {
-      for (const Fragment& fragment : skb.fragments) {
-        stack_->allocator().release(core, fragment.page);
-      }
-    }
+    for (auto& [offset, skb] : msg.frags) release_pages(core, skb);
   }
   rx_messages_.clear();
   reassembly_bytes_ = 0;
   transport_->sched_purge(core, *this);
-  stack_->note_socket_abort(destroyed_rx_bytes_);
-
-  if (on_error_) {
-    error_reported_ = true;
-    on_error_(reason);
-  }
-  if (rx_waiter_ != nullptr) rx_waiter_->notify();
-  if (tx_waiter_ != nullptr) tx_waiter_->notify();
 }
 
-void HomaSocket::on_rst(Core& core) {
-  if (dead()) return;
-  abort(core, SocketError::econnreset);
+void HomaSocket::collect_protocol_pages(
+    std::unordered_set<const Page*>& held) const {
+  for (const TxMessage& msg : tx_messages_) {
+    for (const Page* page : msg.pages) held.insert(page);
+  }
+  for (const auto& [id, msg] : rx_messages_) {
+    for (const auto& [offset, skb] : msg.frags) {
+      for (const Fragment& fragment : skb.fragments) {
+        held.insert(fragment.page);
+      }
+    }
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -123,60 +88,16 @@ Bytes HomaSocket::send_space() const {
   return stack_->options().snd_buf - tx_buffered_;
 }
 
-Bytes HomaSocket::send(Core& core, Bytes bytes) {
-  require(core.id() == app_core_, "send() must run on the app core");
-  require(bytes > 0, "send of zero bytes");
-  if (dead()) return 0;
-  core.charge(CpuCategory::etc, core.cost().syscall_overhead);
-  lock(core);
-
-  const Bytes accept = std::min(bytes, send_space());
-  if (accept < bytes) tx_was_full_ = true;
-  if (accept == 0) return 0;
-
-  const TransportConfig& config = stack_->options().transport;
+void HomaSocket::write(Core& core, Bytes accept) {
   TxMessage msg;
   msg.id = next_tx_msg_id_++;
   msg.len = accept;
-  msg.granted = std::min<Bytes>(accept, config.homa.unscheduled_bytes);
-
-  // User->kernel copy into kernel pages (or MSG_ZEROCOPY pinning) —
-  // identical cost model to the TCP send path.
-  const CostModel& cost = core.cost();
-  LlcModel& llc = stack_->llc(core.numa_node());
-  HostStats& stats = stack_->stats();
-  if (stack_->options().tx_zerocopy) {
-    const auto pinned =
-        static_cast<Cycles>((accept + kPageBytes - 1) / kPageBytes);
-    core.charge(CpuCategory::memory, pinned * cost.zc_tx_pin_per_page);
-    core.charge(CpuCategory::etc, cost.zc_tx_completion);
-  } else {
-    const int pages = static_cast<int>((accept + kPageBytes - 1) / kPageBytes);
-    double copy_cycles = 0.0;
-    for (int i = 0; i < pages; ++i) {
-      Page* page = stack_->allocator().alloc(core);
-      page->refs = 1;
-      const Bytes page_bytes =
-          std::min<Bytes>(kPageBytes, accept - i * kPageBytes);
-      const bool resident = llc.contains(page->id);
-      if (resident) {
-        stats.sender_copy.hit();
-      } else {
-        stats.sender_copy.miss();
-      }
-      copy_cycles += static_cast<double>(page_bytes) *
-                     (cost.copy_cyc_per_byte_hit +
-                      (resident ? 0.0 : cost.copy_write_miss_extra));
-      llc.insert(page->id);
-      msg.pages.push_back(page);
-    }
-    core.charge(CpuCategory::data_copy, static_cast<Cycles>(copy_cycles));
-  }
-
+  msg.granted = std::min<Bytes>(
+      accept, stack_->options().transport.homa.unscheduled_bytes);
+  copy_from_user(core, accept, msg.pages);  // one user copy per message
   tx_messages_.push_back(std::move(msg));
   tx_buffered_ += accept;
   tx_written_ += accept;
-  accepted_from_app_ += accept;
   // Ack clock: only the oldest `homa_max_tx_msgs` messages transmit;
   // younger ones wait buffered until MSG_ACKs retire their elders.
   if (tx_messages_.size() <= tx_window()) {
@@ -184,7 +105,6 @@ Bytes HomaSocket::send(Core& core, Bytes bytes) {
   }
   note_tx_activity();
   arm_restart();
-  return accept;
 }
 
 std::size_t HomaSocket::tx_window() const {
@@ -205,36 +125,15 @@ void HomaSocket::transmit_pending(Core& core, TxMessage& msg) {
 
 void HomaSocket::emit_range(Core& core, const TxMessage& msg, Bytes from,
                             Bytes to, bool retransmit) {
-  const StackOptions& options = stack_->options();
-  const CostModel& cost = core.cost();
-  const Bytes len = to - from;
-  const int frames = Gso::segment_count(len, options.mss);
-
-  if (retransmit) {
-    stack_->tracer().record(stack_->loop().now(), TraceKind::retransmit,
-                            flow_, from, len);
-    core.charge(CpuCategory::tcpip, cost.tcpip_retransmit * frames);
-    retransmits_ += static_cast<std::uint64_t>(frames);
-    stack_->stats().retransmits += static_cast<std::uint64_t>(frames);
-  } else {
-    core.charge(CpuCategory::skb_mgmt, cost.skb_alloc);
-    core.charge(CpuCategory::tcpip,
-                cost.tcpip_tx_per_skb +
-                    static_cast<Cycles>(cost.tcpip_cyc_per_byte *
-                                        static_cast<double>(len)));
-    core.charge(CpuCategory::netdev, cost.netdev_tx_per_skb);
-    Gso::charge(core, options.segmentation, frames);
-    stack_->iommu().charge_map(core, static_cast<double>(len) / kPageBytes);
-  }
-  core.charge(CpuCategory::netdev, cost.driver_tx_per_skb);
-
+  charge_tx_skb(core, from, to - from, retransmit);
+  const Bytes mss = stack_->options().mss;
   const Nanos now = stack_->loop().now();
   Bytes offset = from;
   while (offset < to) {
     Frame frame;
-    frame.flow = flow_;
+    frame.flow = flow();
     frame.seq = offset;
-    frame.payload = std::min<Bytes>(to - offset, options.mss);
+    frame.payload = std::min<Bytes>(to - offset, mss);
     frame.msg_id = msg.id;
     frame.msg_len = msg.len;
     frame.sent_at = now;
@@ -252,7 +151,7 @@ void HomaSocket::arm_restart() {
 void HomaSocket::on_restart_fired() {
   if (dead() || tx_messages_.empty()) return;
   restart_task_pending_ = true;
-  stack_->core(app_core_).post(timer_ctx_, [this](Core& core) {
+  stack_->core(app_core()).post(timer_ctx_, [this](Core& core) {
     restart_task_pending_ = false;
     if (dead() || tx_messages_.empty()) return;
     const TransportConfig& config = stack_->options().transport;
@@ -354,12 +253,7 @@ void HomaSocket::handle_msg_ack(Core& core, const Frame& frame) {
         transmit_pending(core, waiting);
       }
     }
-    if (tx_was_full_ && tx_waiter_ != nullptr &&
-        send_space() >= std::min<Bytes>(stack_->options().snd_buf / 4,
-                                        256 * kKiB)) {
-      tx_was_full_ = false;
-      tx_waiter_->notify();
-    }
+    wake_writer();
     return;
   }
 }
@@ -369,7 +263,7 @@ void HomaSocket::handle_msg_ack(Core& core, const Frame& frame) {
 // --------------------------------------------------------------------------
 
 void HomaSocket::send_control(Core& core, Frame frame) {
-  frame.flow = flow_;
+  frame.flow = flow();
   frame.is_ack = true;  // header-only control: copybreak-class frame
   core.charge(CpuCategory::tcpip, core.cost().tcpip_ack_tx);
   ++stack_->stats().acks_sent;
@@ -387,7 +281,7 @@ void HomaSocket::push_grant(Core& core, std::int64_t msg_id) {
   if (it == rx_messages_.end()) return;
   RxMessage& msg = it->second;
   const TransportConfig& config = stack_->options().transport;
-  if (config.homa_rcv_buf > 0 && rq_bytes_ >= config.homa_rcv_buf) {
+  if (config.homa_rcv_buf > 0 && rq_bytes() >= config.homa_rcv_buf) {
     // The application is not keeping up: stop feeding it.  Stalled
     // senders stay alive off the receiver's periodic RESENDs (each one
     // counts as peer activity for the sender's restart detector), and
@@ -401,7 +295,7 @@ void HomaSocket::push_grant(Core& core, std::int64_t msg_id) {
   if (target <= msg.granted_edge) return;
   msg.granted_edge = target;
   transport_->note_grant();
-  stack_->tracer().record(stack_->loop().now(), TraceKind::grant, flow_,
+  stack_->tracer().record(stack_->loop().now(), TraceKind::grant, flow(),
                           target, msg.granted_edge - msg.received);
   Frame grant;
   grant.is_grant = true;
@@ -412,28 +306,14 @@ void HomaSocket::push_grant(Core& core, std::int64_t msg_id) {
 
 void HomaSocket::rx_data(Core& core, std::int64_t msg_id, Bytes msg_len,
                          Skb skb) {
-  const CostModel& cost = core.cost();
-  // Per-batch protocol processing, mirroring the TCP post-GRO charge:
-  // the transport coalesced contiguous frames of one message within the
-  // NAPI poll round.
-  core.charge(CpuCategory::tcpip,
-              cost.tcpip_rx_per_skb +
-                  static_cast<Cycles>(cost.tcpip_cyc_per_byte *
-                                      static_cast<double>(skb.len)));
-  lock(core);
-  stack_->tracer().record(stack_->loop().now(), TraceKind::skb_deliver,
-                          flow_, skb.seq, skb.len);
-  if (obs::Observer* o = stack_->observer(); o != nullptr &&
-                                             skb.obs_span >= 0) {
-    o->span_stamp(skb.obs_span, obs::Stage::tcpip, stack_->loop().now());
-  }
+  // Per-batch protocol processing: the transport coalesced contiguous
+  // frames of one message within the NAPI poll round.
+  charge_rx_skb(core, skb);
   stack_->stats().skb_sizes.record(skb);
 
   if (rx_completed_.find(msg_id) != rx_completed_.end()) {
     // Late retransmit of a finished message: our MSG_ACK was lost.
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
+    release_pages(core, skb);
     Frame ack;
     ack.msg_id = msg_id;
     ack.ack_seq = msg_len;
@@ -470,13 +350,11 @@ void HomaSocket::rx_data(Core& core, std::int64_t msg_id, Bytes msg_len,
     len = next->first - seq;  // tail overlap; later bytes are already held
   }
   if (len <= 0) {
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
+    release_pages(core, skb);
     return;
   }
 
-  skb.flow = flow_;
+  skb.flow = flow();
   skb.seq = seq;
   skb.len = len;
   skb.napi_at = stack_->loop().now();
@@ -511,8 +389,7 @@ void HomaSocket::complete_rx(Core& core, RxMessage& msg) {
   std::int32_t wake_span = -1;
   for (auto& [offset, skb] : msg.frags) {
     if (wake_span < 0 && skb.obs_span >= 0) wake_span = skb.obs_span;
-    rq_bytes_ += skb.len;
-    rq_.push_back(std::move(skb));
+    queue_for_app(std::move(skb));
   }
   msg.frags.clear();
   reassembly_bytes_ -= msg.received;
@@ -526,19 +403,12 @@ void HomaSocket::complete_rx(Core& core, RxMessage& msg) {
   ack.ack_seq = msg.len;
   ack.echo_ts = last_sent_at;
   send_control(core, ack);
-  if (rx_waiter_ != nullptr) {
-    if (wake_span >= 0) {
-      if (obs::Observer* o = stack_->observer()) {
-        o->span_stamp(wake_span, obs::Stage::wakeup, stack_->loop().now());
-      }
-    }
-    rx_waiter_->notify();
-  }
+  wake_reader(wake_span);
 }
 
 void HomaSocket::on_resend_scan_fired() {
   if (dead() || rx_messages_.empty()) return;
-  stack_->core(app_core_).post(timer_ctx_, [this](Core& core) {
+  stack_->core(app_core()).post(timer_ctx_, [this](Core& core) {
     if (dead() || rx_messages_.empty()) return;
     const Nanos interval = stack_->options().transport.homa_resend_interval;
     const Nanos now = stack_->loop().now();
@@ -578,89 +448,12 @@ void HomaSocket::on_resend_scan_fired() {
 // Application receive path
 // --------------------------------------------------------------------------
 
-Bytes HomaSocket::recv(Core& core, Bytes max_bytes) {
-  require(core.id() == app_core_, "recv() must run on the app core");
-  if (dead()) return 0;
-  const CostModel& cost = core.cost();
-  core.charge(CpuCategory::etc, cost.syscall_overhead);
-  lock(core);
-
-  // Same kernel->user copy cost model as the TCP receive path; the
-  // difference is upstream (whole messages arrive in SRPT completion
-  // order, not stream order).
-  HostStats& stats = stack_->stats();
-  Bytes copied = 0;
-  while (copied < max_bytes && !rq_.empty()) {
-    Skb skb = std::move(rq_.front());
-    rq_.pop_front();
-    rq_bytes_ -= skb.len;
-
-    stats.napi_to_copy.record(stack_->loop().now() - skb.napi_at);
-    stack_->tracer().record(stack_->loop().now(), TraceKind::data_copy,
-                            flow_, skb.seq, skb.len);
-    if (skb.obs_span >= 0) {
-      if (obs::Observer* o = stack_->observer()) {
-        o->span_stamp(skb.obs_span, obs::Stage::copy, stack_->loop().now());
-        o->span_complete(skb.obs_span);
-      }
-    }
-
-    bool any_remote = false;
-    if (stack_->options().rx_zerocopy) {
-      const auto pages =
-          static_cast<Cycles>((skb.len + kPageBytes - 1) / kPageBytes);
-      core.charge(CpuCategory::memory, pages * cost.zc_rx_remap_per_page);
-      for (const Fragment& fragment : skb.fragments) {
-        any_remote =
-            any_remote || fragment.page->numa_node != core.numa_node();
-      }
-    } else {
-      Bytes frag_total = 0;
-      for (const Fragment& fragment : skb.fragments) {
-        frag_total += fragment.bytes;
-      }
-      const double payload_scale =
-          frag_total > 0
-              ? static_cast<double>(skb.len) / static_cast<double>(frag_total)
-              : 0.0;
-      double copy_cycles = 0.0;
-      for (const Fragment& fragment : skb.fragments) {
-        const double bytes =
-            static_cast<double>(fragment.bytes) * payload_scale;
-        Page* page = fragment.page;
-        if (page->numa_node == core.numa_node()) {
-          const bool hit = stack_->llc(core.numa_node()).touch_read(page->id);
-          if (hit) {
-            stats.copy_reads.hit();
-          } else {
-            stats.copy_reads.miss();
-          }
-          copy_cycles += bytes * (hit ? cost.copy_cyc_per_byte_hit
-                                      : cost.copy_cyc_per_byte_miss);
-        } else {
-          any_remote = true;
-          stats.copy_reads.miss();
-          copy_cycles += bytes * cost.copy_cyc_per_byte_miss *
-                         cost.copy_remote_numa_factor;
-        }
-      }
-      core.charge(CpuCategory::data_copy, static_cast<Cycles>(copy_cycles));
-    }
-
-    core.charge(CpuCategory::skb_mgmt,
-                cost.skb_free + (any_remote ? cost.skb_free_remote_extra : 0));
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
-    copied += skb.len;
-  }
-  delivered_to_app_ += copied;
+void HomaSocket::on_read(Core& core, Bytes /*copied*/) {
   const Bytes rcv_buf = stack_->options().transport.homa_rcv_buf;
-  if (rx_backpressured_ && (rcv_buf == 0 || rq_bytes_ < rcv_buf)) {
+  if (rx_backpressured_ && (rcv_buf == 0 || rq_bytes() < rcv_buf)) {
     rx_backpressured_ = false;
-    transport_->sched_pump(core, app_core_);
+    transport_->sched_pump(core, app_core());
   }
-  return copied;
 }
 
 // --------------------------------------------------------------------------
@@ -673,23 +466,6 @@ Bytes HomaSocket::cwnd_bytes() const {
     allowance += std::min(msg.granted, msg.len);
   }
   return allowance;
-}
-
-void HomaSocket::collect_held_pages(
-    std::unordered_set<const Page*>& held) const {
-  for (const TxMessage& msg : tx_messages_) {
-    for (const Page* page : msg.pages) held.insert(page);
-  }
-  for (const Skb& skb : rq_) {
-    for (const Fragment& fragment : skb.fragments) held.insert(fragment.page);
-  }
-  for (const auto& [id, msg] : rx_messages_) {
-    for (const auto& [offset, skb] : msg.frags) {
-      for (const Fragment& fragment : skb.fragments) {
-        held.insert(fragment.page);
-      }
-    }
-  }
 }
 
 // --------------------------------------------------------------------------
@@ -756,24 +532,7 @@ void HomaTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
     return;
   }
 
-  core.charge(CpuCategory::skb_mgmt, cost.skb_alloc);
-  Skb skb;
-  skb.flow = frame.flow;
-  skb.seq = frame.seq;
-  skb.len = frame.payload;
-  skb.fragments = std::move(polled.fragments);
-  skb.segments = polled.segments;
-  skb.napi_at = stack_->loop_->now();
-  skb.sent_at = frame.sent_at;
-  skb.ecn = frame.ecn;
-  skb.obs_span = frame.obs_span;
-  if (stack_->obs_ != nullptr && skb.obs_span >= 0) {
-    stack_->obs_->span_stamp(skb.obs_span, obs::Stage::gro,
-                             stack_->loop_->now());
-  }
-  if (stack_->options_.gro) {
-    core.charge(CpuCategory::netdev, cost.gro_per_segment);
-  }
+  Skb skb = stack_->data_skb(core, polled);
 
   // Merge contiguous same-message frames within this poll round; a
   // non-mergeable input flushes the flow's batch in progress.

@@ -60,46 +60,13 @@ class HomaSocket : public TransportSocket {
   HomaSocket(Stack& stack, HomaTransport& transport, int flow, int app_core);
   ~HomaSocket() override;
 
-  HomaSocket(const HomaSocket&) = delete;
-  HomaSocket& operator=(const HomaSocket&) = delete;
-
-  int flow() const override { return flow_; }
-  int app_core() const override { return app_core_; }
-
-  // --- Application API ----------------------------------------------------
-  Bytes send(Core& core, Bytes bytes) override;
-  Bytes recv(Core& core, Bytes max_bytes) override;
-  Bytes readable() const override { return rq_bytes_; }
   Bytes send_space() const override;
   bool send_queue_empty() const override { return tx_messages_.empty(); }
-  void set_rx_waiter(Thread* waiter) override { rx_waiter_ = waiter; }
-  void set_tx_waiter(Thread* waiter) override { tx_waiter_ = waiter; }
-
-  // --- Failure surface ----------------------------------------------------
-  void set_error_callback(std::function<void(SocketError)> cb) override {
-    on_error_ = std::move(cb);
-  }
-  void set_fin_callback(std::function<void(Core&)> cb) override {
-    on_peer_fin_ = std::move(cb);
-  }
-  void on_peer_fin(Core& core) override {
-    if (on_peer_fin_) on_peer_fin_(core);
-  }
-  void abort(Core& core, SocketError reason,
-             bool killed_by_fault = false) override;
-  bool dead() const override { return error_ != SocketError::none; }
-  SocketError error() const override { return error_; }
-  bool killed_by_fault() const override { return killed_by_fault_; }
-  bool error_reported() const override { return error_reported_; }
-  Bytes destroyed_rx_bytes() const override { return destroyed_rx_bytes_; }
-  Bytes delivered_to_app() const override { return delivered_to_app_; }
-  Bytes accepted_from_app() const override { return accepted_from_app_; }
 
   // --- Protocol-neutral ledger -------------------------------------------
   std::int64_t tx_acked() const override { return tx_acked_; }
   std::int64_t tx_written() const override { return tx_written_; }
   std::int64_t rx_covered() const override { return rx_covered_; }
-  Bytes rq_bytes() const override { return rq_bytes_; }
   /// Reassembly bytes: received but not yet part of a complete message.
   Bytes ofo_bytes() const override { return reassembly_bytes_; }
   bool loss_timer_armed() const override {
@@ -109,14 +76,9 @@ class HomaSocket : public TransportSocket {
   // --- Telemetry gauges ---------------------------------------------------
   /// Transmission allowance: granted-but-unsent plus unscheduled credit.
   Bytes cwnd_bytes() const override;
-  Nanos srtt() const override { return srtt_; }
   Bytes inflight() const override { return tx_sent_ - tx_acked_; }
 
-  void collect_held_pages(
-      std::unordered_set<const Page*>& held) const override;
-
   // --- Stack / transport API (softirq context) ---------------------------
-  void on_rst(Core& core) override;
   /// One control frame for this flow (grant, resend, MSG_ACK, or RST).
   void rx_control(Core& core, const Frame& frame);
   /// One softirq-batched run of contiguous data frames of one message
@@ -136,7 +98,7 @@ class HomaSocket : public TransportSocket {
     Bytes len = 0;
     Bytes sent = 0;     ///< bytes transmitted at least once
     Bytes granted = 0;  ///< transmission allowance (unscheduled + grants)
-    std::vector<Page*> pages;
+    PageList pages;
   };
   struct RxMessage {
     std::int64_t id = 0;
@@ -148,7 +110,14 @@ class HomaSocket : public TransportSocket {
     std::map<std::int64_t, Skb> frags;  ///< by in-message offset
   };
 
-  void lock(Core& core);
+  // TransportSocket hooks
+  void write(Core& core, Bytes accept) override;
+  void on_read(Core& core, Bytes copied) override;
+  void release_tx(Core& core) override;
+  void release_rx(Core& core) override;
+  void collect_protocol_pages(
+      std::unordered_set<const Page*>& held) const override;
+
   /// Sender ack-clock window (messages), at least 1.
   std::size_t tx_window() const;
   /// Transmits [msg.sent, min(msg.granted, msg.len)) in max-skb chunks.
@@ -167,10 +136,7 @@ class HomaSocket : public TransportSocket {
   void handle_resend(Core& core, const Frame& frame);
   void handle_msg_ack(Core& core, const Frame& frame);
 
-  Stack* stack_;
   HomaTransport* transport_;
-  int flow_;
-  int app_core_;
 
   // --- Sender state ---
   std::deque<TxMessage> tx_messages_;  ///< unacked, oldest first
@@ -179,8 +145,6 @@ class HomaSocket : public TransportSocket {
   std::int64_t tx_written_ = 0;
   std::int64_t tx_acked_ = 0;
   std::int64_t tx_sent_ = 0;
-  bool tx_was_full_ = false;
-  std::uint64_t retransmits_ = 0;
   /// Blackout fallback: retransmits the oldest message's unscheduled
   /// window when nothing (grant/ack) has arrived for a whole interval.
   Timer restart_timer_;
@@ -192,12 +156,7 @@ class HomaSocket : public TransportSocket {
   std::map<std::int64_t, RxMessage> rx_messages_;  ///< in reassembly
   std::unordered_set<std::int64_t> rx_completed_;  ///< MSG_ACK dedup
   Bytes reassembly_bytes_ = 0;
-  std::deque<Skb> rq_;  ///< completed messages, completion (SRPT) order
-  Bytes rq_bytes_ = 0;
   std::int64_t rx_covered_ = 0;
-  Bytes delivered_to_app_ = 0;
-  Bytes accepted_from_app_ = 0;
-  Bytes destroyed_rx_bytes_ = 0;
   /// Stall detector: an incomplete message idle for a whole interval
   /// draws a RESEND naming its lowest missing offset.
   Timer resend_timer_;
@@ -205,19 +164,7 @@ class HomaSocket : public TransportSocket {
   /// `homa_rcv_buf`; recv() pumps the core's grant scheduler on drain.
   bool rx_backpressured_ = false;
 
-  // --- Shared ---
-  Nanos srtt_ = 0;
-  SocketError error_ = SocketError::none;
-  bool killed_by_fault_ = false;
-  bool error_reported_ = false;
-  std::function<void(SocketError)> on_error_;
-  std::function<void(Core&)> on_peer_fin_;
-  Thread* rx_waiter_ = nullptr;
-  Thread* tx_waiter_ = nullptr;
-  int last_lock_core_ = -1;
   Context timer_ctx_{"homa-timer", /*kernel=*/true};
-
-  friend class HomaTransport;
 };
 
 class HomaTransport : public Transport {

@@ -354,6 +354,27 @@ void Stack::collect_held_pages(std::unordered_set<const Page*>& held) const {
   transport_->collect_held_pages(held);
 }
 
+Skb Stack::data_skb(Core& core, Nic::PolledFrame& polled) {
+  core.charge(CpuCategory::skb_mgmt, core.cost().skb_alloc);
+  Skb skb;
+  skb.flow = polled.frame.flow;
+  skb.seq = polled.frame.seq;
+  skb.len = polled.frame.payload;
+  skb.fragments = std::move(polled.fragments);
+  skb.segments = polled.segments;
+  skb.napi_at = loop_->now();
+  skb.sent_at = polled.frame.sent_at;
+  skb.ecn = polled.frame.ecn;
+  skb.obs_span = polled.frame.obs_span;
+  if (obs_ != nullptr && skb.obs_span >= 0) {
+    obs_->span_stamp(skb.obs_span, obs::Stage::gro, loop_->now());
+  }
+  if (options_.gro) {
+    core.charge(CpuCategory::netdev, core.cost().gro_per_segment);
+  }
+  return skb;
+}
+
 void Stack::napi_poll(Core& core, int queue) {
   const CostModel& cost = core.cost();
   core.charge(CpuCategory::netdev, cost.napi_poll_overhead);

@@ -257,6 +257,11 @@ class Stack {
 
   void napi_poll(Core& core, int queue);
 
+  /// Builds the post-NAPI data skb for one polled frame, taking its
+  /// fragments: charges the skb allocation (and, with GRO on, the
+  /// per-segment GRO work) and stamps the frame's span at the GRO stage.
+  Skb data_skb(Core& core, Nic::PolledFrame& polled);
+
   /// Answers a frame for an unknown or dead flow with a header-only RST
   /// so the peer observes ECONNRESET instead of retransmitting forever.
   void send_rst(int flow);

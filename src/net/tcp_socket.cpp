@@ -4,12 +4,10 @@
 #include <cmath>
 #include <utility>
 
-#include "obs/observer.h"
 #include "sim/contract.h"
 
 namespace hostsim {
 namespace {
-
 
 /// Slack beyond the advertised edge tolerated before dropping (GRO
 /// rounding; should essentially never trigger).
@@ -19,20 +17,8 @@ constexpr Nanos kMaxRto = 200 * kMillisecond;
 
 }  // namespace
 
-std::string_view to_string(SocketError error) {
-  switch (error) {
-    case SocketError::none: return "none";
-    case SocketError::econnreset: return "econnreset";
-    case SocketError::etimedout: return "etimedout";
-  }
-  return "?";
-}
-
 TcpSocket::TcpSocket(Stack& stack, int flow, int app_core)
-    : stack_(&stack),
-      flow_(flow),
-      app_core_(app_core),
-      snd_buf_(stack.options().snd_buf),
+    : TransportSocket(stack, flow, app_core),
       cc_(make_congestion_control(stack.options().cc, stack.options().mss)),
       rto_timer_(stack.loop(), [this] { on_rto_fired(); }),
       pacer_timer_(stack.loop(), [this] { pacer_release(); }),
@@ -46,80 +32,36 @@ TcpSocket::TcpSocket(Stack& stack, int flow, int app_core)
 TcpSocket::~TcpSocket() = default;
 
 // --------------------------------------------------------------------------
-// Failure surface
+// Socket-core hooks
 // --------------------------------------------------------------------------
 
-void TcpSocket::abort(Core& core, SocketError reason, bool killed_by_fault) {
-  require(reason != SocketError::none, "abort needs a terminal error");
-  if (dead()) {
-    // Idempotent, but a fault kill is sticky: a socket first reset by the
-    // app and then swept up by a crash stays attributable to the fault.
-    killed_by_fault_ = killed_by_fault_ || killed_by_fault;
-    return;
-  }
-  error_ = reason;
-  killed_by_fault_ = killed_by_fault;
-
+void TcpSocket::release_tx(Core& core) {
   rto_timer_.cancel();
   rto_task_pending_ = false;
   pacer_timer_.cancel();
   delack_timer_.cancel();
   paced_.clear();
   in_recovery_ = false;
-
-  // Release every page the connection holds.  Receive-queue bytes are
-  // covered by rcv_nxt_ (the peer believes they were delivered) but
-  // never reached the application: the byte-conservation invariant
-  // credits them as destroyed instead of delivered.
   for (TxChunk& chunk : tx_queue_) {
     for (Page* page : chunk.pages) stack_->allocator().release(core, page);
   }
   tx_queue_.clear();
-  destroyed_rx_bytes_ += rq_bytes_;
-  for (const Skb& skb : rq_) {
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
-  }
-  rq_.clear();
-  rq_bytes_ = 0;
-  for (const auto& [seq, skb] : ofo_) {
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
-  }
+}
+
+void TcpSocket::release_rx(Core& core) {
+  for (const auto& [seq, skb] : ofo_) release_pages(core, skb);
   ofo_.clear();
   ofo_bytes_ = 0;
-  stack_->note_socket_abort(destroyed_rx_bytes_);
+}
 
-  // Fail pending I/O: the error callback first (so a woken waiter already
-  // observes the error), then both waiters so blocked send()/recv()
-  // return 0 instead of sleeping forever.
-  if (on_error_) {
-    error_reported_ = true;
-    on_error_(reason);
+void TcpSocket::collect_protocol_pages(
+    std::unordered_set<const Page*>& held) const {
+  for (const TxChunk& chunk : tx_queue_) {
+    for (const Page* page : chunk.pages) held.insert(page);
   }
-  if (rx_waiter_ != nullptr) rx_waiter_->notify();
-  if (tx_waiter_ != nullptr) tx_waiter_->notify();
-}
-
-void TcpSocket::on_rst(Core& core) {
-  if (dead()) return;
-  abort(core, SocketError::econnreset);
-}
-
-// --------------------------------------------------------------------------
-// Locking
-// --------------------------------------------------------------------------
-
-void TcpSocket::lock(Core& core) {
-  // The socket spinlock bounces between cores when the softirq (IRQ
-  // context) and the application run on different cores — the paper's
-  // explanation for high lock overhead with aRFS disabled (§3.1).
-  const bool contended = last_lock_core_ >= 0 && last_lock_core_ != core.id();
-  core.charge(CpuCategory::lock, contended ? core.cost().lock_contended
-                                           : core.cost().lock_uncontended);
-  last_lock_core_ = core.id();
+  for (const auto& [seq, skb] : ofo_) {
+    for (const Fragment& fragment : skb.fragments) held.insert(fragment.page);
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -127,29 +69,11 @@ void TcpSocket::lock(Core& core) {
 // --------------------------------------------------------------------------
 
 Bytes TcpSocket::send_space() const {
-  return snd_buf_ - (snd_buf_end_ - snd_una_);
+  return stack_->options().snd_buf - (snd_buf_end_ - snd_una_);
 }
 
-Bytes TcpSocket::send(Core& core, Bytes bytes) {
-  require(core.id() == app_core_, "send() must run on the app core");
-  require(bytes > 0, "send of zero bytes");
-  if (dead()) return 0;
-  core.charge(CpuCategory::etc, core.cost().syscall_overhead);
-  lock(core);
-
-  const Bytes accept = std::min(bytes, send_space());
-  if (accept < bytes) tx_was_full_ = true;
-  if (accept == 0) return 0;
-
-  // User->kernel data copy into freshly allocated kernel pages.  Pages
-  // come LIFO from the pageset, so a recently freed (still cached) page
-  // is cheap to fill; a cold page pays the write-allocate penalty.
-  // With MSG_ZEROCOPY (§4) the user pages are pinned instead: no copy,
-  // no kernel pages, just a per-chunk pin + completion notification.
-  const CostModel& cost = core.cost();
-  const bool zerocopy = stack_->options().tx_zerocopy;
-  LlcModel& llc = stack_->llc(core.numa_node());
-  HostStats& stats = stack_->stats();
+void TcpSocket::write(Core& core, Bytes accept) {
+  // One user copy per TSO chunk, each into its own kernel pages.
   Bytes remaining = accept;
   while (remaining > 0) {
     const Bytes chunk_len = std::min<Bytes>(
@@ -157,41 +81,12 @@ Bytes TcpSocket::send(Core& core, Bytes bytes) {
     TxChunk chunk;
     chunk.seq = snd_buf_end_;
     chunk.len = chunk_len;
-    if (zerocopy) {
-      const auto pinned = static_cast<Cycles>((chunk_len + kPageBytes - 1) /
-                                              kPageBytes);
-      core.charge(CpuCategory::memory, pinned * cost.zc_tx_pin_per_page);
-      core.charge(CpuCategory::etc, cost.zc_tx_completion);
-    } else {
-      const int pages = static_cast<int>((chunk_len + kPageBytes - 1) /
-                                         kPageBytes);
-      double copy_cycles = 0.0;
-      for (int i = 0; i < pages; ++i) {
-        Page* page = stack_->allocator().alloc(core);
-        page->refs = 1;
-        const Bytes page_bytes =
-            std::min<Bytes>(kPageBytes, chunk_len - i * kPageBytes);
-        const bool resident = llc.contains(page->id);
-        if (resident) {
-          stats.sender_copy.hit();
-        } else {
-          stats.sender_copy.miss();
-        }
-        copy_cycles += static_cast<double>(page_bytes) *
-                       (cost.copy_cyc_per_byte_hit +
-                        (resident ? 0.0 : cost.copy_write_miss_extra));
-        llc.insert(page->id);
-        chunk.pages.push_back(page);
-      }
-      core.charge(CpuCategory::data_copy, static_cast<Cycles>(copy_cycles));
-    }
+    copy_from_user(core, chunk_len, chunk.pages);
     tx_queue_.push_back(std::move(chunk));
     snd_buf_end_ += chunk_len;
     remaining -= chunk_len;
   }
-  accepted_from_app_ += accept;
   tcp_output(core);
-  return accept;
 }
 
 void TcpSocket::tcp_output(Core& core) {
@@ -229,37 +124,16 @@ void TcpSocket::tcp_output(Core& core) {
 
 void TcpSocket::emit_chunk(Core& core, std::int64_t seq, Bytes len,
                            bool retransmit) {
-  const StackOptions& options = stack_->options();
-  const CostModel& cost = core.cost();
-  const int frames = Gso::segment_count(len, options.mss);
-
-  if (retransmit) {
-    stack_->tracer().record(stack_->loop().now(), TraceKind::retransmit,
-                            flow_, seq, len);
-    core.charge(CpuCategory::tcpip, cost.tcpip_retransmit * frames);
-    retransmits_ += static_cast<std::uint64_t>(frames);
-    stack_->stats().retransmits += static_cast<std::uint64_t>(frames);
-  } else {
-    core.charge(CpuCategory::skb_mgmt, cost.skb_alloc);
-    core.charge(CpuCategory::tcpip,
-                cost.tcpip_tx_per_skb +
-                    static_cast<Cycles>(cost.tcpip_cyc_per_byte *
-                                        static_cast<double>(len)));
-    core.charge(CpuCategory::netdev, cost.netdev_tx_per_skb);
-    Gso::charge(core, options.segmentation, frames);
-    stack_->iommu().charge_map(
-        core, static_cast<double>(len) / kPageBytes);
-  }
-  core.charge(CpuCategory::netdev, cost.driver_tx_per_skb);
-
+  charge_tx_skb(core, seq, len, retransmit);
+  const Bytes mss = stack_->options().mss;
   const Nanos now = stack_->loop().now();
   Bytes remaining = len;
   std::int64_t frame_seq = seq;
   while (remaining > 0) {
     Frame frame;
-    frame.flow = flow_;
+    frame.flow = flow();
     frame.seq = frame_seq;
-    frame.payload = std::min(remaining, options.mss);
+    frame.payload = std::min(remaining, mss);
     frame.sent_at = now;
     frame.echo_ts = now;
     frame_seq += frame.payload;
@@ -291,7 +165,7 @@ void TcpSocket::pacer_release() {
   const double rate = std::max(cc_->pacing_gbps(), 0.5);
   pacer_next_ = stack_->loop().now() +
                 serialization_delay(frame.wire_bytes(), rate);
-  stack_->core(app_core_).post(timer_ctx_, [this, frame](Core& core) {
+  stack_->core(app_core()).post(timer_ctx_, [this, frame](Core& core) {
     core.charge(CpuCategory::sched, core.cost().pacer_release);
     core.charge(CpuCategory::netdev, core.cost().driver_tx_per_skb / 4);
     stack_->nic().transmit(frame);
@@ -319,7 +193,7 @@ void TcpSocket::on_rto_fired() {
   rto_backoff_ = std::min<Nanos>(rto_backoff_ * 2, 64);
   ++consecutive_rtos_;
   rto_task_pending_ = true;
-  stack_->core(app_core_).post(timer_ctx_, [this](Core& core) {
+  stack_->core(app_core()).post(timer_ctx_, [this](Core& core) {
     rto_task_pending_ = false;
     if (dead()) return;
     if (snd_una_ >= snd_buf_end_) return;
@@ -344,12 +218,12 @@ void TcpSocket::on_rto_fired() {
       const Bytes probe =
           std::min<Bytes>(stack_->options().mss, snd_buf_end_ - snd_nxt_);
       stack_->tracer().record(stack_->loop().now(), TraceKind::window_probe,
-                              flow_, snd_nxt_, probe);
+                              flow(), snd_nxt_, probe);
       emit_chunk(core, snd_nxt_, probe, /*retransmit=*/false);
       arm_rto();
       return;
     }
-    stack_->tracer().record(stack_->loop().now(), TraceKind::rto, flow_,
+    stack_->tracer().record(stack_->loop().now(), TraceKind::rto, flow(),
                             snd_una_, 0);
     cc_->on_rto(stack_->loop().now());
     // CA_Loss: stay in recovery so returning ACKs keep repairing holes
@@ -404,26 +278,13 @@ void TcpSocket::free_acked_chunks(Core& core, std::int64_t upto) {
   }
 }
 
-void TcpSocket::collect_held_pages(
-    std::unordered_set<const Page*>& held) const {
-  for (const TxChunk& chunk : tx_queue_) {
-    for (const Page* page : chunk.pages) held.insert(page);
-  }
-  for (const Skb& skb : rq_) {
-    for (const Fragment& fragment : skb.fragments) held.insert(fragment.page);
-  }
-  for (const auto& [seq, skb] : ofo_) {
-    for (const Fragment& fragment : skb.fragments) held.insert(fragment.page);
-  }
-}
-
 void TcpSocket::process_ack(Core& core, const Frame& frame) {
   if (dead()) return;
   const CostModel& cost = core.cost();
   core.charge(CpuCategory::tcpip, cost.tcpip_ack_rx);
   lock(core);
   ++stack_->stats().acks_received;
-  stack_->tracer().record(stack_->loop().now(), TraceKind::ack_rx, flow_,
+  stack_->tracer().record(stack_->loop().now(), TraceKind::ack_rx, flow(),
                           frame.ack_seq, frame.ack_seq - snd_una_);
 
   // Monotone peer window edge (never moves left).
@@ -508,12 +369,7 @@ void TcpSocket::process_ack(Core& core, const Frame& frame) {
     }
   }
 
-  // Wake a writer blocked on a full send buffer once space is worth it.
-  if (tx_was_full_ && tx_waiter_ != nullptr &&
-      send_space() >= std::min<Bytes>(snd_buf_ / 4, 256 * kKiB)) {
-    tx_was_full_ = false;
-    tx_waiter_->notify();
-  }
+  wake_writer();
   tcp_output(core);
 }
 
@@ -532,9 +388,7 @@ void TcpSocket::drain_ofo(Core& core) {
     if (next.end_seq() <= rcv_nxt_) {
       // Fully duplicate.
       ofo_bytes_ -= next.len;
-      for (const Fragment& fragment : next.fragments) {
-        stack_->allocator().release(core, fragment.page);
-      }
+      release_pages(core, next);
       ofo_.erase(it);
       continue;
     }
@@ -544,8 +398,7 @@ void TcpSocket::drain_ofo(Core& core) {
     ofo_bytes_ -= dup;
     rcv_nxt_ = next.end_seq();
     ofo_bytes_ -= next.len;
-    rq_bytes_ += next.len;
-    rq_.push_back(std::move(next));
+    queue_for_app(std::move(next));
     ofo_.erase(it);
   }
 }
@@ -581,14 +434,14 @@ void TcpSocket::grant_credit(Core& core, Bytes bytes) {
   require(grant_scheduler_ != nullptr, "grant on a sender-driven socket");
   require(bytes > 0, "grant must be positive");
   rcv_wnd_edge_ += bytes;
-  stack_->tracer().record(stack_->loop().now(), TraceKind::grant, flow_,
+  stack_->tracer().record(stack_->loop().now(), TraceKind::grant, flow(),
                           bytes, rcv_wnd_edge_ - rcv_nxt_);
   send_ack(core, /*echo_ts=*/-1, /*ecn_echo=*/false);
 }
 
 void TcpSocket::on_delack_fired() {
   if (delack_pending_ == 0) return;
-  stack_->core(app_core_).post(timer_ctx_, [this](Core& c) {
+  stack_->core(app_core()).post(timer_ctx_, [this](Core& c) {
     send_ack(c, /*echo_ts=*/-1, /*ecn_echo=*/false);
   });
 }
@@ -598,7 +451,7 @@ void TcpSocket::send_ack(Core& core, Nanos echo_ts, bool ecn_echo) {
   delack_timer_.cancel();
   core.charge(CpuCategory::tcpip, core.cost().tcpip_ack_tx);
   ++stack_->stats().acks_sent;
-  stack_->tracer().record(stack_->loop().now(), TraceKind::ack_tx, flow_,
+  stack_->tracer().record(stack_->loop().now(), TraceKind::ack_tx, flow(),
                           rcv_nxt_, advertised_window());
 
   // Monotone advertised edge.  Queued data counts at skb truesize
@@ -609,11 +462,11 @@ void TcpSocket::send_ack(Core& core, Nanos echo_ts, bool ecn_echo) {
     rcv_wnd_edge_ = std::max(
         rcv_wnd_edge_,
         rcv_nxt_ + std::max<Bytes>(
-                       0, rcv_buf_cur_ - 2 * (rq_bytes_ + ofo_bytes_)));
+                       0, rcv_buf_cur_ - 2 * (rq_bytes() + ofo_bytes_)));
   }
 
   Frame ack;
-  ack.flow = flow_;
+  ack.flow = flow();
   ack.is_ack = true;
   ack.ack_seq = rcv_nxt_;
   ack.window = advertised_window();
@@ -625,25 +478,11 @@ void TcpSocket::send_ack(Core& core, Nanos echo_ts, bool ecn_echo) {
 
 void TcpSocket::rx_deliver(Core& core, Skb skb) {
   if (dead()) {
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
+    release_pages(core, skb);
     return;
   }
-  const CostModel& cost = core.cost();
-  core.charge(CpuCategory::tcpip,
-              cost.tcpip_rx_per_skb +
-                  static_cast<Cycles>(cost.tcpip_cyc_per_byte *
-                                      static_cast<double>(skb.len)));
-  lock(core);
-  stack_->tracer().record(stack_->loop().now(), TraceKind::skb_deliver,
-                          flow_, skb.seq, skb.len);
+  charge_rx_skb(core, skb);
   const std::int32_t obs_span = skb.obs_span;
-  if (obs_span >= 0) {
-    if (obs::Observer* o = stack_->observer()) {
-      o->span_stamp(obs_span, obs::Stage::tcpip, stack_->loop().now());
-    }
-  }
 
   // Trim data we already have (retransmission overlap).
   if (skb.seq < rcv_nxt_) {
@@ -651,9 +490,7 @@ void TcpSocket::rx_deliver(Core& core, Skb skb) {
     skb.seq += dup;
     skb.len -= dup;
     if (skb.len == 0) {
-      for (const Fragment& fragment : skb.fragments) {
-        stack_->allocator().release(core, fragment.page);
-      }
+      release_pages(core, skb);
       send_ack(core, skb.sent_at, skb.ecn);
       return;
     }
@@ -667,9 +504,7 @@ void TcpSocket::rx_deliver(Core& core, Skb skb) {
   // signal, not a buffer bound, and over-credit unscheduled data is
   // accepted by design.
   if (grant_scheduler_ == nullptr && skb.seq >= rcv_wnd_edge_) {
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
+    release_pages(core, skb);
     send_ack(core, skb.sent_at, skb.ecn);
     return;
   }
@@ -682,8 +517,7 @@ void TcpSocket::rx_deliver(Core& core, Skb skb) {
     // In-order data is never dropped: it is within the advertised window
     // by construction and unblocks everything queued out of order.
     rcv_nxt_ = skb.end_seq();
-    rq_bytes_ += skb.len;
-    rq_.push_back(std::move(skb));
+    queue_for_app(std::move(skb));
     drain_ofo(core);
   } else {
     // Out of order: queue (bounded) and signal the hole with a dup ACK.
@@ -691,18 +525,14 @@ void TcpSocket::rx_deliver(Core& core, Skb skb) {
         ofo_.find(skb.seq) != ofo_.end() &&
         ofo_.find(skb.seq)->second.len >= skb.len;
     const bool overflow =
-        rq_bytes_ + ofo_bytes_ + skb.len > rcv_buf_cur_ + kRcvOverflowSlack;
+        rq_bytes() + ofo_bytes_ + skb.len > rcv_buf_cur_ + kRcvOverflowSlack;
     if (duplicate_key || overflow) {
       if (overflow && !duplicate_key) ++stack_->stats().rcv_queue_drops;
-      for (const Fragment& fragment : skb.fragments) {
-        stack_->allocator().release(core, fragment.page);
-      }
+      release_pages(core, skb);
     } else if (auto it = ofo_.find(skb.seq); it != ofo_.end()) {
       // Longer span for the same start: replace the shorter entry.
       ofo_bytes_ += skb.len - it->second.len;
-      for (const Fragment& fragment : it->second.fragments) {
-        stack_->allocator().release(core, fragment.page);
-      }
+      release_pages(core, it->second);
       it->second = std::move(skb);
     } else {
       ofo_bytes_ += skb.len;
@@ -723,106 +553,18 @@ void TcpSocket::rx_deliver(Core& core, Skb skb) {
   } else {
     send_ack(core, echo_ts, ecn_echo);
   }
-  if (rq_bytes_ > 0 && rx_waiter_ != nullptr) {
-    // Scheduler wakeup: the blocked reader is notified because of this
-    // delivery.  Only in-order skbs are attributed — OFO data wakes
-    // nobody until the hole fills.
-    if (obs_span >= 0 && skb_was_in_order) {
-      if (obs::Observer* o = stack_->observer()) {
-        o->span_stamp(obs_span, obs::Stage::wakeup, stack_->loop().now());
-      }
-    }
-    rx_waiter_->notify();
-  }
+  // Only in-order skbs are attributed the wakeup — OFO data wakes nobody
+  // until the hole fills.
+  wake_reader(skb_was_in_order ? obs_span : -1);
 }
 
-Bytes TcpSocket::recv(Core& core, Bytes max_bytes) {
-  require(core.id() == app_core_, "recv() must run on the app core");
-  if (dead()) return 0;
-  const CostModel& cost = core.cost();
-  core.charge(CpuCategory::etc, cost.syscall_overhead);
-  lock(core);
-
-  HostStats& stats = stack_->stats();
-  Bytes copied = 0;
-  while (copied < max_bytes && !rq_.empty()) {
-    Skb skb = std::move(rq_.front());
-    rq_.pop_front();
-    rq_bytes_ -= skb.len;
-
-    stats.napi_to_copy.record(stack_->loop().now() - skb.napi_at);
-    stack_->tracer().record(stack_->loop().now(), TraceKind::data_copy,
-                            flow_, skb.seq, skb.len);
-    if (skb.obs_span >= 0) {
-      if (obs::Observer* o = stack_->observer()) {
-        o->span_stamp(skb.obs_span, obs::Stage::copy, stack_->loop().now());
-        o->span_complete(skb.obs_span);
-      }
-    }
-
-    bool any_remote = false;
-    if (stack_->options().rx_zerocopy) {
-      // TCP-mmap reception (§4): the kernel remaps the DMA'd pages into
-      // the application's address space instead of copying — per-page
-      // VMA work replaces per-byte copy cycles.
-      const auto pages = static_cast<Cycles>((skb.len + kPageBytes - 1) /
-                                             kPageBytes);
-      core.charge(CpuCategory::memory, pages * cost.zc_rx_remap_per_page);
-      for (const Fragment& fragment : skb.fragments) {
-        any_remote = any_remote ||
-                     fragment.page->numa_node != core.numa_node();
-      }
-    } else {
-      // Kernel->user data copy, page by page.  Local pages hit or miss
-      // the LLC; remote-NUMA pages always cross the interconnect (the
-      // paper's fig. 4: DCA cannot target a NIC-remote node's LLC).
-      Bytes frag_total = 0;
-      for (const Fragment& fragment : skb.fragments) {
-        frag_total += fragment.bytes;
-      }
-      const double payload_scale =
-          frag_total > 0
-              ? static_cast<double>(skb.len) / static_cast<double>(frag_total)
-              : 0.0;
-      double copy_cycles = 0.0;
-      for (const Fragment& fragment : skb.fragments) {
-        const double bytes =
-            static_cast<double>(fragment.bytes) * payload_scale;
-        Page* page = fragment.page;
-        if (page->numa_node == core.numa_node()) {
-          const bool hit =
-              stack_->llc(core.numa_node()).touch_read(page->id);
-          if (hit) {
-            stats.copy_reads.hit();
-          } else {
-            stats.copy_reads.miss();
-          }
-          copy_cycles += bytes * (hit ? cost.copy_cyc_per_byte_hit
-                                      : cost.copy_cyc_per_byte_miss);
-        } else {
-          any_remote = true;
-          stats.copy_reads.miss();
-          copy_cycles += bytes * cost.copy_cyc_per_byte_miss *
-                         cost.copy_remote_numa_factor;
-        }
-      }
-      core.charge(CpuCategory::data_copy, static_cast<Cycles>(copy_cycles));
-    }
-
-    core.charge(CpuCategory::skb_mgmt,
-                cost.skb_free + (any_remote ? cost.skb_free_remote_extra : 0));
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator().release(core, fragment.page);
-    }
-    copied += skb.len;
-  }
-  delivered_to_app_ += copied;
+void TcpSocket::on_read(Core& core, Bytes copied) {
   autotune_delivered_ += copied;
   maybe_autotune_rcv_buf();
 
   if (grant_scheduler_ != nullptr) {
     if (copied > 0) grant_scheduler_->on_progress(core, *this);
-    return copied;
+    return;
   }
 
   // Window update (tcp_cleanup_rbuf): advertise as soon as reading
@@ -830,13 +572,12 @@ Bytes TcpSocket::recv(Core& core, Bytes max_bytes) {
   // instead of stalling until a coarse-grained update.
   if (copied > 0) {
     const Bytes fresh_space = std::max<Bytes>(
-        0, rcv_buf_cur_ - 2 * (rq_bytes_ + ofo_bytes_));
+        0, rcv_buf_cur_ - 2 * (rq_bytes() + ofo_bytes_));
     const std::int64_t fresh_edge = rcv_nxt_ + fresh_space;
     if (fresh_edge - rcv_wnd_edge_ >= 2 * stack_->options().mss) {
       send_ack(core, /*echo_ts=*/-1, /*ecn_echo=*/false);
     }
   }
-  return copied;
 }
 
 }  // namespace hostsim

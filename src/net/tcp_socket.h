@@ -1,5 +1,7 @@
-// TCP socket endpoint: send/receive buffers, congestion and flow control,
-// loss recovery, and the data-copy boundary between user and kernel space.
+// TCP socket endpoint: send buffer, congestion and flow control, loss
+// recovery, and the out-of-order receive queue.  The data-copy boundary
+// between user and kernel space, the socket lock and the failure surface
+// are the shared socket core (net/transport.h).
 //
 // Connections are pre-established (the paper uses long-running
 // connections for all workloads), and each endpoint is full duplex: RPC
@@ -12,13 +14,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <map>
-#include <string_view>
+#include <memory>
 #include <unordered_set>
 
-#include "cpu/scheduler.h"
-#include "mem/small_vec.h"
 #include "sim/timer.h"
 #include "hw/link.h"
 #include "net/cc/congestion_control.h"
@@ -34,75 +33,9 @@ class TcpSocket : public TransportSocket {
   TcpSocket(Stack& stack, int flow, int app_core);
   ~TcpSocket() override;
 
-  TcpSocket(const TcpSocket&) = delete;
-  TcpSocket& operator=(const TcpSocket&) = delete;
-
-  int flow() const override { return flow_; }
-  int app_core() const override { return app_core_; }
-
-  // --- Application API (call from a task on the app core) ---------------
-
-  /// Writes up to `bytes` into the send buffer (user->kernel data copy),
-  /// returning the bytes accepted (possibly 0 when the buffer is full).
-  Bytes send(Core& core, Bytes bytes) override;
-
-  /// Copies received data to user space, whole skbs at a time, until at
-  /// least `max_bytes` were copied or the queue drained.  Returns the
-  /// bytes copied.
-  Bytes recv(Core& core, Bytes max_bytes) override;
-
-  Bytes readable() const override { return rq_bytes_; }
   Bytes send_space() const override;
   bool send_queue_empty() const override { return snd_una_ == snd_buf_end_; }
 
-  /// Thread notified when data becomes readable.
-  void set_rx_waiter(Thread* waiter) override { rx_waiter_ = waiter; }
-  /// Thread notified when send-buffer space frees after a full buffer.
-  void set_tx_waiter(Thread* waiter) override { tx_waiter_ = waiter; }
-
-  // --- Failure surface ----------------------------------------------------
-
-  /// Invoked exactly once when the connection dies (ECONNRESET on
-  /// RST/crash, ETIMEDOUT after the consecutive-RTO threshold).  Apps
-  /// that register one observe the failure instead of hanging; both
-  /// waiters are notified as well so blocked send()/recv() return 0.
-  void set_error_callback(std::function<void(SocketError)> on_error) override {
-    on_error_ = std::move(on_error);
-  }
-
-  /// Invoked when the peer gracefully closes (FIN) while this socket is
-  /// quiescent: the app must drop its pointer — the stack retires the
-  /// socket immediately after the callback returns (passive close, no
-  /// TIME_WAIT).  A non-quiescent FIN arrival aborts with ECONNRESET
-  /// through the error callback instead, like close() with unread data.
-  void set_fin_callback(std::function<void(Core&)> on_fin) override {
-    on_peer_fin_ = std::move(on_fin);
-  }
-  /// Stack-internal: fires the fin callback (if any) on passive close.
-  void on_peer_fin(Core& core) override {
-    if (on_peer_fin_) on_peer_fin_(core);
-  }
-
-  /// Tears the connection down: cancels every timer, releases all held
-  /// pages (in-flight receive bytes are accounted as destroyed), fails
-  /// pending I/O, and fires the error callback.  Idempotent.  Must run
-  /// in a task on a core of the owning host (page release charges there).
-  /// `killed_by_fault` records the disposition for the invariant sweep:
-  /// true for crash/fault kills, false for peer RSTs, timeouts, and
-  /// app-initiated aborts.
-  void abort(Core& core, SocketError reason,
-             bool killed_by_fault = false) override;
-
-  /// True once the connection has terminally failed.
-  bool dead() const override { return error_ != SocketError::none; }
-  SocketError error() const override { return error_; }
-  /// Fault-disposition introspection for the invariant sweep: a dead
-  /// socket must be either fault-killed or have reported its error.
-  bool killed_by_fault() const override { return killed_by_fault_; }
-  bool error_reported() const override { return error_reported_; }
-  /// Receive-side bytes (rcv_nxt-covered, not yet app-delivered) that
-  /// abort() destroyed; the byte-conservation invariant credits these.
-  Bytes destroyed_rx_bytes() const override { return destroyed_rx_bytes_; }
   /// Consecutive RTO expirations with no forward progress.
   int consecutive_rtos() const { return consecutive_rtos_; }
 
@@ -119,25 +52,16 @@ class TcpSocket : public TransportSocket {
   /// Granted bytes not yet received.
   Bytes credit_outstanding() const { return rcv_wnd_edge_ - rcv_nxt_; }
 
-  /// Total bytes delivered to the application (throughput metric).
-  Bytes delivered_to_app() const override { return delivered_to_app_; }
-  /// Total bytes accepted from the application.
-  Bytes accepted_from_app() const override { return accepted_from_app_; }
-
-  std::uint64_t retransmits() const { return retransmits_; }
   const CongestionControl& congestion() const { return *cc_; }
 
   // --- Introspection (invariant checker / diagnostics) -------------------
 
   std::int64_t snd_una() const { return snd_una_; }
   std::int64_t snd_nxt() const { return snd_nxt_; }
-  /// Smoothed RTT estimate (0 until the first sample).
-  Nanos srtt() const override { return srtt_; }
   /// Bytes in flight (sent, not yet cumulatively acked).
   Bytes inflight() const override { return snd_nxt_ - snd_una_; }
   std::int64_t snd_buf_end() const { return snd_buf_end_; }
   std::int64_t rcv_nxt() const { return rcv_nxt_; }
-  Bytes rq_bytes() const override { return rq_bytes_; }
   Bytes ofo_bytes() const override { return ofo_bytes_; }
   bool in_recovery() const { return in_recovery_; }
   /// True while the retransmission timer is armed in the event loop.
@@ -157,11 +81,6 @@ class TcpSocket : public TransportSocket {
   }
   Bytes cwnd_bytes() const override { return cc_->cwnd(); }
 
-  /// Adds every page this socket holds a reference to (tx queue, receive
-  /// queue, out-of-order queue) to `held`; used by the leak sweep.
-  void collect_held_pages(
-      std::unordered_set<const Page*>& held) const override;
-
   // --- Stack API (softirq context) ---------------------------------------
 
   /// Delivers a post-GRO data skb to the receive side.
@@ -170,17 +89,20 @@ class TcpSocket : public TransportSocket {
   /// Processes an incoming ACK on the send side.
   void process_ack(Core& core, const Frame& frame);
 
-  /// Handles an incoming RST: the peer has no (live) socket for this
-  /// flow, so the connection dies with ECONNRESET.
-  void on_rst(Core& core) override;
-
  private:
   struct TxChunk {
     std::int64_t seq = 0;
     Bytes len = 0;
-    // A 64KB TSO chunk spans at most 16 freshly allocated 4KiB pages.
-    SmallVec<Page*, 16> pages;
+    PageList pages;
   };
+
+  // TransportSocket hooks
+  void write(Core& core, Bytes accept) override;
+  void on_read(Core& core, Bytes copied) override;
+  void release_tx(Core& core) override;
+  void release_rx(Core& core) override;
+  void collect_protocol_pages(
+      std::unordered_set<const Page*>& held) const override;
 
   // tx path
   void tcp_output(Core& core);
@@ -195,22 +117,16 @@ class TcpSocket : public TransportSocket {
   void free_acked_chunks(Core& core, std::int64_t upto);
 
   // rx path
-  void lock(Core& core);
   void drain_ofo(Core& core);
   void send_ack(Core& core, Nanos echo_ts, bool ecn_echo);
   Bytes advertised_window() const;
   void maybe_autotune_rcv_buf();
-
-  Stack* stack_;
-  int flow_;
-  int app_core_;
 
   // --- Sender state ---
   std::int64_t snd_una_ = 0;
   std::int64_t snd_nxt_ = 0;
   std::int64_t snd_buf_end_ = 0;  ///< snd_una_ + buffered bytes
   std::deque<TxChunk> tx_queue_;
-  Bytes snd_buf_;
   /// Right edge of the peer's advertised window (monotone, per RFC 7323
   /// window semantics); the initial value stands in for the handshake.
   std::int64_t snd_wnd_edge_ = 256 * kKiB;
@@ -221,24 +137,13 @@ class TcpSocket : public TransportSocket {
   bool in_recovery_ = false;
   std::int64_t recovery_high_ = 0;
   std::int64_t retransmit_nxt_ = 0;  ///< next hole to repair in recovery
-  Nanos srtt_ = 0;
   Nanos rttvar_ = 0;
   Nanos rate_start_ = 0;   ///< delivery-rate window start
   Bytes rate_bytes_ = 0;   ///< bytes acked in the current rate window
   Nanos rto_backoff_ = 1;
   Timer rto_timer_;  ///< retransmission / persist-probe timer
   bool rto_task_pending_ = false;  ///< timer fired, softirq task queued
-  bool tx_was_full_ = false;
-  std::uint64_t retransmits_ = 0;
   int consecutive_rtos_ = 0;  ///< RTO fires since the last new ACK
-
-  // --- Failure state ---
-  SocketError error_ = SocketError::none;
-  bool killed_by_fault_ = false;
-  bool error_reported_ = false;
-  Bytes destroyed_rx_bytes_ = 0;
-  std::function<void(SocketError)> on_error_;
-  std::function<void(Core&)> on_peer_fin_;  ///< graceful passive close
 
   // pacing (BBR)
   std::deque<Frame> paced_;
@@ -247,22 +152,15 @@ class TcpSocket : public TransportSocket {
 
   // --- Receiver state ---
   std::int64_t rcv_nxt_ = 0;
-  std::deque<Skb> rq_;
-  Bytes rq_bytes_ = 0;
   std::map<std::int64_t, Skb> ofo_;
   Bytes ofo_bytes_ = 0;
   Bytes rcv_buf_cur_;
   Bytes autotune_delivered_ = 0;   ///< bytes copied since last DRS step
   std::int64_t rcv_wnd_edge_ = 0;  ///< right edge we advertised (monotone)
-  Bytes delivered_to_app_ = 0;
-  Bytes accepted_from_app_ = 0;
 
   int delack_pending_ = 0;   ///< unacked in-order deliveries (delayed ACK)
   Timer delack_timer_;       ///< guarantees an eventual ACK
   GrantScheduler* grant_scheduler_ = nullptr;  ///< receiver-driven mode
-  int last_lock_core_ = -1;
-  Thread* rx_waiter_ = nullptr;
-  Thread* tx_waiter_ = nullptr;
   Context timer_ctx_{"tcp-timer", /*kernel=*/true};
 };
 

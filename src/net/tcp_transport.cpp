@@ -4,7 +4,6 @@
 
 #include "net/stack.h"
 #include "net/tcp_socket.h"
-#include "obs/observer.h"
 #include "sim/contract.h"
 
 namespace hostsim {
@@ -125,28 +124,8 @@ void TcpTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
     }
     return;
   }
-  core.charge(CpuCategory::skb_mgmt, cost.skb_alloc);
-
-  Skb skb;
-  skb.flow = polled.frame.flow;
-  skb.seq = polled.frame.seq;
-  skb.len = polled.frame.payload;
-  skb.fragments = std::move(polled.fragments);
-  skb.segments = polled.segments;
-  skb.napi_at = stack_->loop_->now();
-  skb.sent_at = polled.frame.sent_at;
-  skb.ecn = polled.frame.ecn;
-  skb.obs_span = polled.frame.obs_span;
-  if (stack_->obs_ != nullptr && skb.obs_span >= 0) {
-    stack_->obs_->span_stamp(skb.obs_span, obs::Stage::gro,
-                             stack_->loop_->now());
-  }
-
-  if (stack_->options_.gro) {
-    core.charge(CpuCategory::netdev, cost.gro_per_segment);
-  }
   Gro& gro = gros_.at(static_cast<std::size_t>(queue));
-  if (std::optional<Skb> merged = gro.feed(std::move(skb))) {
+  if (std::optional<Skb> merged = gro.feed(stack_->data_skb(core, polled))) {
     deliver(core, std::move(*merged));
   }
 }

@@ -11,6 +11,9 @@
 // receiver grants in SRPT order, per-core active-message caps).  The
 // Stack keeps what is genuinely protocol-independent: the socket table,
 // the SYN/FIN/TIME_WAIT lifecycle, NAPI budgeting, and host statistics.
+// TransportSocket is the socket core both protocols share: the user/
+// kernel data copies, the socket lock, the per-skb charges, and the
+// failure surface, so one cost model serves both transports.
 //
 // Contract highlights (DESIGN.md §13 is the normative version):
 //  * rx_frame() is called in softirq task context on the rx queue's
@@ -29,6 +32,7 @@
 #define HOSTSIM_NET_TRANSPORT_H
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string_view>
@@ -37,7 +41,9 @@
 #include "cpu/core.h"
 #include "cpu/scheduler.h"
 #include "hw/nic.h"
+#include "mem/small_vec.h"
 #include "net/grant_scheduler.h"
+#include "net/skb.h"
 #include "sim/inline_function.h"
 #include "sim/units.h"
 
@@ -95,63 +101,107 @@ struct TransportConfig {
   int homa_max_resends = 8;
 };
 
+/// The pages backing one unit of transmitted user data (a TCP TSO chunk,
+/// a Homa message); a 64KB chunk spans at most 16 pages inline.
+using PageList = SmallVec<Page*, 16>;
+
 /// One endpoint of a flow, as seen by applications and by the invariant
-/// checker.  Implementations own all protocol state; the base carries
-/// only the passive observability tx-watch below — nothing protocol
-/// behaviour can depend on.
+/// checker.  The base is the socket core both transports share — the
+/// receive queue and its kernel->user copy, the user->kernel copy, the
+/// socket lock, the failure surface (abort, RST, callbacks, waiters) and
+/// the application byte ledger — so the paper's dominant per-byte cost
+/// (Table 1's data copy) is modelled once.  Implementations keep only
+/// protocol state and plug in through the protected hooks below.
+///
+/// Ordering contract (charge and page-release order drive the pageset
+/// LIFO, page ids and LLC state, so every metric depends on it):
+///  * send() admits bytes, then hands them to write(), which calls
+///    copy_from_user() once per unit it queues;
+///  * abort() releases the send side (release_tx), then the receive
+///    queue, then out-of-order/reassembly state (release_rx).
 class TransportSocket {
  public:
-  virtual ~TransportSocket() = default;
+  virtual ~TransportSocket();
 
-  virtual int flow() const = 0;
-  virtual int app_core() const = 0;
+  TransportSocket(const TransportSocket&) = delete;
+  TransportSocket& operator=(const TransportSocket&) = delete;
+
+  int flow() const { return flow_; }
+  int app_core() const { return app_core_; }
 
   // --- Application API (call from a task on the app core) ---------------
 
   /// Writes up to `bytes` into the transport (user->kernel data copy),
   /// returning the bytes accepted (possibly 0 when backpressured).  For
   /// message transports each call delimits one message.
-  virtual Bytes send(Core& core, Bytes bytes) = 0;
+  Bytes send(Core& core, Bytes bytes);
 
-  /// Copies received data to user space until at least `max_bytes` were
-  /// copied or the queue drained.  Returns the bytes copied.
-  virtual Bytes recv(Core& core, Bytes max_bytes) = 0;
+  /// Copies received data to user space, whole skbs at a time, until at
+  /// least `max_bytes` were copied or the queue drained.  Returns the
+  /// bytes copied.
+  Bytes recv(Core& core, Bytes max_bytes);
 
-  virtual Bytes readable() const = 0;
+  Bytes readable() const { return rq_bytes_; }
   virtual Bytes send_space() const = 0;
   virtual bool send_queue_empty() const = 0;
 
   /// Thread notified when data becomes readable.
-  virtual void set_rx_waiter(Thread* waiter) = 0;
+  void set_rx_waiter(Thread* waiter) { rx_waiter_ = waiter; }
   /// Thread notified when send space frees after a full buffer.
-  virtual void set_tx_waiter(Thread* waiter) = 0;
+  void set_tx_waiter(Thread* waiter) { tx_waiter_ = waiter; }
 
   // --- Failure surface ---------------------------------------------------
 
-  /// Invoked exactly once when the connection dies.
-  virtual void set_error_callback(std::function<void(SocketError)> cb) = 0;
-  /// Invoked when the peer gracefully closes (FIN) while quiescent.
-  virtual void set_fin_callback(std::function<void(Core&)> cb) = 0;
+  /// Invoked exactly once when the connection dies (ECONNRESET on
+  /// RST/crash, ETIMEDOUT after the transport's retry threshold).  Apps
+  /// that register one observe the failure instead of hanging; both
+  /// waiters are notified as well so blocked send()/recv() return 0.
+  void set_error_callback(std::function<void(SocketError)> on_error) {
+    on_error_ = std::move(on_error);
+  }
+
+  /// Invoked when the peer gracefully closes (FIN) while this socket is
+  /// quiescent: the app must drop its pointer — the stack retires the
+  /// socket immediately after the callback returns (passive close, no
+  /// TIME_WAIT).  A non-quiescent FIN arrival aborts with ECONNRESET
+  /// through the error callback instead, like close() with unread data.
+  void set_fin_callback(std::function<void(Core&)> on_fin) {
+    on_peer_fin_ = std::move(on_fin);
+  }
   /// Stack-internal: fires the fin callback (if any) on passive close.
-  virtual void on_peer_fin(Core& core) = 0;
+  void on_peer_fin(Core& core) {
+    if (on_peer_fin_) on_peer_fin_(core);
+  }
 
-  /// Tears the connection down: cancels timers, releases held pages,
-  /// fails pending I/O, fires the error callback.  Idempotent; must run
-  /// in a task on a core of the owning host.
-  virtual void abort(Core& core, SocketError reason,
-                     bool killed_by_fault = false) = 0;
+  /// Tears the connection down: cancels every timer, releases all held
+  /// pages (in-flight receive bytes are accounted as destroyed), fails
+  /// pending I/O, and fires the error callback.  Idempotent.  Must run
+  /// in a task on a core of the owning host (page release charges there).
+  /// `killed_by_fault` records the disposition for the invariant sweep:
+  /// true for crash/fault kills, false for peer RSTs, timeouts, and
+  /// app-initiated aborts.
+  void abort(Core& core, SocketError reason, bool killed_by_fault = false);
 
-  virtual bool dead() const = 0;
-  virtual SocketError error() const = 0;
-  virtual bool killed_by_fault() const = 0;
-  virtual bool error_reported() const = 0;
+  /// Handles an incoming RST (softirq context): the peer has no (live)
+  /// socket for this flow, so the connection dies with ECONNRESET.
+  void on_rst(Core& core);
+
+  /// True once the connection has terminally failed.
+  bool dead() const { return error_ != SocketError::none; }
+  SocketError error() const { return error_; }
+  /// Fault-disposition introspection for the invariant sweep: a dead
+  /// socket must be either fault-killed or have reported its error.
+  bool killed_by_fault() const { return killed_by_fault_; }
+  bool error_reported() const { return error_reported_; }
   /// Receive-side bytes (rx_covered, not yet app-delivered) destroyed by
   /// abort(); the byte-conservation invariant credits these.
-  virtual Bytes destroyed_rx_bytes() const = 0;
+  Bytes destroyed_rx_bytes() const { return destroyed_rx_bytes_; }
 
   /// Total bytes delivered to / accepted from the application.
-  virtual Bytes delivered_to_app() const = 0;
-  virtual Bytes accepted_from_app() const = 0;
+  Bytes delivered_to_app() const { return delivered_to_app_; }
+  Bytes accepted_from_app() const { return accepted_from_app_; }
+  /// Wire frames retransmitted by this endpoint.
+  std::uint64_t retransmits() const { return retransmits_; }
 
   // --- Invariant-checker introspection (protocol-neutral ledger) ---------
 
@@ -164,7 +214,7 @@ class TransportSocket {
   /// delivered_to_app + rq_bytes + destroyed_rx_bytes == rx_covered.
   virtual std::int64_t rx_covered() const = 0;
   /// Bytes sitting in the receive queue awaiting recv().
-  virtual Bytes rq_bytes() const = 0;
+  Bytes rq_bytes() const { return rq_bytes_; }
   /// Bytes held out of order / in reassembly, not yet rx_covered.
   virtual Bytes ofo_bytes() const = 0;
   /// True while some timer guarantees the connection makes progress (or
@@ -177,19 +227,12 @@ class TransportSocket {
   /// plus unscheduled bytes outstanding).
   virtual Bytes cwnd_bytes() const = 0;
   /// Smoothed RTT estimate (0 until the first sample, or if unsampled).
-  virtual Nanos srtt() const = 0;
+  Nanos srtt() const { return srtt_; }
   /// Bytes in flight (sent, not yet acknowledged).
   virtual Bytes inflight() const = 0;
 
   /// Adds every page this socket holds a reference to; leak sweep.
-  virtual void collect_held_pages(
-      std::unordered_set<const Page*>& held) const = 0;
-
-  // --- Stack API (softirq context) ---------------------------------------
-
-  /// Handles an incoming RST: the peer has no (live) socket for this
-  /// flow, so the connection dies with ECONNRESET.
-  virtual void on_rst(Core& core) = 0;
+  void collect_held_pages(std::unordered_set<const Page*>& held) const;
 
   // --- Observability tx-watch (request tracing) ---------------------------
 
@@ -205,6 +248,55 @@ class TransportSocket {
   }
 
  protected:
+  TransportSocket(Stack& stack, int flow, int app_core);
+
+  // --- Protocol hooks -------------------------------------------------------
+
+  /// send(): queues `accept` (> 0) admitted bytes — calling
+  /// copy_from_user() once per queued unit — and starts transmitting.
+  virtual void write(Core& core, Bytes accept) = 0;
+  /// recv(): runs after `copied` bytes (possibly 0) reached the app.
+  virtual void on_read(Core& core, Bytes copied) = 0;
+  /// abort(): cancels timers and releases send-side pages; runs before
+  /// the receive queue is released.
+  virtual void release_tx(Core& core) = 0;
+  /// abort(): releases out-of-order/reassembly state; runs after the
+  /// receive queue is released.
+  virtual void release_rx(Core& core) = 0;
+  /// Adds the pages of protocol-owned queues (tx, out of order).
+  virtual void collect_protocol_pages(
+      std::unordered_set<const Page*>& held) const = 0;
+
+  // --- Shared machinery for the hooks -------------------------------------
+
+  /// Takes the socket spinlock: contended when softirq and application
+  /// alternate cores (the paper's aRFS-off lock overhead, §3.1).
+  void lock(Core& core);
+  /// User->kernel copy of `len` bytes into fresh kernel pages appended
+  /// to `pages`, or the MSG_ZEROCOPY pin of the user pages (§4).
+  void copy_from_user(Core& core, Bytes len, PageList& pages);
+  /// Charges one transmitted skb of `len` bytes at `seq`: a first
+  /// transmission pays skb allocation, protocol, GSO and IOMMU mapping
+  /// work; a retransmission pays per-frame repair work and is counted.
+  void charge_tx_skb(Core& core, std::int64_t seq, Bytes len,
+                     bool retransmit);
+  /// Protocol receive processing of one post-GRO skb: per-skb and
+  /// per-byte cost under the socket lock, plus the flight-recorder and
+  /// tcpip-stage span stamps.
+  void charge_rx_skb(Core& core, const Skb& skb);
+  /// Drops the page references of a discarded skb.
+  void release_pages(Core& core, const Skb& skb);
+  /// Moves in-order data into the receive queue.
+  void queue_for_app(Skb&& skb) {
+    rq_bytes_ += skb.len;
+    rq_.push_back(std::move(skb));
+  }
+  /// Wakes a reader blocked on an empty queue; `wake_span` (>= 0) is the
+  /// pipeline span whose delivery caused the wakeup.
+  void wake_reader(std::int32_t wake_span);
+  /// Wakes a writer blocked on a full send buffer once space is worth it.
+  void wake_writer();
+
   /// Implementations call this as the acked ledger advances;
   /// `newly_acked` is the delta since the previous call.  The disarmed
   /// path is a single compare.
@@ -220,7 +312,30 @@ class TransportSocket {
     }
   }
 
+  Stack* stack_;
+  Nanos srtt_ = 0;
+
  private:
+  int flow_;
+  int app_core_;
+  std::uint64_t retransmits_ = 0;
+  std::deque<Skb> rq_;  ///< in-order data awaiting recv()
+  Bytes rq_bytes_ = 0;
+  Bytes delivered_to_app_ = 0;
+  Bytes accepted_from_app_ = 0;
+  Bytes destroyed_rx_bytes_ = 0;
+  bool tx_was_full_ = false;
+  int last_lock_core_ = -1;
+  Thread* rx_waiter_ = nullptr;
+  Thread* tx_waiter_ = nullptr;
+
+  // --- Failure state ---
+  SocketError error_ = SocketError::none;
+  bool killed_by_fault_ = false;
+  bool error_reported_ = false;
+  std::function<void(SocketError)> on_error_;
+  std::function<void(Core&)> on_peer_fin_;  ///< graceful passive close
+
   Bytes tx_watch_remaining_ = 0;
   InlineFunction<void(Nanos)> tx_watch_done_;
 };
