@@ -411,21 +411,17 @@ void Cluster::build_cluster() {
     hosts_.push_back(std::make_unique<Host>(*loops_[shard], config_,
                                             *links_[i], Link::Side::a, name,
                                             i));
-    // Uplink tail feeds the switch; switch egress delivers straight into
-    // the destination NIC (the buffered fabric models the downlink's
-    // serialization + propagation itself; pass-through adds nothing, by
-    // design — see hw/switch.h).
-    links_[i]->attach(Link::Side::b, [this, i](Frame frame) {
-      fabric_->ingress(i, std::move(frame));
-    });
+    // Switch egress delivers straight into the destination NIC (the
+    // buffered fabric models the downlink's serialization + propagation
+    // itself; pass-through adds nothing, by design — see hw/switch.h).
     fabric_->attach_port(i, [this, i](Frame frame) {
       hosts_[static_cast<std::size_t>(i)]->nic().receive(std::move(frame));
     });
     fabric_->set_route(i, i);
 
-    // Every cross-host frame takes the deterministic delivery band —
-    // in serial mode too: the uplink hands (delivery time, send time,
-    // frame) here instead of scheduling locally, and ingress runs on
+    // The uplink tail feeds the switch, and every cross-host frame takes
+    // the deterministic delivery band — in serial mode too: the uplink
+    // hands (delivery time, send time, frame) here, and ingress runs on
     // the shard owning the destination host — via its own loop for a
     // same-shard hop (always, serially), or parked in a channel until
     // the round barrier otherwise.  Keying serial deliveries with the
@@ -466,7 +462,6 @@ void Cluster::build_cluster() {
           std::make_unique<FaultInjector>(root, config_.faults));
       FaultInjector* faults = shard_faults_[0].get();
       for (auto& link : links_) link->set_fault_injector(faults);
-      fabric_->set_fault_injector(faults);
       for (auto& host : hosts_) host->nic().set_fault_injector(faults);
       register_crash_handler(*faults);
     } else {

@@ -7,10 +7,12 @@
 // receiver host, then the fault injector iff the plan is non-empty), so
 // every historical figure, campaign result, and RNG stream is preserved
 // bit-for-bit.  `Testbed` (core/testbed.h) is now an alias for
-// this class.
+// this class.  Workloads expand over both shapes by one rule
+// (core/patterns.h).
 //
 // Cluster mode wires each host's NIC to Side::a of its own uplink Link;
-// Side::b feeds the switch ingress for that port.  Switch egress
+// Side::b forwards every frame, through the deterministic delivery band
+// below, to the switch ingress for that port.  Switch egress
 // delivers straight into the destination NIC: in pass-through mode at
 // the ingress instant (so a 2-host pass-through cluster is
 // timing-identical to the back-to-back wire — the uplink already charged

@@ -141,9 +141,10 @@ struct TrafficConfig {
 };
 
 /// Cluster topology.  The default (2 hosts, no switch) is the paper's
-/// back-to-back testbed and takes the exact legacy construction path, so
-/// historical runs stay bit-identical.  Anything else builds a Cluster:
-/// per-host uplinks into an output-queued Switch (hw/switch.h).
+/// back-to-back testbed: one wire, no switch, so historical runs stay
+/// bit-identical.  Anything else puts per-host uplinks into an
+/// output-queued Switch (hw/switch.h).  Traffic patterns expand by the
+/// same rule either way (core/patterns.h).
 struct TopologyConfig {
   int num_hosts = 2;
   /// Route the 2-host case through a Switch anyway (pass-through when

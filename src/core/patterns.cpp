@@ -6,28 +6,16 @@ namespace hostsim {
 namespace {
 
 /// Receiver-side application core for single-consumer patterns.
-int receiver_app_core(const Testbed& testbed, const TrafficConfig& traffic) {
-  const NumaTopology& topo = testbed.config().topo;
+int receiver_app_core(const Cluster& cluster, const TrafficConfig& traffic) {
+  const NumaTopology& topo = cluster.config().topo;
   return traffic.receiver_app_remote_numa ? topo.remote_core(0)
                                           : topo.core_on_node(topo.nic_node, 0);
 }
 
-void add_long_flow(Testbed& testbed, Workload& workload,
-                   const TrafficConfig& traffic, int sender_core,
-                   int receiver_core, bool explicit_irq = true) {
-  auto endpoints = testbed.make_flow(sender_core, receiver_core, explicit_irq);
-  workload.long_senders.push_back(std::make_unique<LongFlowSender>(
-      testbed.sender().core(sender_core), *endpoints.at_sender,
-      traffic.sender_chunk));
-  workload.long_receivers.push_back(std::make_unique<LongFlowReceiver>(
-      testbed.receiver().core(receiver_core), *endpoints.at_receiver,
-      traffic.app_chunk));
-}
-
-/// (host, core)-granular variant for >2-host clusters.
-void add_cluster_flow(Cluster& cluster, Workload& workload,
-                      const TrafficConfig& traffic, Cluster::FlowEndpoint src,
-                      Cluster::FlowEndpoint dst, bool explicit_irq = true) {
+/// One long-running flow between two (host, core) endpoints.
+void add_long_flow(Cluster& cluster, Workload& workload,
+                   const TrafficConfig& traffic, Cluster::FlowEndpoint src,
+                   Cluster::FlowEndpoint dst, bool explicit_irq = true) {
   auto endpoints = cluster.make_flow(src, dst, explicit_irq);
   workload.long_senders.push_back(std::make_unique<LongFlowSender>(
       cluster.host(src.host).core(src.core), *endpoints.at_sender,
@@ -65,118 +53,6 @@ void add_rpc_client(Cluster& cluster, Workload& workload,
       cluster.fork_rng(), std::move(reconnect)));
   workload.resilient_clients.back()->set_observer(cluster.observer(),
                                                   client_host);
-}
-
-/// Expands the paper's patterns across a >2-host cluster: hosts 0..H-2
-/// send, host H-1 receives.  Flow i's sending endpoint round-robins over
-/// the sender hosts first (host i % S, core i / S), so "incast" becomes a
-/// true cross-host fan-in through the switch instead of the legacy
-/// n-sender-cores-on-one-host approximation.
-Workload build_cluster_workload(Cluster& cluster,
-                                const TrafficConfig& traffic) {
-  Workload workload;
-  const int cores = cluster.config().topo.num_cores();
-  const int senders = cluster.num_hosts() - 1;
-  const int rx_host = cluster.num_hosts() - 1;
-  const int n = traffic.flows;
-  const int rx = receiver_app_core(cluster, traffic);
-  const auto src_of = [senders](int i) {
-    return Cluster::FlowEndpoint{i % senders, i / senders};
-  };
-
-  switch (traffic.pattern) {
-    case Pattern::single_flow: {
-      require(n == 1, "single-flow pattern has exactly one flow");
-      add_cluster_flow(cluster, workload, traffic, {0, 0}, {rx_host, rx});
-      break;
-    }
-    case Pattern::one_to_one: {
-      require(n >= 1 && n <= senders * cores && n <= cores,
-              "flows must fit the sender hosts' cores and receiver cores");
-      for (int i = 0; i < n; ++i) {
-        add_cluster_flow(cluster, workload, traffic, src_of(i),
-                         {rx_host, i});
-      }
-      break;
-    }
-    case Pattern::incast: {
-      require(n >= 1 && n <= senders * cores,
-              "flows must fit the sender hosts' cores");
-      for (int i = 0; i < n; ++i) {
-        add_cluster_flow(cluster, workload, traffic, src_of(i),
-                         {rx_host, rx});
-      }
-      break;
-    }
-    case Pattern::outcast: {
-      require(n >= 1 && n <= cores, "flows must fit the receiver cores");
-      for (int i = 0; i < n; ++i) {
-        add_cluster_flow(cluster, workload, traffic, {0, 0}, {rx_host, i});
-      }
-      break;
-    }
-    case Pattern::all_to_all: {
-      require(n >= 1 && n <= senders * cores && n <= cores,
-              "n x n must fit the sender hosts' cores and receiver cores");
-      // As in the two-host form, n*n explicit steering entries would not
-      // fit; frames fall back to RSS hashing when aRFS is off (§3.5).
-      for (int i = 0; i < n; ++i) {
-        for (int j = 0; j < n; ++j) {
-          add_cluster_flow(cluster, workload, traffic, src_of(i),
-                           {rx_host, j}, /*explicit_irq=*/false);
-        }
-      }
-      break;
-    }
-    case Pattern::rpc_incast: {
-      require(n >= 1 && n <= senders * cores,
-              "clients must fit the sender hosts' cores");
-      for (int i = 0; i < n; ++i) {
-        const Cluster::FlowEndpoint src = src_of(i);
-        auto endpoints = cluster.make_flow(src, {rx_host, rx});
-        workload.rpc_servers.push_back(std::make_unique<RpcServer>(
-            cluster.host(rx_host).core(rx), *endpoints.at_receiver,
-            traffic.rpc_size));
-        workload.rpc_servers.back()->set_observer(cluster.observer(),
-                                                  rx_host);
-        add_rpc_client(cluster, workload, traffic,
-                       cluster.host(src.host).core(src.core), src.host,
-                       *endpoints.at_sender,
-                       workload.rpc_servers.back().get());
-      }
-      break;
-    }
-    case Pattern::open_loop: {
-      workload.open_loop = std::make_unique<workload::OpenLoopEngine>(
-          cluster, traffic, receiver_app_core(cluster, traffic));
-      break;
-    }
-    case Pattern::mixed: {
-      // One long flow from host 0 plus n short RPC flows, core placement
-      // as in the two-host form (paper fig. 11 / §4 segregation).
-      add_cluster_flow(cluster, workload, traffic, {0, 0}, {rx_host, rx});
-      const int short_tx = traffic.segregate_mixed_cores ? 1 : 0;
-      const int short_rx = traffic.segregate_mixed_cores
-                               ? cluster.config().topo.core_on_node(
-                                     cluster.config().topo.nic_node, 1)
-                               : rx;
-      for (int i = 0; i < n; ++i) {
-        auto endpoints =
-            cluster.make_flow({0, short_tx}, {rx_host, short_rx});
-        workload.rpc_servers.push_back(std::make_unique<RpcServer>(
-            cluster.host(rx_host).core(short_rx), *endpoints.at_receiver,
-            traffic.rpc_size));
-        workload.rpc_servers.back()->set_observer(cluster.observer(),
-                                                  rx_host);
-        add_rpc_client(cluster, workload, traffic,
-                       cluster.host(0).core(short_tx), /*client_host=*/0,
-                       *endpoints.at_sender,
-                       workload.rpc_servers.back().get());
-      }
-      break;
-    }
-  }
-  return workload;
 }
 
 }  // namespace
@@ -227,100 +103,110 @@ ResilientRpcClient::Counters Workload::rpc_recovery_totals() const {
   return totals;
 }
 
-Workload build_workload(Testbed& testbed, const TrafficConfig& traffic) {
-  if (testbed.num_hosts() > 2) {
-    return build_cluster_workload(testbed, traffic);
-  }
-  // Two hosts (back-to-back or through a pass-through switch): the
-  // legacy expansion, untouched so historical runs replay exactly.
+/// Expands the paper's patterns at (host, core) granularity: hosts
+/// 0..H-2 send, host H-1 receives.  Flow i's sending endpoint
+/// round-robins over the sender hosts first (host i % S, core i / S):
+/// with two hosts flow i runs from sender core i, the paper's testbed
+/// placement; with more, "incast" becomes a true cross-host fan-in
+/// through the switch.
+Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
   Workload workload;
-  const int cores = testbed.config().topo.num_cores();
+  const int cores = cluster.config().topo.num_cores();
+  const int senders = cluster.num_hosts() - 1;
+  const int rx_host = cluster.num_hosts() - 1;
   const int n = traffic.flows;
+  const int rx = receiver_app_core(cluster, traffic);
+  const auto src_of = [senders](int i) {
+    return Cluster::FlowEndpoint{i % senders, i / senders};
+  };
 
   switch (traffic.pattern) {
     case Pattern::single_flow: {
       require(n == 1, "single-flow pattern has exactly one flow");
-      add_long_flow(testbed, workload, traffic, /*sender_core=*/0,
-                    receiver_app_core(testbed, traffic));
+      add_long_flow(cluster, workload, traffic, {0, 0}, {rx_host, rx});
       break;
     }
     case Pattern::one_to_one: {
-      require(n >= 1 && n <= cores, "flows must fit the cores");
+      require(n >= 1 && n <= senders * cores && n <= cores,
+              "flows must fit the sender hosts' cores and receiver cores");
       for (int i = 0; i < n; ++i) {
-        add_long_flow(testbed, workload, traffic, i, i);
+        add_long_flow(cluster, workload, traffic, src_of(i),
+                         {rx_host, i});
       }
       break;
     }
     case Pattern::incast: {
-      require(n >= 1 && n <= cores, "flows must fit the sender cores");
-      const int rx = receiver_app_core(testbed, traffic);
+      require(n >= 1 && n <= senders * cores,
+              "flows must fit the sender hosts' cores");
       for (int i = 0; i < n; ++i) {
-        add_long_flow(testbed, workload, traffic, i, rx);
+        add_long_flow(cluster, workload, traffic, src_of(i),
+                         {rx_host, rx});
       }
       break;
     }
     case Pattern::outcast: {
       require(n >= 1 && n <= cores, "flows must fit the receiver cores");
       for (int i = 0; i < n; ++i) {
-        add_long_flow(testbed, workload, traffic, /*sender_core=*/0, i);
+        add_long_flow(cluster, workload, traffic, {0, 0}, {rx_host, i});
       }
       break;
     }
     case Pattern::all_to_all: {
-      require(n >= 1 && n <= cores, "n x n must fit the cores");
+      require(n >= 1 && n <= senders * cores && n <= cores,
+              "n x n must fit the sender hosts' cores and receiver cores");
       // The paper could not install n*n explicit steering entries; frames
       // fall back to RSS hashing when aRFS is off (§3.5).
       for (int i = 0; i < n; ++i) {
         for (int j = 0; j < n; ++j) {
-          add_long_flow(testbed, workload, traffic, i, j,
-                        /*explicit_irq=*/false);
+          add_long_flow(cluster, workload, traffic, src_of(i),
+                           {rx_host, j}, /*explicit_irq=*/false);
         }
       }
       break;
     }
     case Pattern::rpc_incast: {
-      require(n >= 1 && n <= cores, "clients must fit the sender cores");
-      const int rx = receiver_app_core(testbed, traffic);
+      require(n >= 1 && n <= senders * cores,
+              "clients must fit the sender hosts' cores");
       for (int i = 0; i < n; ++i) {
-        auto endpoints = testbed.make_flow(i, rx);
+        const Cluster::FlowEndpoint src = src_of(i);
+        auto endpoints = cluster.make_flow(src, {rx_host, rx});
         workload.rpc_servers.push_back(std::make_unique<RpcServer>(
-            testbed.receiver().core(rx), *endpoints.at_receiver,
+            cluster.host(rx_host).core(rx), *endpoints.at_receiver,
             traffic.rpc_size));
-        workload.rpc_servers.back()->set_observer(testbed.observer(),
-                                                  testbed.num_hosts() - 1);
-        add_rpc_client(testbed, workload, traffic, testbed.sender().core(i),
-                       /*client_host=*/0, *endpoints.at_sender,
+        workload.rpc_servers.back()->set_observer(cluster.observer(),
+                                                  rx_host);
+        add_rpc_client(cluster, workload, traffic,
+                       cluster.host(src.host).core(src.core), src.host,
+                       *endpoints.at_sender,
                        workload.rpc_servers.back().get());
       }
       break;
     }
     case Pattern::open_loop: {
       workload.open_loop = std::make_unique<workload::OpenLoopEngine>(
-          testbed, traffic, receiver_app_core(testbed, traffic));
+          cluster, traffic, receiver_app_core(cluster, traffic));
       break;
     }
     case Pattern::mixed: {
-      // One long flow plus n short RPC flows, all sharing one core on
-      // each side (paper fig. 11).
-      const int rx = receiver_app_core(testbed, traffic);
-      add_long_flow(testbed, workload, traffic, /*sender_core=*/0, rx);
-      // Paper §4 (application-aware scheduling): optionally give the
-      // short flows their own core instead of the long flow's.
-      const int short_tx =
-          traffic.segregate_mixed_cores ? 1 : 0;
+      // One long flow from host 0 plus n short RPC flows, all sharing one
+      // core on each side (paper fig. 11) — or, with §4's
+      // application-aware scheduling, the short flows get their own.
+      add_long_flow(cluster, workload, traffic, {0, 0}, {rx_host, rx});
+      const int short_tx = traffic.segregate_mixed_cores ? 1 : 0;
       const int short_rx = traffic.segregate_mixed_cores
-                               ? testbed.config().topo.core_on_node(
-                                     testbed.config().topo.nic_node, 1)
+                               ? cluster.config().topo.core_on_node(
+                                     cluster.config().topo.nic_node, 1)
                                : rx;
       for (int i = 0; i < n; ++i) {
-        auto endpoints = testbed.make_flow(short_tx, short_rx);
+        auto endpoints =
+            cluster.make_flow({0, short_tx}, {rx_host, short_rx});
         workload.rpc_servers.push_back(std::make_unique<RpcServer>(
-            testbed.receiver().core(short_rx), *endpoints.at_receiver,
+            cluster.host(rx_host).core(short_rx), *endpoints.at_receiver,
             traffic.rpc_size));
-        workload.rpc_servers.back()->set_observer(testbed.observer(),
-                                                  testbed.num_hosts() - 1);
-        add_rpc_client(testbed, workload, traffic,
-                       testbed.sender().core(short_tx), /*client_host=*/0,
+        workload.rpc_servers.back()->set_observer(cluster.observer(),
+                                                  rx_host);
+        add_rpc_client(cluster, workload, traffic,
+                       cluster.host(0).core(short_tx), /*client_host=*/0,
                        *endpoints.at_sender,
                        workload.rpc_servers.back().get());
       }

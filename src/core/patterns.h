@@ -43,17 +43,19 @@ struct Workload {
   ResilientRpcClient::Counters rpc_recovery_totals() const;
 };
 
-/// Builds the applications and flows for `traffic` on `testbed`.
+/// Builds the applications and flows for `traffic` on `cluster`.
 /// Placement follows the paper: cores are used in id order, so the first
 /// `cores_per_node` flows land on the NIC-local NUMA node;
 /// `receiver_app_remote_numa` pins receiver-side applications to a
 /// NIC-remote node instead (figs. 4 and 10(c)).
 ///
-/// On a >2-host Cluster the patterns expand at (host, core) granularity:
-/// hosts 0..H-2 send toward host H-1, flow i's source round-robining
-/// over the sender hosts first — so incast/all-to-all become genuine
-/// cross-host fan-ins through the switch fabric.
-Workload build_workload(Testbed& testbed, const TrafficConfig& traffic);
+/// One rule expands the patterns at every host count, at (host, core)
+/// granularity: hosts 0..H-2 send toward host H-1, flow i's source
+/// round-robining over the sender hosts first.  With two hosts that is
+/// the paper's testbed (flow i from sender core i); with more,
+/// incast/all-to-all become genuine cross-host fan-ins through the
+/// switch fabric.
+Workload build_workload(Cluster& cluster, const TrafficConfig& traffic);
 
 }  // namespace hostsim
 

@@ -29,7 +29,8 @@ Nanos Link::egress_delay(Side from) const {
 void Link::transmit(Side from, Frame frame) {
   const auto dir = static_cast<std::size_t>(from);
   const std::size_t to = 1 - dir;
-  require(static_cast<bool>(sinks_[to]), "destination side not attached");
+  require(static_cast<bool>(sinks_[to]) || static_cast<bool>(forwards_[to]),
+          "destination side not attached");
 
   const Nanos start = std::max(loop_->now(), busy_until_[dir]);
   const Nanos tx_end =

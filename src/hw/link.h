@@ -9,8 +9,9 @@
 //   - back-to-back (the paper's testbed): one Link, Side::a = sender
 //     host, Side::b = receiver host;
 //   - cluster (hw::Switch): one Link per host, Side::a = the host,
-//     Side::b = the switch ingress.  Frames carry (src_host, dst_host)
-//     stamped by the NIC so the switch can forward by destination.
+//     Side::b forwards to the switch ingress.  Frames carry (src_host,
+//     dst_host) stamped by the NIC so the switch can forward by
+//     destination.
 #ifndef HOSTSIM_HW_LINK_H
 #define HOSTSIM_HW_LINK_H
 
@@ -88,16 +89,15 @@ class Link {
   /// stream assignments exactly.
   Link(EventLoop& loop, const Config& config, Rng rng);
 
-  /// Registers the frame sink for one side (its NIC's receive path, or
-  /// a switch port's ingress).
+  /// Registers the frame sink for one side (its NIC's receive path).
   void attach(Side side, std::function<void(Frame)> deliver);
 
-  /// Sharded-cluster hook: when set for `side`, every frame toward it
-  /// is handed to `forward(at, sent, frame)` instead of being scheduled
-  /// locally — `at` is the computed delivery time (tx_end + propagation)
-  /// and `sent` the transmit timestamp, which seeds the deterministic
-  /// cross-shard ordering key (EventLoop::schedule_delivery).  The
-  /// forwarder routes by Frame::dst_host to the owning shard's loop.
+  /// Cluster hook, used instead of a sink: every frame toward `side` is
+  /// handed to `forward(at, sent, frame)` rather than scheduled locally —
+  /// `at` is the computed delivery time (tx_end + propagation) and `sent`
+  /// the transmit timestamp, which seeds the deterministic ordering key
+  /// (EventLoop::schedule_delivery).  The forwarder routes by
+  /// Frame::dst_host to the owning shard's loop and the switch ingress.
   using RemoteForward = std::function<void(Nanos at, Nanos sent, Frame)>;
   void set_remote_forward(Side side, RemoteForward forward) {
     forwards_[static_cast<std::size_t>(side)] = std::move(forward);

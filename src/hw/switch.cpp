@@ -7,15 +7,14 @@
 
 namespace hostsim {
 
-Switch::Switch(EventLoop& loop, const Config& config)
-    : loop_(&loop), config_(config) {
+Switch::Switch(EventLoop& loop, const Config& config) : config_(config) {
   require(config.num_ports >= 2, "switch needs at least two ports");
   require(config.port_gbps > 0, "switch port rate must be positive");
   require(config.buffer_bytes >= 0, "switch buffer must be non-negative");
   require(config.ecn_threshold_bytes >= 0,
           "switch ECN threshold must be non-negative");
   ports_.resize(static_cast<std::size_t>(config.num_ports));
-  for (Port& port : ports_) port.loop = loop_;
+  for (Port& port : ports_) port.loop = &loop;
   route_.assign(static_cast<std::size_t>(config.num_ports), -1);
 }
 
@@ -33,21 +32,15 @@ void Switch::set_route(int host, int port) {
   route_[static_cast<std::size_t>(host)] = port;
 }
 
-void Switch::set_fault_injector(FaultInjector* faults) {
-  for (Port& port : ports_) port.faults = faults;
-}
-
 void Switch::shard_port(int port, EventLoop& loop, FaultInjector* faults) {
   require(port >= 0 && port < num_ports(), "switch port out of range");
   Port& p = ports_[static_cast<std::size_t>(port)];
   p.loop = &loop;
   p.faults = faults;
-  sharded_ = true;
 }
 
 void Switch::enable_trace(std::size_t capacity) {
   trace_capacity_ = capacity;
-  tracer_ = Tracer(capacity, kFabricTraceHost);
   for (Port& port : ports_) port.trace.capacity = capacity;
 }
 
@@ -99,7 +92,6 @@ void Switch::PortRing::append_to(std::vector<RankedRecord>& out) const {
 }
 
 std::vector<TraceRecord> Switch::trace_snapshot() const {
-  if (!sharded_) return tracer_.snapshot();
   std::vector<RankedRecord> merged;
   for (const Port& port : ports_) port.trace.append_to(merged);
   std::sort(merged.begin(), merged.end(),
@@ -109,10 +101,9 @@ std::vector<TraceRecord> Switch::trace_snapshot() const {
               if (a.rank.sub != b.rank.sub) return a.rank.sub < b.rank.sub;
               return a.idx < b.idx;
             });
-  // Per-port rings each keep their newest `capacity` records, a
-  // superset of the serial global ring's newest `capacity` — trimming
-  // the merged sequence to the newest `capacity` therefore reproduces
-  // the serial keep-newest contents exactly.
+  // Per-port rings each keep their newest `capacity` records, a superset
+  // of the newest `capacity` records switch-wide — trimming the merged
+  // sequence to the newest `capacity` yields exactly those.
   if (merged.size() > trace_capacity_) {
     merged.erase(merged.begin(),
                  merged.end() - static_cast<std::ptrdiff_t>(trace_capacity_));
@@ -166,33 +157,21 @@ Bytes Switch::queued_bytes() const {
   return total;
 }
 
-void Switch::record_trace(Port& egress_port, const Rank* rank, int* idx,
+void Switch::record_trace(Port& egress_port, const Rank& rank, int* idx,
                           Nanos at, TraceKind kind, int flow, std::int64_t a,
                           std::int64_t b) {
-  if (rank == nullptr) {
-    tracer_.record(at, kind, flow, a, b);
-    return;
-  }
   if (egress_port.trace.capacity == 0) return;
   RankedRecord entry;
   entry.record = TraceRecord{at, kind, kFabricTraceHost, flow, a, b};
-  entry.rank = *rank;
+  entry.rank = rank;
   entry.idx = (*idx)++;
   egress_port.trace.record(entry);
 }
 
-void Switch::ingress(int port, Frame frame) {
-  route_and_queue(port, std::move(frame), nullptr);
-}
-
 void Switch::ingress_ranked(int port, Frame frame, Nanos sent,
                             std::uint64_t sub) {
-  const Rank rank{sent, sub};
-  route_and_queue(port, std::move(frame), &rank);
-}
-
-void Switch::route_and_queue(int port, Frame frame, const Rank* rank) {
   require(port >= 0 && port < num_ports(), "switch port out of range");
+  const Rank rank{sent, sub};
   const int dst = frame.dst_host;
   require(dst >= 0 && dst < static_cast<int>(route_.size()),
           "frame destination host is unroutable");

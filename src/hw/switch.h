@@ -23,15 +23,16 @@
 // consulted through the FaultInjector using the port index as the link
 // id (port i and host i's uplink are one "cable").
 //
-// Sharding: all mutable per-frame state (busy_until, FIFO occupancy,
-// stats, in-flight slots, trace ring) already lives per egress port, so
-// a sharded cluster partitions the switch by port — shard_port() rebinds
-// each port to the loop and fault injector of the shard owning its
-// destination host, and ingress executes there (frames reach it through
-// the cross-shard delivery band carrying a (sent, sub) ordering key —
-// see sim/sharded_executor.h).  Aggregate counters are derived from the
-// per-port stats, and the fabric trace is merged from per-port rings
-// sorted by the delivery key, reproducing the serial recording order.
+// Partitioning: all mutable per-frame state (busy_until, FIFO
+// occupancy, stats, in-flight slots, trace ring) lives per egress port.
+// shard_port() binds each port to the loop and fault injector of the
+// shard owning its destination host — the single loop when serial — and
+// ingress executes there.  Every frame arrives through the delivery
+// band carrying its (sent, sub) ordering key (see
+// sim/sharded_executor.h), so one ingress entry serves every shard
+// count.  Aggregate counters are derived from the per-port stats, and
+// the fabric trace is merged from the per-port rings sorted by the
+// delivery key, so it cannot depend on the shard count.
 #ifndef HOSTSIM_HW_SWITCH_H
 #define HOSTSIM_HW_SWITCH_H
 
@@ -94,24 +95,19 @@ class Switch {
   /// Routes frames for `host` out of `port`.
   void set_route(int host, int port);
 
-  /// Per-port flap faults; pass-through/egress consults link_up(port).
-  /// Serial form: every port consults the same injector.
-  void set_fault_injector(FaultInjector* faults);
-
-  /// Sharded form: rebinds `port` to the owning shard's loop and fault
-  /// injector.  Ingress for frames bound to this port must then execute
-  /// on that shard (the cluster's delivery routing guarantees it), and
-  /// trace records go to the port's own ranked ring.
+  /// Binds `port` to its owning shard's loop and fault injector (per-port
+  /// flap and blackhole faults; egress consults link_up(port)).  Ingress
+  /// for frames bound to this port must then execute on that loop (the
+  /// cluster's delivery routing guarantees it).
   void shard_port(int port, EventLoop& loop, FaultInjector* faults);
 
-  /// Fabric flight recorder (fabric_enqueue / fabric_drop / ecn_mark);
-  /// capacity 0 disables, host field is kFabricTraceHost.
+  /// Fabric flight recorder (fabric_enqueue / fabric_drop / ecn_mark),
+  /// one keep-newest ring per egress port; capacity 0 disables, host
+  /// field is kFabricTraceHost.
   void enable_trace(std::size_t capacity);
-  const Tracer& tracer() const { return tracer_; }
 
-  /// Fabric trace in serial recording order: the single ring when
-  /// serial, the per-port rings merged on the (at, sent, sub, idx)
-  /// delivery key when sharded.
+  /// The newest `capacity` fabric trace records, the per-port rings
+  /// merged on the (at, sent, sub, idx) delivery key.
   std::vector<TraceRecord> trace_snapshot() const;
 
   /// Hop recorder for request tracing: keeps the newest `capacity`
@@ -124,12 +120,9 @@ class Switch {
   /// per-port insertion order preserved.
   std::vector<HopRecord> hop_snapshot() const;
 
-  /// Ingress entry point: one frame arriving from `port`'s uplink.
-  void ingress(int port, Frame frame);
-
-  /// Sharded ingress: executes on the egress port's shard; (sent, sub)
-  /// is the frame's cross-shard delivery key, which ranks its trace
-  /// records deterministically in the merged fabric trace.
+  /// Ingress: one frame arriving from `port`'s uplink, executing on the
+  /// egress port's loop; (sent, sub) is the frame's delivery key, which
+  /// ranks its trace records deterministically in the merged trace.
   void ingress_ranked(int port, Frame frame, Nanos sent, std::uint64_t sub);
 
   // --- Stats (aggregates derived from the per-port counters) --------------
@@ -157,7 +150,7 @@ class Switch {
     std::int32_t idx = 0;  ///< record index within one ingress call
   };
 
-  /// Keep-newest ring of ranked records (per port, sharded mode only).
+  /// Keep-newest ring of ranked records (per port).
   struct PortRing {
     std::size_t capacity = 0;
     std::vector<RankedRecord> ring;
@@ -181,7 +174,7 @@ class Switch {
     std::function<void(Frame)> sink;
     Nanos busy_until = 0;
     PortStats stats;
-    EventLoop* loop = nullptr;       ///< owning shard's loop (serial: global)
+    EventLoop* loop = nullptr;       ///< owning shard's loop
     FaultInjector* faults = nullptr;
     // Frames serializing/propagating toward this port's host; per-port
     // so concurrent shards never share a slab.
@@ -190,17 +183,13 @@ class Switch {
     HopRing hops;
   };
 
-  void route_and_queue(int port, Frame frame, const Rank* rank);
-  void record_trace(Port& egress_port, const Rank* rank, int* idx, Nanos at,
+  void record_trace(Port& egress_port, const Rank& rank, int* idx, Nanos at,
                     TraceKind kind, int flow, std::int64_t a, std::int64_t b);
 
-  EventLoop* loop_;
   Config config_;
-  bool sharded_ = false;
   std::size_t trace_capacity_ = 0;
   std::vector<Port> ports_;
   std::vector<int> route_;  ///< host index -> egress port
-  Tracer tracer_;
 };
 
 /// TraceRecord::host value used by fabric-side events.

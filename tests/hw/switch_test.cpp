@@ -29,6 +29,12 @@ struct Fixture {
     }
   }
 
+  /// Hands `frame` to the switch as the cluster's delivery band does:
+  /// the send instant plus a per-call sequence number form its key.
+  void send(int port, Frame frame) {
+    sw.ingress_ranked(port, frame, loop.now(), next_sub++);
+  }
+
   struct Arrival {
     Nanos at;
     Frame frame;
@@ -37,12 +43,13 @@ struct Fixture {
   EventLoop loop;
   Switch sw;
   std::vector<std::vector<Arrival>> arrivals;
+  std::uint64_t next_sub = 0;
 };
 
 TEST(SwitchTest, PassThroughDeliversAtIngressInstant) {
   Fixture f(Switch::Config{});  // buffer_bytes = 0
   f.loop.schedule_at(500, [&] {
-    f.sw.ingress(0, data_frame(7, 10000 - kFrameHeaderBytes, 1));
+    f.send(0, data_frame(7, 10000 - kFrameHeaderBytes, 1));
   });
   f.loop.run_to_completion();
   ASSERT_EQ(f.arrivals[1].size(), 1u);
@@ -57,8 +64,8 @@ TEST(SwitchTest, RoutesByDestinationHost) {
   config.num_ports = 4;
   Fixture f(config);
   f.loop.schedule_at(1, [&] {
-    f.sw.ingress(0, data_frame(0, 1000, 2));
-    f.sw.ingress(1, data_frame(1, 1000, 3));
+    f.send(0, data_frame(0, 1000, 2));
+    f.send(1, data_frame(1, 1000, 3));
   });
   f.loop.run_to_completion();
   EXPECT_TRUE(f.arrivals[0].empty());
@@ -76,7 +83,7 @@ TEST(SwitchTest, OutputQueueSerializesThenPropagates) {
   config.buffer_bytes = 1 * kMiB;
   Fixture f(config);
   f.loop.schedule_at(1, [&] {
-    f.sw.ingress(0, data_frame(0, 10000 - kFrameHeaderBytes, 1));
+    f.send(0, data_frame(0, 10000 - kFrameHeaderBytes, 1));
   });
   f.loop.run_to_completion();
   ASSERT_EQ(f.arrivals[1].size(), 1u);
@@ -92,8 +99,8 @@ TEST(SwitchTest, BackToBackFramesShareTheEgressSerializer) {
   Fixture f(config);
   const Bytes payload = 10000 - kFrameHeaderBytes;
   f.loop.schedule_at(1, [&] {
-    f.sw.ingress(0, data_frame(0, payload, 1));
-    f.sw.ingress(0, data_frame(0, payload, 1));
+    f.send(0, data_frame(0, payload, 1));
+    f.send(0, data_frame(0, payload, 1));
   });
   f.loop.run_to_completion();
   ASSERT_EQ(f.arrivals[1].size(), 2u);
@@ -107,8 +114,8 @@ TEST(SwitchTest, DropTailAtTheBufferBound) {
   Fixture f(config);
   const Bytes payload = 10000 - kFrameHeaderBytes;
   f.loop.schedule_at(1, [&] {
-    f.sw.ingress(0, data_frame(0, payload, 1));
-    f.sw.ingress(0, data_frame(1, payload, 1));  // would exceed the bound
+    f.send(0, data_frame(0, payload, 1));
+    f.send(0, data_frame(1, payload, 1));  // would exceed the bound
   });
   f.loop.run_to_completion();
   ASSERT_EQ(f.arrivals[1].size(), 1u);
@@ -125,8 +132,8 @@ TEST(SwitchTest, MarksCeAtOrAboveTheEcnThreshold) {
   Fixture f(config);
   const Bytes payload = 10000 - kFrameHeaderBytes;
   f.loop.schedule_at(1, [&] {
-    f.sw.ingress(0, data_frame(0, payload, 1));  // queue 0 -> below threshold
-    f.sw.ingress(0, data_frame(1, payload, 1));  // queue 10000 -> marked
+    f.send(0, data_frame(0, payload, 1));  // queue 0 -> below threshold
+    f.send(0, data_frame(1, payload, 1));  // queue 10000 -> marked
   });
   f.loop.run_to_completion();
   ASSERT_EQ(f.arrivals[1].size(), 2u);
@@ -144,11 +151,11 @@ TEST(SwitchTest, RecordsFabricTraceEvents) {
   f.sw.enable_trace(16);
   const Bytes payload = 10000 - kFrameHeaderBytes;
   f.loop.schedule_at(1, [&] {
-    f.sw.ingress(0, data_frame(0, payload, 1));  // enqueue (below ECN)
-    f.sw.ingress(0, data_frame(1, payload, 1));  // drop-tail
+    f.send(0, data_frame(0, payload, 1));  // enqueue (below ECN)
+    f.send(0, data_frame(1, payload, 1));  // drop-tail
   });
   f.loop.run_to_completion();
-  const std::vector<TraceRecord> records = f.sw.tracer().snapshot();
+  const std::vector<TraceRecord> records = f.sw.trace_snapshot();
   ASSERT_EQ(records.size(), 2u);
   EXPECT_EQ(records[0].kind, TraceKind::fabric_enqueue);
   EXPECT_EQ(records[0].host, kFabricTraceHost);
@@ -170,13 +177,17 @@ TEST(SwitchTest, PortFlapDropsOnlyThatPortsTraffic) {
     sw.set_route(p, p);
     sw.attach_port(p, [&delivered, p](Frame) { delivered.push_back(p); });
   }
-  sw.set_fault_injector(&faults);
+  for (int p = 0; p < 3; ++p) sw.shard_port(p, loop, &faults);
+  std::uint64_t sub = 0;
+  auto send = [&](Frame frame) {
+    sw.ingress_ranked(0, frame, loop.now(), sub++);
+  };
   loop.schedule_at(1500, [&] {
-    sw.ingress(0, data_frame(0, 1000, 1));  // port 1 is down
-    sw.ingress(0, data_frame(1, 1000, 2));  // port 2 is up
+    send(data_frame(0, 1000, 1));  // port 1 is down
+    send(data_frame(1, 1000, 2));  // port 2 is up
   });
   loop.schedule_at(2500, [&] {
-    sw.ingress(0, data_frame(2, 1000, 1));  // window closed
+    send(data_frame(2, 1000, 1));  // window closed
   });
   loop.run_to_completion();
   EXPECT_EQ(sw.flap_drops(), 1u);
