@@ -78,8 +78,15 @@ void Stack::destroy_socket(int flow) {
   require(it->second->dead(), "destroying a live socket");
   require(!options_.receiver_driven,
           "socket destruction unsupported in receiver-driven mode");
-  sockets_.erase(it);
+  retire(it);
   transport_->on_socket_destroyed(flow);
+}
+
+std::unique_ptr<TransportSocket> Stack::retire(SocketTable::iterator it) {
+  retired_delivered_ += it->second->delivered_to_app();
+  std::unique_ptr<TransportSocket> retired = std::move(it->second);
+  sockets_.erase(it);
+  return retired;
 }
 
 void Stack::send_rst(int flow) {
@@ -250,7 +257,7 @@ void Stack::close(Core& core, int flow, Nanos time_wait) {
   // The quiescent socket holds no pages and no wire state: retire it
   // into TIME_WAIT (an accounting residence — flow ids are never
   // reused, so only table pressure and straggler RSTs remain).
-  sockets_.erase(it);
+  retire(it);
   time_wait_.emplace_back(flow, loop_->now() + time_wait);
   time_wait_flows_.insert(flow);
   ++churn_.time_wait_entered;
@@ -296,9 +303,7 @@ void Stack::handle_fin(Core& core, int flow) {
   }
   // Graceful passive close: let the app unbind, then retire the socket
   // (no TIME_WAIT on the passive side).
-  auto owned = std::move(it->second);
-  sockets_.erase(it);
-  owned->on_peer_fin(core);
+  retire(it)->on_peer_fin(core);
 }
 
 void Stack::begin_measurement() { stats_.clear(); }
@@ -332,17 +337,9 @@ std::vector<int> Stack::flow_ids() const {
 }
 
 Bytes Stack::total_delivered_to_app() const {
-  Bytes total = 0;
+  Bytes total = retired_delivered_;
   for (const auto& [flow, socket] : sockets_) {
     total += socket->delivered_to_app();
-  }
-  return total;
-}
-
-Bytes Stack::total_accepted_from_app() const {
-  Bytes total = 0;
-  for (const auto& [flow, socket] : sockets_) {
-    total += socket->accepted_from_app();
   }
   return total;
 }

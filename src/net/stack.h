@@ -218,10 +218,10 @@ class Stack {
   /// Flow ids of all sockets on this host, ascending.
   std::vector<int> flow_ids() const;
 
-  /// Application-level bytes received across all sockets on this host.
+  /// Application-level bytes received by every socket this host has
+  /// had, retired (closed, passively closed, destroyed) ones included,
+  /// so the total never moves backwards.
   Bytes total_delivered_to_app() const;
-  /// Application-level bytes accepted for sending across all sockets.
-  Bytes total_accepted_from_app() const;
 
   /// Adds every page the stack holds a reference to (socket queues,
   /// parked cross-core requeues) to `held`; used by the leak sweep.
@@ -255,7 +255,13 @@ class Stack {
   friend class TcpTransport;
   friend class HomaTransport;
 
+  using SocketTable = std::map<int, std::unique_ptr<TransportSocket>>;
+
   void napi_poll(Core& core, int queue);
+
+  /// Removes a socket from the table, crediting its delivered bytes to
+  /// the host total; returns it for any last callback.
+  std::unique_ptr<TransportSocket> retire(SocketTable::iterator it);
 
   /// Builds the post-NAPI data skb for one polled frame, taking its
   /// fragments: charges the skb allocation (and, with GRO on, the
@@ -295,7 +301,8 @@ class Stack {
   /// otherwise).  Owns all protocol-specific machinery: GRO state, the
   /// legacy grant scheduler, cross-core requeue parking, Homa grants.
   std::unique_ptr<Transport> transport_;
-  std::map<int, std::unique_ptr<TransportSocket>> sockets_;
+  SocketTable sockets_;
+  Bytes retired_delivered_ = 0;  ///< delivered_to_app of retired sockets
   HostStats stats_;
   Tracer tracer_;
   bool leak_next_skb_ = false;

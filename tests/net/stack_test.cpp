@@ -1,5 +1,6 @@
 // Stack-level receive-path behaviour: NAPI budget, ACK fast path,
-// unknown-flow handling, GRO flush per poll round.
+// unknown-flow handling, GRO flush per poll round, and host byte totals
+// across socket retirement.
 #include "net/stack.h"
 
 #include <gtest/gtest.h>
@@ -95,6 +96,74 @@ TEST_F(StackFixture, NapiBudgetBoundsPerPollWork) {
     testbed->run_until((i + 1) * kMillisecond);
   }
   EXPECT_EQ(rx->delivered_to_app(), bytes);
+}
+
+// Host byte totals count every socket the host has had: retiring a
+// socket — active close into TIME_WAIT, passive close on FIN, or
+// destroy_socket() after an abort — must not take its lifetime bytes
+// out of the total (the measurement window and the watchdog's progress
+// probe both difference it).
+TEST(StackRetirement, DeliveredTotalNeverDecreases) {
+  ExperimentConfig config;
+  Testbed testbed(config);
+  Stack& client = testbed.sender().stack();
+  Stack& server = testbed.receiver().stack();
+  Context ctx{"driver", false};
+  auto on = [&ctx](Core& core, auto fn) { core.post(ctx, fn); };
+  auto settle = [&testbed] {
+    testbed.run_until(testbed.now() + 5 * kMillisecond);
+  };
+
+  // A handshaked connection carrying one exchange each way.
+  server.listen(/*app_core=*/0, /*backlog=*/4, [](Core&, TransportSocket&) {});
+  bool connected = false;
+  const int flow = testbed.open_flow(
+      {0, 0}, {1, 0}, /*syn_retry=*/2 * kMillisecond, /*max_syn_retries=*/6,
+      [&connected](bool established) { connected = established; });
+  settle();
+  ASSERT_TRUE(connected);
+  TransportSocket& c = client.socket(flow);
+  TransportSocket& s = server.socket(flow);
+  on(testbed.sender().core(0), [&c](Core& core) { c.send(core, 64 * kKiB); });
+  settle();
+  on(testbed.receiver().core(0), [&s](Core& core) {
+    s.recv(core, kMiB);
+    s.send(core, 32 * kKiB);
+  });
+  settle();
+  on(testbed.sender().core(0), [&c](Core& core) { c.recv(core, kMiB); });
+  settle();
+  ASSERT_EQ(c.delivered_to_app(), 32 * kKiB);
+  ASSERT_EQ(s.delivered_to_app(), 64 * kKiB);
+
+  // Active close retires the client socket into TIME_WAIT; the FIN then
+  // retires the server socket (passive close).
+  on(testbed.sender().core(0),
+     [&client, flow](Core& core) { client.close(core, flow, kMillisecond); });
+  settle();
+  EXPECT_FALSE(client.has_socket(flow));
+  EXPECT_FALSE(server.has_socket(flow));
+  EXPECT_EQ(client.total_delivered_to_app(), 32 * kKiB);
+  EXPECT_EQ(server.total_delivered_to_app(), 64 * kKiB);
+
+  // An aborted, destroyed pre-established flow keeps its bytes too.
+  auto endpoints = testbed.make_flow(1, 1);
+  TransportSocket* tx = endpoints.at_sender;
+  TransportSocket* rx = endpoints.at_receiver;
+  on(testbed.sender().core(1), [tx](Core& core) { tx->send(core, 16 * kKiB); });
+  settle();
+  on(testbed.receiver().core(1), [rx](Core& core) { rx->recv(core, kMiB); });
+  settle();
+  ASSERT_EQ(rx->delivered_to_app(), 16 * kKiB);
+  const int doomed = tx->flow();
+  on(testbed.receiver().core(1), [rx, &server, doomed](Core& core) {
+    rx->abort(core, SocketError::econnreset);
+    server.destroy_socket(doomed);
+  });
+  settle();
+  EXPECT_FALSE(server.has_socket(doomed));
+  EXPECT_EQ(server.total_delivered_to_app(), 80 * kKiB);
+  EXPECT_EQ(client.total_delivered_to_app(), 32 * kKiB);
 }
 
 }  // namespace

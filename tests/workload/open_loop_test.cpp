@@ -134,6 +134,23 @@ TEST(OpenLoopTest, ChurnExercisesHandshakeAndTimeWait) {
   EXPECT_TRUE(fresh_seen);
 }
 
+// Partial churn retires pooled connections that have carried many
+// requests; the window's per-host byte deltas must still count what
+// those sockets delivered, never going negative.
+TEST(OpenLoopTest, ChurnKeepsPerHostByteTotalsNonNegative) {
+  ExperimentConfig config = open_loop_config();
+  config.traffic.workload.rate_rps = 20'000;
+  config.traffic.workload.churn_prob = 0.1;
+  config.traffic.workload.time_wait = 500 * kMicrosecond;
+  const Metrics m = run_experiment(config);
+  ASSERT_EQ(m.per_host.size(), 3u);
+  EXPECT_GT(m.app_bytes, 0);
+  for (const Metrics::HostMetrics& host : m.per_host) {
+    EXPECT_GE(host.app_bytes, 0) << "host " << host.host;
+    EXPECT_GE(host.gbps, 0.0) << "host " << host.host;
+  }
+}
+
 TEST(OpenLoopTest, FanOutGatesOnSlowestLeaf) {
   ExperimentConfig config = open_loop_config();
   config.topology.num_hosts = 5;
