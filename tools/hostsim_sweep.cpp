@@ -158,7 +158,7 @@ int cmd_run(const std::vector<std::string_view>& args) {
   // never enter config hashes, so the cache and artifacts are identical
   // at any value.
   if (const char* shards = std::getenv("HOSTSIM_SHARDS")) {
-    run.runner.shards = std::atoi(shards);
+    run.runner.shards = static_cast<int>(int_flag(shards, "HOSTSIM_SHARDS"));
   }
   for (std::string_view arg : args) {
     if (arg == "--no-cache") run.runner.use_cache = false;
