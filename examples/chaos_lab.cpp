@@ -50,11 +50,11 @@ ChaosResult run_chaos(std::uint64_t seed, bool leak) {
   workload.start();
   if (leak) testbed.receiver().stack().leak_next_skb();
 
-  Watchdog watchdog(testbed.shard_loop(0), WatchdogConfig::for_duration(kRunEnd));
+  Watchdog watchdog(WatchdogConfig::for_duration(kRunEnd));
   watchdog.set_progress_probe([&testbed] { return testbed.app_progress(); });
   watchdog.set_activity_probe(
       [&testbed] { return testbed.transfers_outstanding(); });
-  watchdog.arm(kRunEnd);
+  watchdog.arm(testbed.executor(), kRunEnd);
 
   Stack& rx = testbed.receiver().stack();
   testbed.run_until(kPreStart);

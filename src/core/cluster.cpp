@@ -172,26 +172,21 @@ Cluster::Cluster(const ExperimentConfig& config) : config_(config) {
   } else {
     build_cluster();
   }
-  if (num_shards() > 1) {
-    std::vector<EventLoop*> loop_ptrs;
-    loop_ptrs.reserve(loops_.size());
-    for (auto& loop : loops_) loop_ptrs.push_back(loop.get());
-    executor_ = std::make_unique<ShardedExecutor>(std::move(loop_ptrs),
-                                                  config_.wire_propagation);
-    executor_->set_barrier_hook([this] { drain_channels(); });
-  }
+  std::vector<EventLoop*> loop_ptrs;
+  loop_ptrs.reserve(loops_.size());
+  for (auto& loop : loops_) loop_ptrs.push_back(loop.get());
+  executor_ = std::make_unique<ShardedExecutor>(loop_ptrs,
+                                                config_.wire_propagation);
+  executor_->set_barrier_hook([this] { drain_channels(); });
   if (config_.obs.enabled()) {
     // Built last: the observer forks no RNG and schedules nothing until
     // start_sampler(), so the datapath above is bit-identical with or
     // without it.
-    obs_ = std::make_unique<obs::Observer>(*loops_[0], config_.obs,
+    obs_ = std::make_unique<obs::Observer>(std::move(loop_ptrs),
+                                           shard_of_host_, config_.obs,
                                            config_.seed);
-    std::vector<EventLoop*> loop_ptrs;
-    loop_ptrs.reserve(loops_.size());
-    for (auto& loop : loops_) loop_ptrs.push_back(loop.get());
-    obs_->attach_topology(loop_ptrs, shard_of_host_);
     if (obs_->tracing() && fabric_ != nullptr) {
-      fabric_->enable_hop_trace(config_.obs.max_spans);
+      fabric_->enable_hop_trace(obs::Observer::kMaxSpans);
     }
     wire_observer();
   }
@@ -305,17 +300,30 @@ void Cluster::build_degenerate() {
                                           Link::Side::a, "sender"));
   hosts_.push_back(std::make_unique<Host>(loop, config_, *links_[0],
                                           Link::Side::b, "receiver"));
-  if (config_.faults.any()) {
-    // Constructed after the wire and hosts so the injector's RNG fork
-    // leaves their stream assignments — and therefore every fault-free
-    // run — untouched.
-    shard_faults_.push_back(
-        std::make_unique<FaultInjector>(loop, config_.faults));
-    FaultInjector* faults = shard_faults_[0].get();
-    links_[0]->set_fault_injector(faults);
-    hosts_[0]->nic().set_fault_injector(faults);
-    hosts_[1]->nic().set_fault_injector(faults);
-    register_crash_handler(*faults);
+  build_faults();
+}
+
+void Cluster::build_faults() {
+  if (!config_.faults.any()) return;
+  // Constructed after the links and hosts so the fault fork leaves their
+  // stream assignments — and therefore every fault-free run — untouched.
+  // Shard 0 takes the stream a serial run forks; the other shards take
+  // sub-forks of it, which nothing draws from (shardable() bans every
+  // RNG-drawing fault at K > 1).
+  Rng fault_rng = loops_[0]->rng().fork();
+  for (int s = 0; s < num_shards(); ++s) {
+    shard_faults_.push_back(std::make_unique<FaultInjector>(
+        *loops_[static_cast<std::size_t>(s)], shard_fault_plan(s),
+        s == 0 ? fault_rng : fault_rng.fork(),
+        /*count_global_windows=*/s == 0));
+    register_crash_handler(*shard_faults_.back());
+  }
+  // Link i is host i's cable (the degenerate wire is link 0).
+  for (std::size_t i = 0; i < links_.size(); ++i) {
+    links_[i]->set_fault_injector(shard_faults(shard_of_host_[i]));
+  }
+  for (std::size_t h = 0; h < hosts_.size(); ++h) {
+    hosts_[h]->nic().set_fault_injector(shard_faults(shard_of_host_[h]));
   }
 }
 
@@ -346,34 +354,30 @@ void Cluster::register_crash_handler(FaultInjector& injector) {
 }
 
 FaultPlan Cluster::shard_fault_plan(int shard) const {
-  // Window faults only (shardable() rejected the probabilistic ones):
-  // each window lands on the shard owning its link/host/port; global
-  // windows (link < 0 flaps, host < 0 stalls) replicate everywhere so
-  // every consulting component sees them locally.
-  FaultPlan plan;
-  for (const LinkFlap& flap : config_.faults.link_flaps) {
-    if (flap.link < 0 || shard_of_host(flap.link) == shard) {
-      plan.link_flaps.push_back(flap);
-    }
-  }
-  for (const RingStall& stall : config_.faults.ring_stalls) {
-    if (stall.host < 0 || shard_of_host(stall.host) == shard) {
-      plan.ring_stalls.push_back(stall);
-    }
-  }
-  for (const HostCrash& crash : config_.faults.host_crashes) {
-    if (shard_of_host(crash.host) == shard) plan.host_crashes.push_back(crash);
-  }
-  for (const PortBlackhole& hole : config_.faults.port_blackholes) {
-    if (shard_of_host(hole.port) == shard) plan.port_blackholes.push_back(hole);
-  }
+  // The probabilistic faults pass through (shardable() admits them only
+  // at K = 1).  Each window lands on the shard owning its link/host/port;
+  // one naming no host of this cluster — global link < 0 flaps and
+  // host < 0 stalls — replicates everywhere so every consulting
+  // component sees it locally.  At K = 1 the plan is unchanged.
+  FaultPlan plan = config_.faults;
+  const auto owned = [this, shard](int host) {
+    const auto h = static_cast<std::size_t>(host);  // negative: huge
+    return h >= shard_of_host_.size() || shard_of_host_[h] == shard;
+  };
+  std::erase_if(plan.link_flaps,
+                [&](const LinkFlap& flap) { return !owned(flap.link); });
+  std::erase_if(plan.ring_stalls,
+                [&](const RingStall& stall) { return !owned(stall.host); });
+  std::erase_if(plan.host_crashes,
+                [&](const HostCrash& crash) { return !owned(crash.host); });
+  std::erase_if(plan.port_blackholes,
+                [&](const PortBlackhole& hole) { return !owned(hole.port); });
   return plan;
 }
 
 void Cluster::build_cluster() {
   const TopologyConfig& topo = config_.topology;
   const int num_hosts = topo.num_hosts;
-  const bool sharded = num_shards() > 1;
   EventLoop& root = *loops_[0];
 
   // One uplink Link per host (Side::a = the host, Side::b = the switch
@@ -456,33 +460,7 @@ void Cluster::build_cluster() {
         });
   }
 
-  if (config_.faults.any()) {
-    if (!sharded) {
-      shard_faults_.push_back(
-          std::make_unique<FaultInjector>(root, config_.faults));
-      FaultInjector* faults = shard_faults_[0].get();
-      for (auto& link : links_) link->set_fault_injector(faults);
-      for (auto& host : hosts_) host->nic().set_fault_injector(faults);
-      register_crash_handler(*faults);
-    } else {
-      // One injector per shard over the shard-filtered plan.  The fault
-      // fork consumes the root stream exactly once (as in serial), and
-      // the per-shard streams are sub-forks — their values are unused,
-      // since shardable() banned every RNG-drawing fault.
-      Rng fault_root = root.rng().fork();
-      for (int s = 0; s < num_shards(); ++s) {
-        shard_faults_.push_back(std::make_unique<FaultInjector>(
-            *loops_[static_cast<std::size_t>(s)], shard_fault_plan(s),
-            fault_root.fork(), /*count_global_windows=*/s == 0));
-        register_crash_handler(*shard_faults_.back());
-      }
-      for (int i = 0; i < num_hosts; ++i) {
-        FaultInjector* faults = shard_faults(shard_of_host_[i]);
-        links_[static_cast<std::size_t>(i)]->set_fault_injector(faults);
-        hosts_[static_cast<std::size_t>(i)]->nic().set_fault_injector(faults);
-      }
-    }
-  }
+  build_faults();
 
   // Partition the switch by egress port: port i's mutable state moves
   // to host i's shard (its fault consults included).  Serially every
@@ -526,21 +504,9 @@ void Cluster::drain_channels() {
   }
 }
 
-void Cluster::run_until(Nanos deadline) {
-  if (executor_ != nullptr) {
-    executor_->run_until(deadline);
-  } else {
-    loops_[0]->run_until(deadline);
-  }
-}
+void Cluster::run_until(Nanos deadline) { executor_->run_until(deadline); }
 
-void Cluster::run_to_completion() {
-  if (executor_ != nullptr) {
-    executor_->run_to_completion();
-  } else {
-    loops_[0]->run_to_completion();
-  }
-}
+void Cluster::run_to_completion() { executor_->run_to_completion(); }
 
 std::uint64_t Cluster::events_executed() const {
   std::uint64_t executed = 0;

@@ -19,10 +19,11 @@
 // serialization + propagation), in buffered mode after FIFO queueing,
 // egress serialization at the port rate, and the downlink propagation.
 //
-// Sharded execution (config.shards > 1): the hosts are partitioned over
-// K event loops — host h on shard h*K/H — advanced in parallel (shard 0
-// on the calling thread, one worker thread per other shard) under
+// Execution: the hosts are partitioned over K = config.shards event
+// loops — host h on shard h*K/H — advanced by one ShardedExecutor (shard
+// 0 on the calling thread, one worker thread per other shard) under
 // conservative link-latency synchronization (sim/sharded_executor.h).
+// A serial run is the K = 1 case of the same executor.
 // Everything a host touches (its cores, NIC,
 // stack, uplink Link, and the switch egress port toward it) lives on its
 // shard's loop; the only cross-shard traffic is frames leaving a Link's
@@ -85,8 +86,7 @@ class Cluster {
   }
 
   /// Runs every host's events with timestamp <= `deadline` and advances
-  /// all clocks to it (serial: plain EventLoop::run_until; sharded:
-  /// conservative parallel rounds).
+  /// all clocks to it, in the executor's rounds.
   void run_until(Nanos deadline);
 
   /// Drains every loop (and every cross-shard channel) completely.
@@ -104,10 +104,9 @@ class Cluster {
   /// Workload builders must use this instead of reaching for a loop.
   Rng fork_rng() { return loops_[0]->rng().fork(); }
 
-  /// The parallel orchestrator; nullptr in serial mode.  The experiment
-  /// harness hooks its heartbeat (manual watchdog polls) and per-shard
-  /// storm budget here.
-  ShardedExecutor* executor() { return executor_.get(); }
+  /// The run's orchestrator, at every shard count.  A Watchdog arms on
+  /// it (heartbeat polls and the per-shard storm guard).
+  ShardedExecutor& executor() { return *executor_; }
 
   // --- Topology -----------------------------------------------------------
 
@@ -242,11 +241,16 @@ class Cluster {
  private:
   void build_degenerate();
   void build_cluster();
+  /// One injector per shard over shard_fault_plan(s), wired into that
+  /// shard's links and NICs; nothing when the plan is empty.  Runs after
+  /// the links and hosts exist, so its RNG fork follows theirs.
+  void build_faults();
   /// Validates the sharded-mode restrictions (see cluster.cpp) and
   /// computes the host -> shard partition.
   void plan_shards();
-  /// Filters the run's FaultPlan down to `shard`'s hosts/links; global
-  /// windows (link < 0 flaps, host-less stalls) replicate everywhere.
+  /// The run's FaultPlan with its window lists filtered down to
+  /// `shard`'s hosts/links; global windows (link < 0 flaps, host-less
+  /// stalls) replicate everywhere.  The whole plan at K = 1.
   FaultPlan shard_fault_plan(int shard) const;
   /// Hooks one injector's crash notifications: when a host goes dark,
   /// every live socket on it is aborted (killed_by_fault) in a task on
@@ -271,7 +275,7 @@ class Cluster {
   std::vector<std::unique_ptr<EventLoop>> loops_;  ///< one per shard
   std::vector<int> shard_of_host_;
   std::vector<std::vector<int>> shard_hosts_;
-  std::unique_ptr<ShardedExecutor> executor_;      ///< shards > 1 only
+  std::unique_ptr<ShardedExecutor> executor_;
   std::vector<ShardChannel<Frame>> channels_;      ///< src*K + dst
   /// Frames parked while a delivery event is pending, one pool per
   /// destination shard (the event captures a 4-byte slot handle).

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <vector>
 
 #include "core/patterns.h"
@@ -122,28 +121,14 @@ Metrics Experiment::run() {
     }
   }
 
-  // Serial runs schedule watchdog ticks on the loop; sharded runs use
-  // the manual-polling form driven by the executor heartbeat (event-storm
-  // detection then runs per shard via the executor's own hooks).
-  std::optional<Watchdog> watchdog;
-  if (num_shards == 1) {
-    watchdog.emplace(testbed.shard_loop(0), config_.watchdog);
-  } else {
-    watchdog.emplace(config_.watchdog);
-  }
+  // The watchdog polls at the executor's heartbeat and takes its storm
+  // guard's trips, at every shard count.
+  Watchdog watchdog(config_.watchdog);
   if (config_.watchdog.enabled()) {
-    watchdog->set_progress_probe([&testbed] { return testbed.app_progress(); });
-    watchdog->set_activity_probe(
+    watchdog.set_progress_probe([&testbed] { return testbed.app_progress(); });
+    watchdog.set_activity_probe(
         [&testbed] { return testbed.transfers_outstanding(); });
-    watchdog->arm(config_.warmup + config_.duration);
-    if (ShardedExecutor* executor = testbed.executor()) {
-      Watchdog* dog = &*watchdog;
-      executor->set_heartbeat(config_.watchdog.period,
-                              [dog](Nanos now) { dog->poll(now); });
-      if (config_.watchdog.event_storm_budget > 0) {
-        executor->set_storm_budget(config_.watchdog.event_storm_budget);
-      }
-    }
+    watchdog.arm(testbed.executor(), config_.warmup + config_.duration);
   }
 
   testbed.run_until(config_.warmup);
@@ -350,7 +335,7 @@ Metrics Experiment::run() {
   if (testbed.has_faults()) {
     metrics.faults = testbed.merged_fault_counters();
   }
-  metrics.faults.watchdog_trips += watchdog->trips();
+  metrics.faults.watchdog_trips += watchdog.trips();
   metrics.rx_csum_drops = 0;
   for (int h = 0; h < num_hosts; ++h) {
     metrics.rx_csum_drops += testbed.host(h).stack().stats().rx_csum_drops;

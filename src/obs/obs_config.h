@@ -43,9 +43,6 @@ struct ObsConfig {
   /// The sweep runner overrides this with the point's config hash.
   std::string out_stem = "obs";
 
-  /// Hard cap on retained spans (memory bound for long runs).
-  std::size_t max_spans = std::size_t{1} << 20;
-
   /// Flight-recorder capacity (events kept per host, and for the switch
   /// fabric); 0 disables the recorder.  It feeds Metrics::trace only:
   /// it attaches no Observer (enabled() ignores it), and runs that set

@@ -1,7 +1,7 @@
 #include "obs/observer.h"
 
-#include <algorithm>
 #include <string>
+#include <utility>
 
 #include "sim/contract.h"
 
@@ -17,47 +17,28 @@ constexpr std::string_view kTotalSeries = "stage.total";
 
 }  // namespace
 
-Observer::Observer(EventLoop& loop, const ObsConfig& config,
+Observer::Observer(std::vector<EventLoop*> loops,
+                   std::vector<int> shard_of_host, const ObsConfig& config,
                    std::uint64_t seed)
-    : config_(config), seed_(seed), default_loop_(&loop) {}
-
-void Observer::attach_topology(const std::vector<EventLoop*>& loops,
-                               std::vector<int> shard_of_host) {
-  require(!attached_, "attach_topology must run once");
-  require(span_tracers_.empty() && registry_.size() == 0,
-          "attach_topology must precede instrumentation");
-  require(!loops.empty(), "need at least one shard loop");
-  loops_ = loops;
-  shard_of_host_ = std::move(shard_of_host);
-  attached_ = true;
-  const int hosts = static_cast<int>(shard_of_host_.size());
-  for (int host = 0; host < hosts; ++host) ensure_host(host);
-}
-
-void Observer::ensure_host(int host) {
-  require(host >= 0, "span host must be >= 0");
-  if (static_cast<std::size_t>(host) < span_tracers_.size()) return;
-  // attach_topology pre-sizes every host; growth is pre-attach only.
-  require(!attached_ || static_cast<std::size_t>(host) <
-                            shard_of_host_.size(),
-          "host outside attached topology");
-  const std::size_t per_host_cap = std::min(
-      config_.max_spans, static_cast<std::size_t>(kSpanIdxMask) + 1);
-  while (span_tracers_.size() <= static_cast<std::size_t>(host)) {
-    const int h = static_cast<int>(span_tracers_.size());
-    span_tracers_.emplace_back(seed_, config_.span_rate, per_host_cap);
-    request_tracers_.emplace_back();
-    request_tracers_.back().configure(seed_, h, config_.trace_rate,
-                                      per_host_cap);
-    monitors_.emplace_back();
-    monitors_.back().configure(
+    : config_(config),
+      loops_(std::move(loops)),
+      shard_of_host_(std::move(shard_of_host)) {
+  require(!loops_.empty(), "need at least one shard loop");
+  const std::size_t hosts = shard_of_host_.size();
+  span_tracers_.reserve(hosts);
+  request_tracers_.resize(hosts);
+  monitors_.resize(hosts);
+  for (std::size_t h = 0; h < hosts; ++h) {
+    span_tracers_.emplace_back(seed, config_.span_rate, kMaxSpans);
+    request_tracers_[h].configure(seed, static_cast<int>(h),
+                                  config_.trace_rate, kMaxSpans);
+    monitors_[h].configure(
         config_.monitor_enabled() ? config_.latency_window : 0);
   }
 }
 
 std::int32_t Observer::span_start(int host, int flow, std::int64_t seq,
                                   Bytes len, Nanos now) {
-  ensure_host(host);
   const std::int32_t index = span_tracers_[static_cast<std::size_t>(host)]
                                  .maybe_start(host, flow, seq, len, now);
   if (index < 0) return -1;
@@ -89,14 +70,12 @@ void Observer::span_complete(std::int32_t id) {
 }
 
 RequestTracer& Observer::requests(int host) {
-  ensure_host(host);
-  return request_tracers_[static_cast<std::size_t>(host)];
+  return request_tracers_.at(static_cast<std::size_t>(host));
 }
 
 void Observer::request_latency(int host, std::string_view cls, Nanos value,
                                Nanos now) {
-  ensure_host(host);
-  LatencyMonitor& monitor = monitors_[static_cast<std::size_t>(host)];
+  LatencyMonitor& monitor = monitors_.at(static_cast<std::size_t>(host));
   if (!monitor.enabled()) return;
   monitor.record("class." + std::string(cls), value, now);
 }
@@ -104,31 +83,25 @@ void Observer::request_latency(int host, std::string_view cls, Nanos value,
 void Observer::start_sampler() {
   if (!config_.sampler_enabled()) return;
   require(samplers_.empty(), "start_sampler must run once");
-  if (!attached_) {
-    samplers_.push_back(std::make_unique<TimeSeriesSampler>(
-        *default_loop_, registry_, config_.sample_period));
-  } else {
-    const std::size_t shards = loops_.size();
-    std::vector<std::vector<std::size_t>> owned(shards);
-    for (std::size_t i = 0; i < registry_.size(); ++i) {
-      const int owner = registry_.owner_host(i);
-      std::size_t shard = 0;
-      if (owner >= 0) {
-        require(static_cast<std::size_t>(owner) < shard_of_host_.size(),
-                "gauge owner outside topology");
-        shard = static_cast<std::size_t>(
-            shard_of_host_[static_cast<std::size_t>(owner)]);
-      }
-      require(shard < shards, "gauge owner maps to missing shard");
-      owned[shard].push_back(i);
+  const std::size_t shards = loops_.size();
+  std::vector<std::vector<std::size_t>> owned(shards);
+  for (std::size_t i = 0; i < registry_.size(); ++i) {
+    const int owner = registry_.owner_host(i);
+    std::size_t shard = 0;
+    if (owner >= 0) {
+      require(static_cast<std::size_t>(owner) < shard_of_host_.size(),
+              "gauge owner outside topology");
+      shard = static_cast<std::size_t>(
+          shard_of_host_[static_cast<std::size_t>(owner)]);
     }
-    for (std::size_t s = 0; s < shards; ++s) {
-      samplers_.push_back(std::make_unique<TimeSeriesSampler>(
-          *loops_[s], registry_, config_.sample_period));
-      samplers_.back()->restrict_to(std::move(owned[s]));
-    }
+    require(shard < shards, "gauge owner maps to missing shard");
+    owned[shard].push_back(i);
   }
-  for (const auto& sampler : samplers_) sampler->start();
+  for (std::size_t s = 0; s < shards; ++s) {
+    samplers_.push_back(std::make_unique<TimeSeriesSampler>(
+        *loops_[s], registry_, config_.sample_period, std::move(owned[s])));
+    samplers_.back()->start();
+  }
 }
 
 Observer::Series Observer::merged_series() const {

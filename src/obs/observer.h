@@ -11,8 +11,8 @@
 // only ever writes its own slices; the cross-shard views (merged
 // time-series, merged spans, joined request traces, merged latency
 // windows) are computed at harvest from deterministic keys, never from
-// collection order.  A serial run uses the identical single-shard code
-// path, which is what makes obs artifacts byte-identical at every
+// collection order.  A serial run is the one-shard topology on the same
+// code path, which is what makes obs artifacts byte-identical at every
 // `--shards=N` (pinned by tests/obs/).
 //
 // Invariant: nothing reachable from an Observer mutates simulation
@@ -39,17 +39,19 @@ namespace hostsim::obs {
 
 class Observer {
  public:
-  Observer(EventLoop& loop, const ObsConfig& config, std::uint64_t seed);
+  /// Span ids pack (host, per-host index) so stamp/complete calls route
+  /// without the callers carrying the host around.
+  static constexpr int kSpanIdxBits = 20;
+  /// Retained spans per host, and hop records per switch port: the
+  /// span-id index capacity, a memory bound for long runs.
+  static constexpr std::size_t kMaxSpans = std::size_t{1} << kSpanIdxBits;
+
+  /// `loops[s]` is shard s's event loop and `shard_of_host[h]` the shard
+  /// owning host h; the per-host structures are sized from it.
+  Observer(std::vector<EventLoop*> loops, std::vector<int> shard_of_host,
+           const ObsConfig& config, std::uint64_t seed);
 
   const ObsConfig& config() const { return config_; }
-
-  /// Declares the shard topology: `loops[s]` is shard s's event loop,
-  /// `shard_of_host[h]` the shard owning host h.  Must run before any
-  /// instrument registers or sampling starts.  Without it the Observer
-  /// behaves as a single shard on its construction loop (standalone /
-  /// unit-test use).
-  void attach_topology(const std::vector<EventLoop*>& loops,
-                       std::vector<int> shard_of_host);
 
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
@@ -114,9 +116,6 @@ class Observer {
   std::uint64_t spans_completed() const;
 
  private:
-  /// Span ids pack (host, per-host index) so stamp/complete calls route
-  /// without the callers carrying the host around.
-  static constexpr int kSpanIdxBits = 20;
   static constexpr std::int32_t kSpanIdxMask = (1 << kSpanIdxBits) - 1;
 
   SpanTracer& tracer_of(std::int32_t id) {
@@ -124,15 +123,8 @@ class Observer {
   }
   static std::int32_t index_of(std::int32_t id) { return id & kSpanIdxMask; }
 
-  /// Grows the per-host structures through `host` (pre-attach only; an
-  /// attached Observer has them fixed at the host count).
-  void ensure_host(int host);
-
   ObsConfig config_;
-  std::uint64_t seed_;
-  EventLoop* default_loop_;
   Registry registry_;
-  bool attached_ = false;
   std::vector<EventLoop*> loops_;
   std::vector<int> shard_of_host_;
   std::vector<SpanTracer> span_tracers_;        // per host

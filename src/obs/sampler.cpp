@@ -15,12 +15,6 @@ constexpr std::uint64_t kSamplerSub = std::uint64_t{1} << 62;
 
 }  // namespace
 
-void TimeSeriesSampler::restrict_to(std::vector<std::size_t> indices) {
-  require(columns_.empty(), "restrict_to must precede the first tick");
-  indices_ = std::move(indices);
-  restricted_ = true;
-}
-
 void TimeSeriesSampler::start() {
   if (period_ <= 0) return;
   const Nanos at = loop_->now() + period_;
@@ -29,10 +23,6 @@ void TimeSeriesSampler::start() {
 
 void TimeSeriesSampler::tick() {
   if (columns_.empty()) {
-    if (!restricted_) {
-      indices_.resize(registry_->size());
-      for (std::size_t i = 0; i < indices_.size(); ++i) indices_[i] = i;
-    }
     frozen_size_ = registry_->size();
     columns_.reserve(indices_.size());
     const std::vector<std::string> names = registry_->names();

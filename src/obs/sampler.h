@@ -6,10 +6,11 @@
 // events — so an instrumented run produces bit-identical Metrics to an
 // uninstrumented one.
 //
-// Shard-awareness: a sampler may be restricted to a subset of registry
-// entries (the ones whose owner hosts live on its shard), and its ticks
-// are scheduled through the cross-shard delivery band with a canonical
-// key (`sent` = the tick time, subkey above every real delivery).  That
+// Shard-awareness: a sampler reads the registry entries it is built
+// with (the Observer passes the ones whose owner hosts live on its
+// shard — every entry when serial), and its ticks are scheduled through
+// the cross-shard delivery band with a canonical key (`sent` = the tick
+// time, subkey above every real delivery).  That
 // key ranks the tick after *every* other event at the same instant
 // regardless of shard count or local insertion sequences, so the values
 // a tick observes — and therefore every exported artifact — are
@@ -22,6 +23,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "obs/registry.h"
@@ -32,15 +34,16 @@ namespace hostsim::obs {
 
 class TimeSeriesSampler {
  public:
-  TimeSeriesSampler(EventLoop& loop, Registry& registry, Nanos period)
-      : loop_(&loop), registry_(&registry), period_(period) {}
+  /// Reads the registry entries at `indices` (global registration
+  /// indices, ascending).
+  TimeSeriesSampler(EventLoop& loop, Registry& registry, Nanos period,
+                    std::vector<std::size_t> indices)
+      : loop_(&loop),
+        registry_(&registry),
+        period_(period),
+        indices_(std::move(indices)) {}
 
   bool enabled() const { return period_ > 0; }
-
-  /// Restricts this sampler to the given registry entries (global
-  /// registration indices, ascending).  Call before start(); without a
-  /// restriction the sampler covers every entry.
-  void restrict_to(std::vector<std::size_t> indices);
 
   /// Schedules the first tick at now + period.  Call once, after all
   /// instruments are registered.
@@ -63,7 +66,6 @@ class TimeSeriesSampler {
   EventLoop* loop_;
   Registry* registry_;
   Nanos period_;
-  bool restricted_ = false;
   std::size_t frozen_size_ = 0;  ///< registry size at the first tick
   std::vector<std::size_t> indices_;
   std::vector<std::string> columns_;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "sim/contract.h"
+#include "sim/sharded_executor.h"
 
 namespace hostsim {
 
@@ -39,58 +40,25 @@ WatchdogConfig WatchdogConfig::for_duration(Nanos duration) {
   return config;
 }
 
-Watchdog::Watchdog(EventLoop& loop, WatchdogConfig config)
-    : loop_(&loop), config_(config) {
+Watchdog::Watchdog(WatchdogConfig config) : config_(config) {
   require(config.period >= 0, "watchdog period must be nonnegative");
   require(config.max_stalled_periods > 0,
           "watchdog needs at least one stalled period");
 }
 
-Watchdog::Watchdog(WatchdogConfig config) : loop_(nullptr), config_(config) {
-  require(config.period >= 0, "watchdog period must be nonnegative");
-  require(config.max_stalled_periods > 0,
-          "watchdog needs at least one stalled period");
-}
-
-Watchdog::~Watchdog() {
-  // Detach the event-storm hook; pending tick events are harmless only
-  // while this object lives, so the owner must outlive the loop's run —
-  // detaching here keeps the hook from dangling either way.
-  if (loop_ != nullptr && armed_ && config_.event_storm_budget > 0) {
-    loop_->set_watchdog(0, {});
-  }
-}
-
-void Watchdog::arm(Nanos until) {
+void Watchdog::arm(ShardedExecutor& executor, Nanos until) {
   require(config_.enabled(), "arming a disabled watchdog");
   require(!armed_, "watchdog already armed");
   armed_ = true;
   until_ = until;
   last_progress_ = progress_probe_ ? progress_probe_() : 0;
-  if (loop_ == nullptr) return;  // manual form: the owner polls
-  if (config_.event_storm_budget > 0) {
-    // Sample twice per budget so a frozen clock is flagged within at
-    // most one budget of extra events.
-    const std::uint64_t every = std::max<std::uint64_t>(
-        config_.event_storm_budget / 2, 1);
-    loop_->set_watchdog(every, [this](EventLoop&) { on_events_executed(); });
-  }
-  loop_->schedule_after(config_.period, [this] { tick(); });
-}
-
-void Watchdog::tick() {
-  if (trips_ > 0 || loop_->now() >= until_) return;
-  check_progress();
-  if (trips_ > 0) return;
-  loop_->schedule_after(config_.period, [this] { tick(); });
+  executor.set_heartbeat(config_.period, [this](Nanos now) { poll(now); });
+  executor.set_storm_budget(config_.event_storm_budget,
+                            [this](const std::string& d) { trip(d); });
 }
 
 void Watchdog::poll(Nanos now) {
-  if (!armed_ || trips_ > 0 || now >= until_) return;
-  check_progress();
-}
-
-void Watchdog::check_progress() {
+  if (trips_ > 0 || now >= until_) return;
   const std::uint64_t progress = progress_probe_ ? progress_probe_() : 0;
   const bool active = activity_probe_ ? activity_probe_() : true;
   if (active && progress == last_progress_) {
@@ -108,24 +76,8 @@ void Watchdog::check_progress() {
   last_progress_ = progress;
 }
 
-void Watchdog::on_events_executed() {
-  if (trips_ > 0) return;
-  if (loop_->now() == last_hook_now_) {
-    if (++frozen_hook_calls_ >= 2) {
-      trip("event-loop livelock: " +
-           std::to_string(frozen_hook_calls_ *
-                          std::max<std::uint64_t>(
-                              config_.event_storm_budget / 2, 1)) +
-           " events executed with simulated time frozen at " +
-           std::to_string(last_hook_now_) + "ns");
-    }
-  } else {
-    frozen_hook_calls_ = 0;
-    last_hook_now_ = loop_->now();
-  }
-}
-
 void Watchdog::trip(const std::string& diagnostic) {
+  if (trips_ > 0) return;
   ++trips_;
   if (on_trip_) {
     on_trip_(diagnostic);

@@ -11,10 +11,15 @@
 //    while the run is supposed to be active (e.g. a flow wedged in
 //    recovery with a dead timer); and
 //  * livelock — events execute but simulated time stops advancing
-//    (a zero-delay event storm), caught via the EventLoop's event-count
-//    watchdog hook, which a purely time-scheduled check could never see.
+//    (a zero-delay event storm), caught by the executor's per-loop
+//    event-count hook, which a purely time-scheduled check could never
+//    see.
 //
-// Both are sim-level and fully generic: upper layers wire in probes.
+// Both ride the ShardedExecutor at every shard count (a serial run is
+// its one-shard case): the progress check polls at the executor's
+// heartbeat, after every event up to the tick, and the storm guard
+// reports to the watchdog on the calling thread.  Both are sim-level and
+// fully generic: upper layers wire in probes.
 #ifndef HOSTSIM_SIM_INVARIANT_CHECKER_H
 #define HOSTSIM_SIM_INVARIANT_CHECKER_H
 
@@ -24,10 +29,11 @@
 #include <string>
 #include <vector>
 
-#include "sim/event_loop.h"
 #include "sim/units.h"
 
 namespace hostsim {
+
+class ShardedExecutor;
 
 /// One failed invariant: which check, and a human-readable diagnostic
 /// naming the offending object(s).
@@ -80,22 +86,14 @@ struct WatchdogConfig {
 
 class Watchdog {
  public:
-  /// `progress` is any monotone activity counter (bytes delivered,
-  /// transactions completed); `active` reports whether zero progress is
-  /// legitimate (idle) or a stall (work outstanding).
-  Watchdog(EventLoop& loop, WatchdogConfig config);
-
-  /// Manual-polling form for sharded runs: there is no single loop to
-  /// schedule ticks on, so the orchestrator drives the progress check
-  /// via poll() at its heartbeat (event-storm detection is per shard —
-  /// ShardedExecutor::set_storm_budget).
   explicit Watchdog(WatchdogConfig config);
-
-  ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
+  /// `progress` is any monotone activity counter (bytes delivered,
+  /// transactions completed); `active` reports whether zero progress is
+  /// legitimate (idle) or a stall (work outstanding).
   void set_progress_probe(std::function<std::uint64_t()> probe) {
     progress_probe_ = std::move(probe);
   }
@@ -108,22 +106,18 @@ class Watchdog {
     on_trip_ = std::move(handler);
   }
 
-  /// Starts periodic checks, ending at `until` (simulated time).
-  void arm(Nanos until);
-
-  /// One progress check at simulated time `now` (manual-polling form);
-  /// the caller invokes this once per config period.
-  void poll(Nanos now);
+  /// Starts checking until `until` (simulated time): a progress check at
+  /// every `period` heartbeat of `executor`, plus its storm guard.  The
+  /// watchdog must outlive the executor's runs.
+  void arm(ShardedExecutor& executor, Nanos until);
 
   std::uint64_t trips() const { return trips_; }
 
  private:
-  void tick();
-  void check_progress();
+  /// One progress check at heartbeat instant `now`.
+  void poll(Nanos now);
   void trip(const std::string& diagnostic);
-  void on_events_executed();
 
-  EventLoop* loop_;
   WatchdogConfig config_;
   std::function<std::uint64_t()> progress_probe_;
   std::function<bool()> activity_probe_;
@@ -132,8 +126,6 @@ class Watchdog {
   Nanos until_ = 0;
   std::uint64_t last_progress_ = 0;
   int stalled_periods_ = 0;
-  Nanos last_hook_now_ = -1;
-  std::uint64_t frozen_hook_calls_ = 0;
   std::uint64_t trips_ = 0;
   bool armed_ = false;
 };

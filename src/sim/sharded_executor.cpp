@@ -3,6 +3,15 @@
 #include <algorithm>
 
 namespace hostsim {
+namespace {
+
+/// Thrown out of a shard's run by its storm guard; carries the
+/// diagnostic to the calling thread with the round's other exceptions.
+struct EventStorm {
+  std::string diagnostic;
+};
+
+}  // namespace
 
 ShardedExecutor::ShardedExecutor(std::vector<EventLoop*> loops,
                                  Nanos lookahead)
@@ -11,7 +20,8 @@ ShardedExecutor::ShardedExecutor(std::vector<EventLoop*> loops,
   for (EventLoop* loop : loops_) {
     require(loop != nullptr, "sharded executor loop must be non-null");
   }
-  require(lookahead_ > 0, "sharded execution needs positive link lookahead");
+  require(loops_.size() == 1 || lookahead_ > 0,
+          "sharded execution needs positive link lookahead");
   storm_.resize(loops_.size());
   errors_.resize(loops_.size());
   workers_.reserve(loops_.size() - 1);
@@ -29,21 +39,29 @@ ShardedExecutor::~ShardedExecutor() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ShardedExecutor::set_storm_budget(std::uint64_t budget) {
+void ShardedExecutor::set_storm_budget(
+    std::uint64_t budget, std::function<void(const std::string&)> on_storm) {
   if (budget == 0) return;
+  on_storm_ = on_storm ? std::move(on_storm)
+                       : [](const std::string& d) { ensure(false, d.c_str()); };
+  // Sample twice per budget so a frozen clock is flagged within at most
+  // one budget of extra events.
   const std::uint64_t every = std::max<std::uint64_t>(1, budget / 2);
   for (std::size_t i = 0; i < loops_.size(); ++i) {
     StormState* state = &storm_[i];
-    loops_[i]->set_watchdog(every, [state](EventLoop& loop) {
-      if (loop.now() == state->last_now) {
-        // `every` events executed without the clock moving, several
-        // times in a row: a zero-delay event storm inside this shard.
-        if (++state->frozen_calls >= 4) {
-          ensure(false, "watchdog: shard event storm (clock frozen)");
-        }
-      } else {
+    loops_[i]->set_watchdog(every, [state, every](EventLoop& loop) {
+      if (loop.now() != state->last_now) {
         state->last_now = loop.now();
         state->frozen_calls = 0;
+        return;
+      }
+      // Two samples in a row with the clock frozen: a zero-delay event
+      // storm inside this shard.
+      if (++state->frozen_calls >= 2) {
+        throw EventStorm{"event-loop livelock: " +
+                         std::to_string(state->frozen_calls * every) +
+                         " events executed with simulated time frozen at " +
+                         std::to_string(state->last_now) + "ns"};
       }
     });
   }
@@ -57,6 +75,17 @@ Nanos ShardedExecutor::min_next_event() const {
   return earliest;
 }
 
+Nanos ShardedExecutor::horizon() const {
+  if (workers_.empty()) return EventLoop::kNoEvent;
+  const Nanos earliest = min_next_event();
+  if (earliest == EventLoop::kNoEvent) return earliest;
+  // Conservative window: every event executed this round fires at
+  // t >= earliest, so its cross-shard deliveries land at
+  // t + lookahead > window.  The -1 keeps this strict even for
+  // zero-serialization frames.
+  return std::max(now_ + 1, earliest + lookahead_ - 1);
+}
+
 void ShardedExecutor::barrier() {
   if (barrier_hook_) barrier_hook_();
 }
@@ -67,13 +96,19 @@ Nanos ShardedExecutor::clamp_to_heartbeat(Nanos window) const {
   return std::min(window, next_tick);
 }
 
-void ShardedExecutor::execute_round(Nanos window) {
-  if (workers_.empty()) {
-    round_deadline_ = window;
-    loops_[0]->run_until(window);
-    now_ = window;
-    return;
+void ShardedExecutor::run_shard(std::size_t shard, Nanos window) {
+  try {
+    if (window == EventLoop::kNoEvent) {
+      loops_[shard]->run_to_completion();
+    } else {
+      loops_[shard]->run_until(window);
+    }
+  } catch (...) {
+    errors_[shard] = std::current_exception();
   }
+}
+
+bool ShardedExecutor::execute_round(Nanos window) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     round_deadline_ = window;
@@ -81,23 +116,27 @@ void ShardedExecutor::execute_round(Nanos window) {
     ++round_;
   }
   round_cv_.notify_all();
-  try {
-    loops_[0]->run_until(window);
-  } catch (...) {
-    errors_[0] = std::current_exception();
-  }
+  run_shard(0, window);
   {
     std::unique_lock<std::mutex> lock(mu_);
     done_cv_.wait(lock, [this] { return pending_ == 0; });
   }
-  now_ = window;
-  for (std::size_t i = 0; i < errors_.size(); ++i) {
-    if (errors_[i]) {
-      std::exception_ptr error = errors_[i];
-      for (std::exception_ptr& e : errors_) e = nullptr;
-      std::rethrow_exception(error);
+  now_ = window == EventLoop::kNoEvent ? loops_[0]->now() : window;
+  for (std::exception_ptr& error : errors_) {
+    if (!error) continue;
+    const std::exception_ptr first = error;
+    for (std::exception_ptr& e : errors_) e = nullptr;
+    try {
+      std::rethrow_exception(first);
+    } catch (const EventStorm& storm) {
+      on_storm_(storm.diagnostic);
+      return false;
     }
   }
+  if (heartbeat_period_ > 0 && now_ % heartbeat_period_ == 0) {
+    heartbeat_(now_);
+  }
+  return true;
 }
 
 void ShardedExecutor::worker_main(std::size_t shard) {
@@ -111,11 +150,7 @@ void ShardedExecutor::worker_main(std::size_t shard) {
       seen = round_;
       window = round_deadline_;
     }
-    try {
-      loops_[shard]->run_until(window);
-    } catch (...) {
-      errors_[shard] = std::current_exception();
-    }
+    run_shard(shard, window);
     bool last;
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -130,25 +165,10 @@ void ShardedExecutor::run_until(Nanos deadline) {
   for (;;) {
     barrier();
     if (now_ >= deadline) break;
-    const Nanos earliest = min_next_event();
-    Nanos window;
-    if (earliest >= deadline) {
-      // Nothing (relevant) pending before the deadline: jump straight
-      // to it.  Loops still run_until(deadline) so their clocks land
-      // exactly where the serial engine's would.
-      window = deadline;
-    } else {
-      // Conservative window: every event executed this round fires at
-      // t >= earliest, so its cross-shard deliveries land at
-      // t + lookahead > window.  The -1 keeps this strict even for
-      // zero-serialization frames.
-      window = std::min(
-          deadline, std::max(now_ + 1, earliest + lookahead_ - 1));
-    }
-    window = clamp_to_heartbeat(window);
-    execute_round(window);
-    if (heartbeat_period_ > 0 && now_ % heartbeat_period_ == 0) {
-      heartbeat_(now_);
+    // Loops still run_until(deadline) when nothing is pending before
+    // it, so their clocks land exactly on the deadline.
+    if (!execute_round(clamp_to_heartbeat(std::min(deadline, horizon())))) {
+      return;
     }
   }
 }
@@ -156,15 +176,8 @@ void ShardedExecutor::run_until(Nanos deadline) {
 void ShardedExecutor::run_to_completion() {
   for (;;) {
     barrier();
-    const Nanos earliest = min_next_event();
-    if (earliest == EventLoop::kNoEvent) break;
-    Nanos window = std::max(now_ + 1, earliest + lookahead_ - 1);
-    window = std::max(window, earliest);
-    window = clamp_to_heartbeat(window);
-    execute_round(window);
-    if (heartbeat_period_ > 0 && now_ % heartbeat_period_ == 0) {
-      heartbeat_(now_);
-    }
+    if (min_next_event() == EventLoop::kNoEvent) break;
+    if (!execute_round(clamp_to_heartbeat(horizon()))) return;
   }
 }
 

@@ -37,6 +37,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -80,11 +81,13 @@ class ShardChannel {
 
 /// Runs K shard loops in conservative barrier-synchronized rounds: the
 /// calling thread runs shard 0 and one worker thread runs each other
-/// shard.  With a single loop it degenerates to plain run_until on the
-/// calling thread (no threads spawned).
+/// shard.  A serial run is the K = 1 case: no thread is spawned, there
+/// is no cross-shard link to bound a round, so each round runs to the
+/// deadline (or until idle) and is split only at heartbeat ticks.
 class ShardedExecutor {
  public:
-  /// `lookahead` is the minimum cross-shard link latency (> 0).
+  /// `lookahead` is the minimum cross-shard link latency (> 0 with more
+  /// than one loop; a single loop accepts 0).
   ShardedExecutor(std::vector<EventLoop*> loops, Nanos lookahead);
   ~ShardedExecutor();
 
@@ -105,9 +108,14 @@ class ShardedExecutor {
     heartbeat_ = std::move(tick);
   }
 
-  /// Per-shard zero-delay-storm guard: trips a contract violation when
-  /// a shard executes `budget` events without its clock advancing.
-  void set_storm_budget(std::uint64_t budget);
+  /// Per-shard zero-delay-storm guard: a shard that executes about
+  /// `budget` events without its clock advancing stops its round, and
+  /// `on_storm` receives an "event-loop livelock" diagnostic on the
+  /// calling thread; the run call then returns early.  Without a handler
+  /// the storm is a postcondition failure.  Budget 0 disables.
+  void set_storm_budget(
+      std::uint64_t budget,
+      std::function<void(const std::string&)> on_storm = {});
 
   /// Orchestrator clock: every loop has fully executed up to here.
   Nanos now() const { return now_; }
@@ -130,14 +138,20 @@ class ShardedExecutor {
 
   /// Minimum pending-event time across loops (after a channel drain).
   Nanos min_next_event() const;
+  /// Latest instant the next round may run to: the conservative
+  /// lookahead window, or kNoEvent (no bound) for a single shard.
+  Nanos horizon() const;
   /// Drains channels via the barrier hook; workers must be quiesced.
   void barrier();
-  /// Executes one parallel round to `window` and rethrows any worker
-  /// exception (lowest shard index first, for determinism).
-  void execute_round(Nanos window);
-  /// Clamps `window` so the next heartbeat tick is not skipped, then
-  /// fires the heartbeat when a round lands exactly on a tick.
+  /// Executes one round to `window` (kNoEvent: until idle), fires the
+  /// heartbeat when it lands on a tick, and rethrows any shard exception
+  /// (lowest shard index first, for determinism).  Returns false when
+  /// the storm guard tripped, which ends the run call.
+  bool execute_round(Nanos window);
+  /// Clamps `window` so the next heartbeat tick is not skipped.
   Nanos clamp_to_heartbeat(Nanos window) const;
+  /// Runs `shard`'s loop to `window`, parking any exception in errors_.
+  void run_shard(std::size_t shard, Nanos window);
   void worker_main(std::size_t shard);
 
   std::vector<EventLoop*> loops_;
@@ -148,6 +162,7 @@ class ShardedExecutor {
   Nanos heartbeat_period_ = 0;
   std::function<void(Nanos)> heartbeat_;
   std::vector<StormState> storm_;
+  std::function<void(const std::string&)> on_storm_;
 
   // Round barrier: the calling thread runs shard 0 itself and worker i
   // runs shard i + 1.  Workers wait for round_ to advance, run their loop

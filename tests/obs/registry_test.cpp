@@ -55,7 +55,7 @@ TEST(SamplerTest, TicksAtPeriodAndFreezesColumns) {
   double gauge_value = 1.0;
   registry.gauge("gauge", [&gauge_value] { return gauge_value; });
 
-  TimeSeriesSampler sampler(loop, registry, 10 * kMicrosecond);
+  TimeSeriesSampler sampler(loop, registry, 10 * kMicrosecond, {0, 1});
   ASSERT_TRUE(sampler.enabled());
   sampler.start();
   EXPECT_TRUE(sampler.columns().empty());  // frozen only at first tick
@@ -81,7 +81,7 @@ TEST(SamplerTest, TicksAtPeriodAndFreezesColumns) {
 TEST(SamplerTest, ZeroPeriodNeverSchedules) {
   EventLoop loop;
   Registry registry;
-  TimeSeriesSampler sampler(loop, registry, 0);
+  TimeSeriesSampler sampler(loop, registry, 0, {});
   EXPECT_FALSE(sampler.enabled());
   sampler.start();
   EXPECT_EQ(loop.pending(), 0u);
@@ -91,7 +91,7 @@ TEST(SamplerDeathTest, LateRegistrationIsRejected) {
   EventLoop loop;
   Registry registry;
   registry.counter("early");
-  TimeSeriesSampler sampler(loop, registry, kMicrosecond);
+  TimeSeriesSampler sampler(loop, registry, kMicrosecond, {0});
   sampler.start();
   loop.run_until(2 * kMicrosecond);  // first tick freezes the column set
   registry.counter("late");
