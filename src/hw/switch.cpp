@@ -41,27 +41,13 @@ void Switch::shard_port(int port, EventLoop& loop, FaultInjector* faults) {
 
 void Switch::enable_trace(std::size_t capacity) {
   trace_capacity_ = capacity;
-  for (Port& port : ports_) port.trace.capacity = capacity;
+  for (Port& port : ports_) {
+    port.trace = KeepNewestRing<RankedRecord>(capacity);
+  }
 }
 
 void Switch::enable_hop_trace(std::size_t capacity) {
-  for (Port& port : ports_) port.hops.capacity = capacity;
-}
-
-void Switch::HopRing::record(const HopRecord& entry) {
-  if (capacity == 0) return;
-  if (ring.size() < capacity) {
-    ring.push_back(entry);
-    return;
-  }
-  ring[next] = entry;
-  next = (next + 1) % capacity;
-}
-
-void Switch::HopRing::append_to(std::vector<HopRecord>& out) const {
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    out.push_back(ring[(next + i) % ring.size()]);
-  }
+  for (Port& port : ports_) port.hops = KeepNewestRing<HopRecord>(capacity);
 }
 
 std::vector<Switch::HopRecord> Switch::hop_snapshot() const {
@@ -73,22 +59,6 @@ std::vector<Switch::HopRecord> Switch::hop_snapshot() const {
                      return a.port < b.port;
                    });
   return merged;
-}
-
-void Switch::PortRing::record(RankedRecord entry) {
-  if (capacity == 0) return;
-  if (ring.size() < capacity) {
-    ring.push_back(entry);
-    return;
-  }
-  ring[next] = entry;
-  next = (next + 1) % capacity;
-}
-
-void Switch::PortRing::append_to(std::vector<RankedRecord>& out) const {
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    out.push_back(ring[(next + i) % ring.size()]);
-  }
 }
 
 std::vector<TraceRecord> Switch::trace_snapshot() const {
@@ -160,12 +130,12 @@ Bytes Switch::queued_bytes() const {
 void Switch::record_trace(Port& egress_port, const Rank& rank, int* idx,
                           Nanos at, TraceKind kind, int flow, std::int64_t a,
                           std::int64_t b) {
-  if (egress_port.trace.capacity == 0) return;
+  if (egress_port.trace.capacity() == 0) return;
   RankedRecord entry;
   entry.record = TraceRecord{at, kind, kFabricTraceHost, flow, a, b};
   entry.rank = rank;
   entry.idx = (*idx)++;
-  egress_port.trace.record(entry);
+  egress_port.trace.push(entry);
 }
 
 void Switch::ingress_ranked(int port, Frame frame, Nanos sent,
@@ -243,10 +213,10 @@ void Switch::ingress_ranked(int port, Frame frame, Nanos sent,
   const Nanos start = std::max(loop->now(), egress_port.busy_until);
   const Nanos tx_end = start + serialization_delay(wire_bytes, config_.port_gbps);
   egress_port.busy_until = tx_end;
-  if (egress_port.hops.capacity != 0) {
-    egress_port.hops.record(HopRecord{out, frame.flow, loop->now(),
-                                      tx_end + config_.propagation,
-                                      wire_bytes});
+  if (egress_port.hops.capacity() != 0) {
+    egress_port.hops.push(HopRecord{out, frame.flow, loop->now(),
+                                    tx_end + config_.propagation,
+                                    wire_bytes});
   }
   // The frame occupies the FIFO until its serialization completes at
   // tx_end; the downlink propagation happens outside the buffer.

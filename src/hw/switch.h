@@ -150,26 +150,6 @@ class Switch {
     std::int32_t idx = 0;  ///< record index within one ingress call
   };
 
-  /// Keep-newest ring of ranked records (per port).
-  struct PortRing {
-    std::size_t capacity = 0;
-    std::vector<RankedRecord> ring;
-    std::size_t next = 0;
-
-    void record(RankedRecord entry);
-    void append_to(std::vector<RankedRecord>& out) const;
-  };
-
-  /// Keep-newest ring of hop records (per port).
-  struct HopRing {
-    std::size_t capacity = 0;
-    std::vector<HopRecord> ring;
-    std::size_t next = 0;
-
-    void record(const HopRecord& entry);
-    void append_to(std::vector<HopRecord>& out) const;
-  };
-
   struct Port {
     std::function<void(Frame)> sink;
     Nanos busy_until = 0;
@@ -179,8 +159,8 @@ class Switch {
     // Frames serializing/propagating toward this port's host; per-port
     // so concurrent shards never share a slab.
     SlotPool<Frame> in_flight;
-    PortRing trace;
-    HopRing hops;
+    KeepNewestRing<RankedRecord> trace;
+    KeepNewestRing<HopRecord> hops;
   };
 
   void record_trace(Port& egress_port, const Rank& rank, int* idx, Nanos at,

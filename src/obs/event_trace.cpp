@@ -38,28 +38,20 @@ bool trace_kind_from_string(std::string_view name, TraceKind& out) {
 
 void Tracer::record(Nanos at, TraceKind kind, int flow, std::int64_t a,
                     std::int64_t b) {
-  if (capacity_ == 0) return;
-  const TraceRecord record{at, kind, host_, flow, a, b};
-  if (ring_.size() < capacity_) {
-    ring_.push_back(record);
-  } else {
-    ring_[next_] = record;
-    next_ = (next_ + 1) % capacity_;
-  }
+  if (!enabled()) return;
+  ring_.push(TraceRecord{at, kind, host_, flow, a, b});
   ++recorded_;
 }
 
 std::vector<TraceRecord> Tracer::snapshot() const {
   std::vector<TraceRecord> out;
   out.reserve(ring_.size());
-  // Once the ring wrapped, `next_` points at the oldest record.
-  for (std::size_t i = 0; i < ring_.size(); ++i) {
-    out.push_back(ring_[(next_ + i) % ring_.size()]);
-  }
+  ring_.append_to(out);
   return out;
 }
 
-void Tracer::dump_csv(std::ostream& out) const {
+void write_trace_csv(std::ostream& out,
+                     const std::vector<TraceRecord>& records) {
   obs::CsvWriter csv(out);
   csv.field(std::string_view("time_ns"));
   csv.field(std::string_view("kind"));
@@ -68,7 +60,7 @@ void Tracer::dump_csv(std::ostream& out) const {
   csv.field(std::string_view("a"));
   csv.field(std::string_view("b"));
   csv.end_row();
-  for (const TraceRecord& record : snapshot()) {
+  for (const TraceRecord& record : records) {
     csv.field(record.at);
     csv.field(to_string(record.kind));
     csv.field(static_cast<std::int64_t>(record.host));

@@ -3,9 +3,11 @@
 // When enabled, datapath components record fixed-size events into a ring
 // buffer — cheap enough to leave on for debugging runs, bounded so long
 // simulations cannot exhaust memory.  The harness exposes the merged
-// trace through Metrics and the CLI (`--trace=N`), dump_csv() produces
-// plotting-friendly output, and the Perfetto exporter renders records as
-// instant events alongside pipeline spans (obs/export.h).
+// trace through Metrics and the CLI (`--trace=N`), write_trace_csv()
+// produces plotting-friendly output, and the Perfetto exporter renders
+// records as instant events alongside pipeline spans (obs/export.h).
+// KeepNewestRing is the one ring behind every recorder: the per-host
+// Tracer and the switch's per-port trace and hop rings.
 //
 // Kept in namespace hostsim (not hostsim::obs): the Tracer predates the
 // obs layer and every datapath component records through it.
@@ -60,15 +62,51 @@ struct TraceRecord {
   std::int64_t b = 0;
 };
 
+/// Renders `records` as CSV: header time_ns,kind,host,flow,a,b, then one
+/// row per record.
+void write_trace_csv(std::ostream& out, const std::vector<TraceRecord>& records);
+
+/// Fixed-capacity ring keeping the newest `capacity` entries; capacity 0
+/// keeps nothing.
+template <class T>
+class KeepNewestRing {
+ public:
+  explicit KeepNewestRing(std::size_t capacity = 0) : capacity_(capacity) {}
+
+  std::size_t capacity() const { return capacity_; }
+  std::size_t size() const { return ring_.size(); }
+
+  void push(const T& entry) {
+    if (capacity_ == 0) return;
+    if (ring_.size() < capacity_) {
+      ring_.push_back(entry);
+    } else {
+      ring_[next_] = entry;
+      next_ = (next_ + 1) % capacity_;
+    }
+  }
+
+  /// Appends the kept entries to `out`, oldest first.
+  void append_to(std::vector<T>& out) const {
+    // Once the ring wrapped, `next_` points at the oldest entry.
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+      out.push_back(ring_[(next_ + i) % ring_.size()]);
+    }
+  }
+
+ private:
+  std::size_t capacity_;
+  std::vector<T> ring_;
+  std::size_t next_ = 0;  ///< write cursor once full
+};
+
 class Tracer {
  public:
   /// capacity == 0 disables tracing entirely (record() is a no-op).
   explicit Tracer(std::size_t capacity = 0, int host = 0)
-      : capacity_(capacity), host_(host) {
-    if (capacity_ > 0) ring_.reserve(capacity_);
-  }
+      : ring_(capacity), host_(host) {}
 
-  bool enabled() const { return capacity_ > 0; }
+  bool enabled() const { return ring_.capacity() > 0; }
 
   void record(Nanos at, TraceKind kind, int flow, std::int64_t a = 0,
               std::int64_t b = 0);
@@ -82,13 +120,11 @@ class Tracer {
     return recorded_ > ring_.size() ? recorded_ - ring_.size() : 0;
   }
 
-  void dump_csv(std::ostream& out) const;
+  void dump_csv(std::ostream& out) const { write_trace_csv(out, snapshot()); }
 
  private:
-  std::size_t capacity_;
+  KeepNewestRing<TraceRecord> ring_;
   int host_;
-  std::vector<TraceRecord> ring_;
-  std::size_t next_ = 0;  ///< ring write cursor once full
   std::uint64_t recorded_ = 0;
 };
 

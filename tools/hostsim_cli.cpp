@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <iostream>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -363,14 +364,8 @@ int main(int argc, char** argv) {
   }
   if (!metrics.trace.empty()) {
     print_section("flight recorder (newest events)");
-    std::printf("time_ns,kind,host,flow,a,b\n");
-    for (const TraceRecord& record : metrics.trace) {
-      std::printf("%lld,%s,%d,%d,%lld,%lld\n",
-                  static_cast<long long>(record.at),
-                  std::string(to_string(record.kind)).c_str(), record.host,
-                  record.flow, static_cast<long long>(record.a),
-                  static_cast<long long>(record.b));
-    }
+    // std::cout stays synchronized with stdio, so the rows land in order.
+    write_trace_csv(std::cout, metrics.trace);
   }
   if (breakdown) {
     print_section("sender CPU breakdown");
