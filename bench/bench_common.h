@@ -7,6 +7,8 @@
 //   HOSTSIM_SHARDS=N  event-loop shards per point (default: 1 = serial;
 //                     artifacts are bit-identical at any value)
 //   HOSTSIM_CACHE=1   reuse .hostsim-cache/ results across invocations
+// A malformed HOSTSIM_JOBS/HOSTSIM_SHARDS ("abc", "1.5", "") exits 2 with
+// a one-line message instead of running as the default.
 #ifndef HOSTSIM_BENCH_BENCH_COMMON_H
 #define HOSTSIM_BENCH_BENCH_COMMON_H
 
@@ -16,6 +18,7 @@
 #include <vector>
 
 #include "hostsim.h"
+#include "tools/flags.h"
 
 
 namespace hostsim::bench {
@@ -44,10 +47,11 @@ inline ExperimentConfig quick_adjust(ExperimentConfig config, bool quick) {
 inline sweep::RunnerOptions env_runner_options() {
   sweep::RunnerOptions options;
   if (const char* jobs = std::getenv("HOSTSIM_JOBS")) {
-    options.jobs = std::atoi(jobs);
+    options.jobs = static_cast<int>(tools::int_flag(jobs, "HOSTSIM_JOBS"));
   }
   if (const char* shards = std::getenv("HOSTSIM_SHARDS")) {
-    options.shards = std::atoi(shards);
+    options.shards =
+        static_cast<int>(tools::int_flag(shards, "HOSTSIM_SHARDS"));
   }
   const char* cache = std::getenv("HOSTSIM_CACHE");
   options.use_cache = cache != nullptr && cache[0] != '\0' &&
