@@ -4,10 +4,13 @@
 #ifndef HOSTSIM_TOOLS_FLAGS_H
 #define HOSTSIM_TOOLS_FLAGS_H
 
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
+#include <string>
 #include <string_view>
 
 #include "sim/fault_spec.h"
@@ -32,18 +35,40 @@ inline std::optional<std::string_view> flag_value(std::string_view arg,
   std::exit(2);
 }
 
-/// The whole value as an integer (parse_int): "", "12x" and "1.5" exit 2.
-inline std::int64_t int_flag(std::string_view value, const char* what) {
+/// The whole value as an integer (parse_int) of at least `min`: "",
+/// "12x", "1.5" and values below `min` exit 2.
+inline std::int64_t int_flag(
+    std::string_view value, const char* what,
+    std::int64_t min = std::numeric_limits<std::int64_t>::min()) {
   const std::optional<std::int64_t> parsed = parse_int(value);
   if (!parsed) invalid_flag(what, value, "an integer");
+  if (*parsed < min) {
+    invalid_flag(what, value,
+                 ("an integer >= " + std::to_string(min)).c_str());
+  }
   return *parsed;
 }
 
-/// The whole value as a number (parse_num): "" and "12x" exit 2.
-inline double num_flag(std::string_view value, const char* what) {
+/// The whole value as a number (parse_num) in [min, max]: "", "12x",
+/// "nan" and values outside the range exit 2.
+inline double num_flag(std::string_view value, const char* what,
+                       double min = -HUGE_VAL, double max = HUGE_VAL) {
   const std::optional<double> parsed = parse_num(value);
-  if (!parsed) invalid_flag(what, value, "a number");
+  if (!parsed || std::isnan(*parsed)) invalid_flag(what, value, "a number");
+  if (*parsed < min || *parsed > max) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "a number in [%g, %g]", min,
+                  max);
+    invalid_flag(what, value, expected);
+  }
   return *parsed;
+}
+
+/// num_flag for quantities that must be strictly positive (rates).
+inline double positive_flag(std::string_view value, const char* what) {
+  const double parsed = num_flag(value, what);
+  if (parsed <= 0) invalid_flag(what, value, "a number > 0");
+  return parsed;
 }
 
 }  // namespace hostsim::tools

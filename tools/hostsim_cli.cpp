@@ -175,12 +175,13 @@ int main(int argc, char** argv) {
     else if (auto v = flag_value(arg, "--pattern")) {
       config.traffic.pattern = parse_pattern(*v);
     } else if (auto v = flag_value(arg, "--flows")) {
-      config.traffic.flows = static_cast<int>(int_flag(*v, "--flows"));
+      config.traffic.flows = static_cast<int>(int_flag(*v, "--flows", 0));
     } else if (auto v = flag_value(arg, "--rpc-kb")) {
-      config.traffic.rpc_size = int_flag(*v, "--rpc-kb") * kKiB;
+      config.traffic.rpc_size = int_flag(*v, "--rpc-kb", 1) * kKiB;
     } else if (auto v = flag_value(arg, "--open-loop-rate")) {
       config.traffic.workload.enabled = true;
-      config.traffic.workload.rate_rps = num_flag(*v, "--open-loop-rate");
+      config.traffic.workload.rate_rps =
+          positive_flag(*v, "--open-loop-rate");
     } else if (auto v = flag_value(arg, "--arrivals")) {
       config.traffic.workload.enabled = true;
       if (*v == "poisson") config.traffic.workload.arrivals = ArrivalProcess::poisson;
@@ -195,10 +196,10 @@ int main(int argc, char** argv) {
     } else if (auto v = flag_value(arg, "--fan-out")) {
       config.traffic.workload.enabled = true;
       config.traffic.workload.fan_out =
-          static_cast<int>(int_flag(*v, "--fan-out"));
+          static_cast<int>(int_flag(*v, "--fan-out", 1));
     } else if (auto v = flag_value(arg, "--churn")) {
       config.traffic.workload.enabled = true;
-      config.traffic.workload.churn_prob = num_flag(*v, "--churn");
+      config.traffic.workload.churn_prob = num_flag(*v, "--churn", 0, 1);
     } else if (auto v = flag_value(arg, "--slo-us")) {
       config.traffic.workload.enabled = true;
       config.traffic.workload.slo = int_flag(*v, "--slo-us") * kMicrosecond;
@@ -219,25 +220,27 @@ int main(int argc, char** argv) {
       else if (*v == "bbr") config.stack.cc = CcAlgo::bbr;
       else usage(2);
     } else if (auto v = flag_value(arg, "--ring")) {
-      config.stack.nic_ring_size = static_cast<int>(int_flag(*v, "--ring"));
+      config.stack.nic_ring_size =
+          static_cast<int>(int_flag(*v, "--ring", 1));
     } else if (auto v = flag_value(arg, "--rxbuf-kb")) {
       config.stack.tcp_rx_buf = int_flag(*v, "--rxbuf-kb") * kKiB;
     } else if (auto v = flag_value(arg, "--gbps")) {
-      config.link_gbps = num_flag(*v, "--gbps");
+      config.link_gbps = positive_flag(*v, "--gbps");
     } else if (auto v = flag_value(arg, "--loss")) {
-      config.loss_rate = num_flag(*v, "--loss");
+      config.loss_rate = num_flag(*v, "--loss", 0, 1);
     } else if (arg == "--switch") {
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--hosts")) {
-      config.topology.num_hosts = static_cast<int>(int_flag(*v, "--hosts"));
+      config.topology.num_hosts =
+          static_cast<int>(int_flag(*v, "--hosts", 2));
       if (config.topology.num_hosts > 2) config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--switch-buffer-kb")) {
       config.topology.switch_buffer =
-          int_flag(*v, "--switch-buffer-kb") * kKiB;
+          int_flag(*v, "--switch-buffer-kb", 0) * kKiB;
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--switch-ecn-kb")) {
       config.topology.switch_ecn_bytes =
-          int_flag(*v, "--switch-ecn-kb") * kKiB;
+          int_flag(*v, "--switch-ecn-kb", 0) * kKiB;
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--port-gbps")) {
       config.topology.port_gbps = num_flag(*v, "--port-gbps");
@@ -247,7 +250,7 @@ int main(int argc, char** argv) {
     } else if (auto v = flag_value(arg, "--flap")) {
       fault_spec(parse_flap_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--corrupt")) {
-      config.faults.corrupt_rate = num_flag(*v, "--corrupt");
+      config.faults.corrupt_rate = num_flag(*v, "--corrupt", 0, 1);
     } else if (auto v = flag_value(arg, "--stall")) {
       fault_spec(parse_stall_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--pressure")) {
@@ -259,30 +262,31 @@ int main(int argc, char** argv) {
     } else if (auto v = flag_value(arg, "--retries")) {
       config.traffic.resilience.enabled = true;
       config.traffic.resilience.max_retries =
-          static_cast<int>(int_flag(*v, "--retries"));
+          static_cast<int>(int_flag(*v, "--retries", 0));
     } else if (auto v = flag_value(arg, "--rpc-deadline-ms")) {
       config.traffic.resilience.enabled = true;
       config.traffic.resilience.deadline =
-          int_flag(*v, "--rpc-deadline-ms") * kMillisecond;
+          int_flag(*v, "--rpc-deadline-ms", 1) * kMillisecond;
     } else if (auto v = flag_value(arg, "--watchdog-ms")) {
-      config.watchdog.period = int_flag(*v, "--watchdog-ms") * kMillisecond;
+      config.watchdog.period =
+          int_flag(*v, "--watchdog-ms", 0) * kMillisecond;
     } else if (arg == "--no-invariants") {
       config.check_invariants = false;
     } else if (auto v = flag_value(arg, "--warmup-ms")) {
-      config.warmup = int_flag(*v, "--warmup-ms") * kMillisecond;
+      config.warmup = int_flag(*v, "--warmup-ms", 0) * kMillisecond;
     } else if (auto v = flag_value(arg, "--duration-ms")) {
-      config.duration = int_flag(*v, "--duration-ms") * kMillisecond;
+      config.duration = int_flag(*v, "--duration-ms", 1) * kMillisecond;
     } else if (auto v = flag_value(arg, "--seed")) {
       config.seed = static_cast<std::uint64_t>(int_flag(*v, "--seed"));
     } else if (auto v = flag_value(arg, "--shards")) {
-      config.shards = static_cast<int>(int_flag(*v, "--shards"));
+      config.shards = static_cast<int>(int_flag(*v, "--shards", 1));
     } else if (auto v = flag_value(arg, "--trace")) {
       config.obs.trace_capacity =
           static_cast<std::size_t>(int_flag(*v, "--trace"));
     } else if (auto v = flag_value(arg, "--obs-spans")) {
-      config.obs.span_rate = num_flag(*v, "--obs-spans");
+      config.obs.span_rate = num_flag(*v, "--obs-spans", 0, 1);
     } else if (auto v = flag_value(arg, "--obs-trace")) {
-      config.obs.trace_rate = num_flag(*v, "--obs-trace");
+      config.obs.trace_rate = num_flag(*v, "--obs-trace", 0, 1);
     } else if (auto v = flag_value(arg, "--obs-sample-us")) {
       config.obs.sample_period =
           int_flag(*v, "--obs-sample-us") * kMicrosecond;
@@ -300,6 +304,12 @@ int main(int argc, char** argv) {
   }
 
   if (config.traffic.pattern == Pattern::single_flow) config.traffic.flows = 1;
+  // Zero flows means something only to the mixed pattern: its long flow
+  // runs alone.
+  if (config.traffic.flows == 0 && config.traffic.pattern != Pattern::mixed) {
+    invalid_flag("--flows", "0",
+                 "an integer >= 1; 0 only with --pattern=mixed");
+  }
 
   const Metrics metrics = run_experiment(config);
 
