@@ -64,7 +64,8 @@ struct TraceRecord {
 
 /// Renders `records` as CSV: header time_ns,kind,host,flow,a,b, then one
 /// row per record.
-void write_trace_csv(std::ostream& out, const std::vector<TraceRecord>& records);
+void write_trace_csv(std::ostream& out,
+                     const std::vector<TraceRecord>& records);
 
 /// Fixed-capacity ring keeping the newest `capacity` entries; capacity 0
 /// keeps nothing.

@@ -39,8 +39,8 @@ Observer::Observer(std::vector<EventLoop*> loops,
 
 std::int32_t Observer::span_start(int host, int flow, std::int64_t seq,
                                   Bytes len, Nanos now) {
-  const std::int32_t index = span_tracers_[static_cast<std::size_t>(host)]
-                                 .maybe_start(host, flow, seq, len, now);
+  const std::int32_t index =
+      span_tracers_[host_index(host)].maybe_start(host, flow, seq, len, now);
   if (index < 0) return -1;
   return (host << kSpanIdxBits) | index;
 }
@@ -70,12 +70,12 @@ void Observer::span_complete(std::int32_t id) {
 }
 
 RequestTracer& Observer::requests(int host) {
-  return request_tracers_.at(static_cast<std::size_t>(host));
+  return request_tracers_[host_index(host)];
 }
 
 void Observer::request_latency(int host, std::string_view cls, Nanos value,
                                Nanos now) {
-  LatencyMonitor& monitor = monitors_.at(static_cast<std::size_t>(host));
+  LatencyMonitor& monitor = monitors_[host_index(host)];
   if (!monitor.enabled()) return;
   monitor.record("class." + std::string(cls), value, now);
 }

@@ -33,6 +33,7 @@
 #include "obs/request_trace.h"
 #include "obs/sampler.h"
 #include "obs/span.h"
+#include "sim/contract.h"
 #include "sim/event_loop.h"
 
 namespace hostsim::obs {
@@ -122,6 +123,14 @@ class Observer {
     return span_tracers_[static_cast<std::size_t>(id >> kSpanIdxBits)];
   }
   static std::int32_t index_of(std::int32_t id) { return id & kSpanIdxMask; }
+
+  /// `host` as an index into the per-host structures.
+  std::size_t host_index(int host) const {
+    require(host >= 0 &&
+                static_cast<std::size_t>(host) < shard_of_host_.size(),
+            "host outside the observer's topology");
+    return static_cast<std::size_t>(host);
+  }
 
   ObsConfig config_;
   Registry registry_;
