@@ -10,11 +10,11 @@
 // with (the Observer passes the ones whose owner hosts live on its
 // shard — every entry when serial), and its ticks are scheduled through
 // the cross-shard delivery band with a canonical key (`sent` = the tick
-// time, subkey above every real delivery).  That
-// key ranks the tick after *every* other event at the same instant
-// regardless of shard count or local insertion sequences, so the values
-// a tick observes — and therefore every exported artifact — are
-// byte-identical serial vs `--shards=N`.
+// time, subkey above every real delivery).  That key ranks the tick
+// after *every* other event at the same instant regardless of shard
+// count or local insertion sequences, so the values a tick observes —
+// and therefore every exported artifact — are byte-identical serial vs
+// `--shards=N`.
 //
 // All instruments must be registered before start(); the column set is
 // frozen at the first tick so exported CSV/JSON stay rectangular.
