@@ -33,7 +33,8 @@ using namespace hostsim::tools;
 workload:
   --pattern=NAME      single | one-to-one | incast | outcast | all-to-all
                       | rpc | mixed | open-loop  (default: single)
-  --flows=N           flows / clients / n-by-n scale      (default: 1)
+  --flows=N           flows / clients / n-by-n scale      (default: 1;
+                      mixed: short flows, 0 = the long flow alone)
   --rpc-kb=N          RPC request=response size in KB     (default: 4)
   --remote-numa       pin the receiver app to a NIC-remote NUMA node
   --segregate         mixed pattern: short flows on their own core
