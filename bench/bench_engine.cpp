@@ -225,12 +225,7 @@ std::vector<BenchResult> bench_fig05_family(bool quick) {
 /// tests/core/shard_pinning_test); here the executed-event count doubles
 /// as a cheap determinism check, and the rate quotient
 /// cluster_scaling_shards_K / cluster_scaling_shards_1 is the scaling
-/// figure --gate-scaling (and CI's shard-smoke job) asserts on.  As in
-/// the fig. 5 family, reps are interleaved across the shard counts and
-/// each takes its best wall time.  Every round waits for its slowest
-/// shard thread, so on a shared runner one descheduled thread can slow
-/// a whole sharded run; --quick runs are short enough for that to
-/// decide a single rep, hence more reps there.
+/// figure --gate-scaling (and CI's shard-smoke job) asserts on.
 std::vector<BenchResult> bench_cluster_scaling(bool quick) {
   ExperimentConfig config;
   config.topology.num_hosts = 64;
@@ -247,7 +242,7 @@ std::vector<BenchResult> bench_cluster_scaling(bool quick) {
   }
 
   std::uint64_t serial_events = 0;
-  const int reps = quick ? 7 : 3;
+  const int reps = quick ? 1 : 3;
   for (int rep = 0; rep < reps; ++rep) {
     for (std::size_t v = 0; v < results.size(); ++v) {
       ExperimentConfig run_config = config;
