@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "sim/contract.h"
+#include "sim/fault_spec.h"
 
 namespace hostsim {
 namespace {
@@ -305,6 +306,8 @@ void Cluster::build_degenerate() {
 
 void Cluster::build_faults() {
   if (!config_.faults.any()) return;
+  require(!check_fault_targets(config_.faults, num_hosts()),
+          "fault window names a link, host or port outside the cluster");
   // Constructed after the links and hosts so the fault fork leaves their
   // stream assignments — and therefore every fault-free run — untouched.
   // Shard 0 takes the stream a serial run forks; the other shards take
@@ -331,8 +334,6 @@ void Cluster::register_crash_handler(FaultInjector& injector) {
   if (injector.plan().host_crashes.empty()) return;
   injector.set_crash_handler([this](int crashed, bool up) {
     if (up) return;  // restart: fresh sockets arrive via app reconnects
-    require(crashed >= 0 && crashed < num_hosts(),
-            "crash fault names a host outside the cluster");
     // Sharded runs filter crash windows to the victim's own shard, so
     // this handler runs on — and only touches — that shard's state.
     Host& victim = host(crashed);
@@ -355,14 +356,13 @@ void Cluster::register_crash_handler(FaultInjector& injector) {
 
 FaultPlan Cluster::shard_fault_plan(int shard) const {
   // The probabilistic faults pass through (shardable() admits them only
-  // at K = 1).  Each window lands on the shard owning its link/host/port;
-  // one naming no host of this cluster — global link < 0 flaps and
-  // host < 0 stalls — replicates everywhere so every consulting
-  // component sees it locally.  At K = 1 the plan is unchanged.
+  // at K = 1).  Each window lands on the shard owning its link/host/port
+  // (build_faults() checked they all exist); global windows — link < 0
+  // flaps and host < 0 stalls — replicate everywhere so every consulting
+  // component sees them locally.  At K = 1 the plan is unchanged.
   FaultPlan plan = config_.faults;
   const auto owned = [this, shard](int host) {
-    const auto h = static_cast<std::size_t>(host);  // negative: huge
-    return h >= shard_of_host_.size() || shard_of_host_[h] == shard;
+    return host < 0 || shard_of_host_[static_cast<std::size_t>(host)] == shard;
   };
   std::erase_if(plan.link_flaps,
                 [&](const LinkFlap& flap) { return !owned(flap.link); });

@@ -242,8 +242,9 @@ class Cluster {
   void build_degenerate();
   void build_cluster();
   /// One injector per shard over shard_fault_plan(s), wired into that
-  /// shard's links and NICs; nothing when the plan is empty.  Runs after
-  /// the links and hosts exist, so its RNG fork follows theirs.
+  /// shard's links and NICs; nothing when the plan is empty.  Requires
+  /// every window to name an existing link/host/port (check_fault_targets).
+  /// Runs after the links and hosts exist, so its RNG fork follows theirs.
   void build_faults();
   /// Validates the sharded-mode restrictions (see cluster.cpp) and
   /// computes the host -> shard partition.

@@ -225,4 +225,29 @@ std::optional<std::string> parse_blackhole_spec(std::string_view value,
   return std::nullopt;
 }
 
+std::optional<std::string> check_fault_targets(const FaultPlan& plan,
+                                               int num_hosts) {
+  std::optional<std::string> error;
+  const auto check = [&](bool global, int id, const char* flag,
+                         const char* what) {
+    if (error || global || (id >= 0 && id < num_hosts)) return;
+    error = std::string(flag) + ": " + what + " " + std::to_string(id) +
+            " is outside this " + std::to_string(num_hosts) +
+            "-host run (ids 0.." + std::to_string(num_hosts - 1) + ")";
+  };
+  for (const LinkFlap& f : plan.link_flaps) {
+    check(f.link < 0, f.link, "--flap", "link");
+  }
+  for (const RingStall& s : plan.ring_stalls) {
+    check(s.host < 0, s.host, "--stall", "host");
+  }
+  for (const HostCrash& c : plan.host_crashes) {
+    check(false, c.host, "--crash", "host");
+  }
+  for (const PortBlackhole& b : plan.port_blackholes) {
+    check(false, b.port, "--blackhole", "port");
+  }
+  return error;
+}
+
 }  // namespace hostsim

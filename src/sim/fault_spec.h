@@ -44,6 +44,12 @@ std::optional<std::string> parse_crash_spec(std::string_view value,
 std::optional<std::string> parse_blackhole_spec(std::string_view value,
                                                 FaultPlan& plan);
 
+/// The plan's first window that names a link, host or port outside
+/// [0, num_hosts) — a negative flap link or stall host means "every" —
+/// as a one-line message, or std::nullopt when every target exists.
+std::optional<std::string> check_fault_targets(const FaultPlan& plan,
+                                               int num_hosts);
+
 }  // namespace hostsim
 
 #endif  // HOSTSIM_SIM_FAULT_SPEC_H

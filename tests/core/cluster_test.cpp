@@ -189,6 +189,21 @@ TEST(ClusterTest, SingleLinkFlapPerturbsOnlyThatLinksFlows) {
   }
 }
 
+// A window aimed at a link the cluster does not have fails the build at
+// every shard count, rather than running as a flap that each shard
+// counts for itself.
+TEST(ClusterDeathTest, FaultWindowOutsideTheClusterIsRejected) {
+  ExperimentConfig config;
+  config.topology.num_hosts = 4;
+  config.topology.use_switch = true;
+  config.faults.link_flaps.push_back(
+      {5 * kMillisecond, 2 * kMillisecond, /*link=*/4});
+  for (const int shards : {1, 2}) {
+    config.shards = shards;
+    EXPECT_DEATH(Cluster cluster(config), "outside the cluster");
+  }
+}
+
 // The cluster experiment path reports per-host and fabric rollups; the
 // legacy 2-host path must omit them entirely (their presence would
 // change historical metrics JSON byte-for-byte).

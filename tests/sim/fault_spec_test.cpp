@@ -94,5 +94,29 @@ TEST(FaultSpecTest, ErrorNamesTheFlagAndOffendingValue) {
   EXPECT_EQ(error->rfind("--blackhole=abc,10,5: ", 0), 0u) << *error;
 }
 
+TEST(FaultSpecTest, TargetsMustExistInTheRun) {
+  FaultPlan plan;
+  ASSERT_FALSE(parse_flap_spec("1,1", plan));       // every link
+  ASSERT_FALSE(parse_stall_spec("1,1,0", plan));    // queue 0 everywhere
+  ASSERT_FALSE(parse_flap_spec("1,1,8", plan));
+  ASSERT_FALSE(parse_stall_spec("1,1,0,8", plan));
+  ASSERT_FALSE(parse_crash_spec("8,1,1", plan));
+  ASSERT_FALSE(parse_blackhole_spec("8,1,1", plan));
+  EXPECT_FALSE(check_fault_targets(plan, 9));
+
+  const auto error = check_fault_targets(plan, 8);
+  ASSERT_TRUE(error.has_value());
+  EXPECT_EQ(*error, "--flap: link 8 is outside this 8-host run (ids 0..7)");
+  plan.link_flaps.pop_back();
+  EXPECT_EQ(check_fault_targets(plan, 8)->rfind("--stall: host 8 ", 0), 0u);
+  plan.ring_stalls.pop_back();
+  EXPECT_EQ(check_fault_targets(plan, 8)->rfind("--crash: host 8 ", 0), 0u);
+  plan.host_crashes.clear();
+  EXPECT_EQ(check_fault_targets(plan, 8)->rfind("--blackhole: port 8 ", 0),
+            0u);
+  plan.port_blackholes.clear();
+  EXPECT_FALSE(check_fault_targets(plan, 2));  // only global windows left
+}
+
 }  // namespace
 }  // namespace hostsim

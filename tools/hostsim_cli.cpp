@@ -311,6 +311,7 @@ int main(int argc, char** argv) {
     invalid_flag("--flows", "0",
                  "an integer >= 1; 0 only with --pattern=mixed");
   }
+  fault_spec(check_fault_targets(config.faults, config.topology.num_hosts));
 
   const Metrics metrics = run_experiment(config);
 
