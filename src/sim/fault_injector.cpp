@@ -25,10 +25,6 @@ GilbertElliottConfig GilbertElliottConfig::for_average_loss(
   return config;
 }
 
-FaultInjector::FaultInjector(EventLoop& loop, FaultPlan plan)
-    : FaultInjector(loop, std::move(plan), loop.rng().fork(),
-                    /*count_global_windows=*/true) {}
-
 FaultInjector::FaultInjector(EventLoop& loop, FaultPlan plan, Rng rng,
                              bool count_global_windows)
     : loop_(&loop),

@@ -144,16 +144,13 @@ class FaultInjector {
     corrupt,      ///< deliver, but flag the frame checksum-failed
   };
 
-  /// Schedules the plan's window faults on `loop` and forks a dedicated
-  /// RNG stream for the probabilistic ones.
-  FaultInjector(EventLoop& loop, FaultPlan plan);
-
-  /// Sharded-cluster form: one injector per shard, scheduling a plan
-  /// pre-filtered to the shard's hosts/links on the shard's own loop,
-  /// drawing from an explicitly provided (seed-deterministic) stream.
-  /// Global windows (LinkFlap::link < 0, host-less ring stalls) are
-  /// replicated into every shard's plan; `count_global_windows` is true
-  /// on exactly one shard so the merged `flaps` counter matches serial.
+  /// Schedules the plan's window faults on `loop` and draws the
+  /// probabilistic ones from `rng`, a dedicated (seed-deterministic)
+  /// stream.  A cluster builds one per shard over the plan filtered to
+  /// the shard's hosts/links, which replicates global windows
+  /// (LinkFlap::link < 0, host-less ring stalls) into every shard;
+  /// `count_global_windows` is true on exactly one shard so the merged
+  /// `flaps` counter matches serial.
   FaultInjector(EventLoop& loop, FaultPlan plan, Rng rng,
                 bool count_global_windows);
 

@@ -168,7 +168,8 @@ TEST(SwitchTest, PortFlapDropsOnlyThatPortsTraffic) {
   EventLoop loop;
   FaultPlan plan;
   plan.link_flaps.push_back({1000, 1000, /*link=*/1});
-  FaultInjector faults(loop, plan);
+  FaultInjector faults(loop, plan, loop.rng().fork(),
+                       /*count_global_windows=*/true);
   Switch::Config config;
   config.num_ports = 3;
   Switch sw(loop, config);

@@ -40,7 +40,8 @@ TEST(GilbertElliottTest, MatchedAverageConstructionHitsTargetRate) {
   ASSERT_TRUE(plan.gilbert_elliott.enabled);
 
   EventLoop loop(7);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
   const int frames = 2'000'000;
   const LossTally tally = drive(injector, frames);
   const double observed = static_cast<double>(tally.drops) / frames;
@@ -56,7 +57,8 @@ TEST(GilbertElliottTest, LossIsBursty) {
   plan.gilbert_elliott = GilbertElliottConfig::for_average_loss(target);
 
   EventLoop loop(11);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
   const LossTally tally = drive(injector, 4'000'000);
   ASSERT_GT(tally.frames_after_drop, 100);
   const double marginal = static_cast<double>(tally.drops) / 4'000'000;
@@ -76,7 +78,8 @@ TEST(FaultInjectorTest, SameSeedSameFaults) {
   std::vector<FaultInjector::WireFault> first, second;
   for (auto* out : {&first, &second}) {
     EventLoop loop(42);
-    FaultInjector injector(loop, plan);
+    FaultInjector injector(loop, plan, loop.rng().fork(),
+                           /*count_global_windows=*/true);
     for (int i = 0; i < 100'000; ++i) out->push_back(injector.on_frame(i % 2));
   }
   EXPECT_EQ(first, second);
@@ -87,7 +90,8 @@ TEST(FaultInjectorTest, LinkFlapWindowDropsEverything) {
   plan.link_flaps.push_back({1000, 500});
 
   EventLoop loop(1);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
 
   EXPECT_TRUE(injector.link_up());
   loop.run_until(1200);  // inside the outage
@@ -106,7 +110,8 @@ TEST(FaultInjectorTest, RingStallTargetsTheRightQueue) {
   plan.ring_stalls.push_back({3000, 500, /*queue=*/-1});
 
   EventLoop loop(1);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
 
   EXPECT_FALSE(injector.ring_stalled(2));
   loop.run_until(1200);
@@ -126,7 +131,8 @@ TEST(FaultInjectorTest, TargetedLinkFlapDownsOnlyThatLink) {
   plan.link_flaps.push_back({1000, 500, /*link=*/2});
 
   EventLoop loop(1);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
 
   EXPECT_TRUE(injector.link_up(2));
   loop.run_until(1200);  // inside the outage
@@ -149,7 +155,8 @@ TEST(FaultInjectorTest, OverlappingTargetedAndGlobalFlapsNest) {
   plan.link_flaps.push_back({1500, 500});  // global (link = -1)
 
   EventLoop loop(1);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
 
   loop.run_until(1200);  // only the targeted flap is open
   EXPECT_FALSE(injector.link_up(1));
@@ -170,7 +177,8 @@ TEST(FaultInjectorTest, RingStallTargetsTheRightHost) {
   plan.ring_stalls.push_back({1000, 500, /*queue=*/-1, /*host=*/3});
 
   EventLoop loop(1);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
 
   loop.run_until(1200);
   EXPECT_TRUE(injector.ring_stalled(/*host=*/3, /*queue=*/0));
@@ -185,7 +193,8 @@ TEST(FaultInjectorTest, PoolPressureWindowDeniesAllocations) {
   plan.pool_pressure.push_back({1000, 500, /*deny_prob=*/1.0});
 
   EventLoop loop(1);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
 
   EXPECT_TRUE(injector.pool_alloc_allowed());
   loop.run_until(1200);
@@ -200,7 +209,8 @@ TEST(FaultInjectorTest, EmptyPlanIsInert) {
   EXPECT_FALSE(plan.any());
 
   EventLoop loop(1);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
   for (int i = 0; i < 1000; ++i) {
     EXPECT_EQ(injector.on_frame(0), FaultInjector::WireFault::none);
   }
@@ -214,7 +224,8 @@ TEST(FaultInjectorTest, CorruptionDeliversFlagged) {
   plan.corrupt_rate = 0.5;
 
   EventLoop loop(3);
-  FaultInjector injector(loop, plan);
+  FaultInjector injector(loop, plan, loop.rng().fork(),
+                         /*count_global_windows=*/true);
   int corrupt = 0;
   for (int i = 0; i < 10'000; ++i) {
     if (injector.on_frame(0) == FaultInjector::WireFault::corrupt) ++corrupt;
