@@ -9,7 +9,11 @@
 //    the pre-seam tree), plus a Homa 8:1 incast and a zero-copy,
 //    remote-NUMA, aRFS-off one-to-one (captured before TCP and Homa
 //    moved onto the shared socket core) that reach the core's
-//    message-copy, pin/remap and contended-lock paths.
+//    message-copy, pin/remap and contended-lock paths,
+//  * traced RPC runs (ping-pong incast under both transports, the
+//    fig. 11 mixed pattern, and a resilient incast through a host
+//    crash), each pinned by its metrics JSON and by its request-class
+//    rollup, which carries the client class names and span latencies.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -121,6 +125,86 @@ TEST(TransportPinning, ZeroCopyRemoteNumaShortRunBitIdentical) {
   EXPECT_DOUBLE_EQ(metrics.total_gbps, 99.017877333333331);
   EXPECT_EQ(metrics.app_bytes, 37131704);
   EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x509cd80b974fc97full);
+}
+
+/// Fingerprint of the per-class request rollup (never serialized).
+std::uint64_t classes_fingerprint(const Metrics& metrics) {
+  std::string text;
+  for (const obs::RequestClassSummary& cls : metrics.obs_classes) {
+    text += cls.cls + "," + std::to_string(cls.requests) + "," +
+            std::to_string(cls.p50) + "," + std::to_string(cls.p99) + "," +
+            std::to_string(cls.retries) + ";";
+  }
+  return fnv1a(text);
+}
+
+ExperimentConfig traced_rpc_config(TransportKind transport) {
+  ExperimentConfig config;
+  config.stack.transport.kind = transport;
+  config.traffic.pattern = Pattern::rpc_incast;
+  config.traffic.flows = 16;
+  config.traffic.rpc_size = 16 * kKiB;
+  config.obs.trace_rate = 0.3;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 6 * kMillisecond;
+  return config;
+}
+
+TEST(TransportPinning, RpcIncast16ShortRunBitIdentical) {
+  const Metrics metrics = run_experiment(traced_rpc_config(TransportKind::tcp));
+  ASSERT_EQ(metrics.obs_classes.size(), 1u);
+  EXPECT_EQ(metrics.obs_classes[0].cls, "rpc");
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x674c4060967ee3ceull);
+  EXPECT_EQ(classes_fingerprint(metrics), 0x78b536d19a3766f5ull);
+}
+
+TEST(TransportPinning, HomaRpcIncast16ShortRunBitIdentical) {
+  const Metrics metrics =
+      run_experiment(traced_rpc_config(TransportKind::homa));
+  ASSERT_EQ(metrics.obs_classes.size(), 1u);
+  EXPECT_EQ(metrics.obs_classes[0].cls, "rpc");
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xdba5871e395ebe70ull);
+  EXPECT_EQ(classes_fingerprint(metrics), 0xc0e9bbabd7453cf2ull);
+}
+
+// One long flow sharing its cores with 8 ping-pong RPC flows (fig. 11).
+TEST(TransportPinning, Mixed8ShortRunBitIdentical) {
+  ExperimentConfig config;
+  config.traffic.pattern = Pattern::mixed;
+  config.traffic.flows = 8;
+  config.obs.trace_rate = 0.5;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 6 * kMillisecond;
+  const Metrics metrics = run_experiment(config);
+  ASSERT_EQ(metrics.obs_classes.size(), 1u);
+  EXPECT_EQ(metrics.obs_classes[0].cls, "rpc");
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xf94f9dd74ce33a53ull);
+  EXPECT_EQ(classes_fingerprint(metrics), 0xcfc4cd1ff01bb19aull);
+}
+
+// Deadline/retry clients riding out a receiver crash on a 9-host switch:
+// retries, reconnects and server rebinds all happen inside the window.
+TEST(TransportPinning, ResilientCrashRpcShortRunBitIdentical) {
+  ExperimentConfig config;
+  config.traffic.pattern = Pattern::rpc_incast;
+  config.traffic.flows = 8;
+  config.topology.num_hosts = 9;
+  config.topology.use_switch = true;
+  config.topology.switch_buffer = 512 * kKiB;
+  config.faults.host_crashes.push_back(
+      {3 * kMillisecond, kMillisecond / 2, 8});
+  config.traffic.resilience.enabled = true;
+  config.traffic.resilience.max_retries = 3;
+  config.obs.trace_rate = 0.5;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 6 * kMillisecond;
+  const Metrics metrics = run_experiment(config);
+  EXPECT_GT(metrics.recovery.rpc_retries, 0u);
+  ASSERT_EQ(metrics.obs_classes.size(), 1u);
+  EXPECT_EQ(metrics.obs_classes[0].cls, "rpc_resilient");
+  EXPECT_GT(metrics.obs_classes[0].retries, 0u);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x810fe09576db2236ull);
+  EXPECT_EQ(classes_fingerprint(metrics), 0x52c7ca43c858c9a8ull);
 }
 
 }  // namespace
