@@ -406,7 +406,7 @@ Metrics Experiment::run() {
         }
       }
     }
-    const ResilientRpcClient::Counters totals = workload.rpc_recovery_totals();
+    const RpcClient::Counters totals = workload.rpc_recovery_totals();
     metrics.recovery.rpc_retries = totals.retries;
     metrics.recovery.rpc_timeouts = totals.timeouts;
     metrics.recovery.rpc_resets = totals.resets;

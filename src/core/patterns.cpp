@@ -25,34 +25,36 @@ void add_long_flow(Cluster& cluster, Workload& workload,
       traffic.app_chunk));
 }
 
-/// Builds the client end of one RPC connection: a plain ping-pong client
-/// or — when traffic.resilience is enabled — a resilient client whose
-/// reconnect hook replaces the flow and rebinds the paired server.  The
-/// jitter RNG forks from the loop's root generator here, *after* cluster
-/// construction, so fault/wire stream assignments are untouched (and no
-/// fork at all happens for non-resilient workloads).
-void add_rpc_client(Cluster& cluster, Workload& workload,
-                    const TrafficConfig& traffic, Core& client_core,
-                    int client_host, TransportSocket& at_sender,
-                    RpcServer* server) {
-  if (!traffic.resilience.enabled) {
-    workload.rpc_clients.push_back(std::make_unique<RpcClient>(
-        client_core, at_sender, traffic.rpc_size));
-    workload.rpc_clients.back()->set_observer(cluster.observer(),
-                                              client_host);
-    return;
-  }
+/// One ping-pong RPC connection: a client on `src` and the server
+/// process echoing it on `dst`.  With traffic.resilience enabled the
+/// client's reconnect hook replaces the flow and rebinds the paired
+/// server, and its jitter RNG forks from the loop's root generator here,
+/// *after* cluster construction, so fault/wire stream assignments are
+/// untouched (and no fork at all happens for non-resilient workloads).
+void add_rpc_pair(Cluster& cluster, Workload& workload,
+                  const TrafficConfig& traffic, Cluster::FlowEndpoint src,
+                  Cluster::FlowEndpoint dst) {
+  auto endpoints = cluster.make_flow(src, dst);
+  RpcServer* server =
+      workload.rpc_servers
+          .emplace_back(std::make_unique<RpcServer>(
+              cluster.host(dst.host).core(dst.core), *endpoints.at_receiver,
+              traffic.rpc_size))
+          .get();
+  server->set_observer(cluster.observer(), dst.host);
   Cluster* cl = &cluster;
   auto reconnect = [cl, server](Core& core, int old_flow) {
     Cluster::FlowEndpoints fresh = cl->reconnect_flow(core, old_flow);
     server->rebind(*fresh.at_receiver);
     return fresh.at_sender;
   };
-  workload.resilient_clients.push_back(std::make_unique<ResilientRpcClient>(
-      client_core, at_sender, traffic.rpc_size, traffic.resilience,
-      cluster.fork_rng(), std::move(reconnect)));
-  workload.resilient_clients.back()->set_observer(cluster.observer(),
-                                                  client_host);
+  RpcClient& client = *workload.rpc_clients.emplace_back(
+      std::make_unique<RpcClient>(
+          cluster.host(src.host).core(src.core), *endpoints.at_sender,
+          traffic.rpc_size, traffic.resilience,
+          traffic.resilience.enabled ? cluster.fork_rng() : Rng(),
+          std::move(reconnect)));
+  client.set_observer(cluster.observer(), src.host);
 }
 
 }  // namespace
@@ -60,14 +62,12 @@ void add_rpc_client(Cluster& cluster, Workload& workload,
 void Workload::start() {
   for (auto& sender : long_senders) sender->start();
   for (auto& client : rpc_clients) client->start();
-  for (auto& client : resilient_clients) client->start();
   if (open_loop != nullptr) open_loop->start();
 }
 
 std::uint64_t Workload::rpc_transactions() const {
   std::uint64_t total = 0;
   for (const auto& client : rpc_clients) total += client->completed();
-  for (const auto& client : resilient_clients) total += client->completed();
   if (open_loop != nullptr) total += open_loop->completed();
   return total;
 }
@@ -75,23 +75,19 @@ std::uint64_t Workload::rpc_transactions() const {
 Histogram Workload::rpc_latency() const {
   Histogram merged;
   for (const auto& client : rpc_clients) merged.merge(client->latency());
-  for (const auto& client : resilient_clients) {
-    merged.merge(client->latency());
-  }
   if (open_loop != nullptr) merged.merge(open_loop->latency());
   return merged;
 }
 
 void Workload::reset_rpc_latency() {
   for (auto& client : rpc_clients) client->reset_latency();
-  for (auto& client : resilient_clients) client->reset_latency();
   if (open_loop != nullptr) open_loop->reset_window();
 }
 
-ResilientRpcClient::Counters Workload::rpc_recovery_totals() const {
-  ResilientRpcClient::Counters totals;
-  for (const auto& client : resilient_clients) {
-    const ResilientRpcClient::Counters& c = client->counters();
+RpcClient::Counters Workload::rpc_recovery_totals() const {
+  RpcClient::Counters totals;
+  for (const auto& client : rpc_clients) {
+    const RpcClient::Counters& c = client->counters();
     totals.completed += c.completed;
     totals.retries += c.retries;
     totals.timeouts += c.timeouts;
@@ -168,17 +164,7 @@ Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
       require(n >= 1 && n <= senders * cores,
               "clients must fit the sender hosts' cores");
       for (int i = 0; i < n; ++i) {
-        const Cluster::FlowEndpoint src = src_of(i);
-        auto endpoints = cluster.make_flow(src, {rx_host, rx});
-        workload.rpc_servers.push_back(std::make_unique<RpcServer>(
-            cluster.host(rx_host).core(rx), *endpoints.at_receiver,
-            traffic.rpc_size));
-        workload.rpc_servers.back()->set_observer(cluster.observer(),
-                                                  rx_host);
-        add_rpc_client(cluster, workload, traffic,
-                       cluster.host(src.host).core(src.core), src.host,
-                       *endpoints.at_sender,
-                       workload.rpc_servers.back().get());
+        add_rpc_pair(cluster, workload, traffic, src_of(i), {rx_host, rx});
       }
       break;
     }
@@ -198,17 +184,8 @@ Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
                                      cluster.config().topo.nic_node, 1)
                                : rx;
       for (int i = 0; i < n; ++i) {
-        auto endpoints =
-            cluster.make_flow({0, short_tx}, {rx_host, short_rx});
-        workload.rpc_servers.push_back(std::make_unique<RpcServer>(
-            cluster.host(rx_host).core(short_rx), *endpoints.at_receiver,
-            traffic.rpc_size));
-        workload.rpc_servers.back()->set_observer(cluster.observer(),
-                                                  rx_host);
-        add_rpc_client(cluster, workload, traffic,
-                       cluster.host(0).core(short_tx), /*client_host=*/0,
-                       *endpoints.at_sender,
-                       workload.rpc_servers.back().get());
+        add_rpc_pair(cluster, workload, traffic, {0, short_tx},
+                     {rx_host, short_rx});
       }
       break;
     }

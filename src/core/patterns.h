@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "app/long_flow_app.h"
-#include "app/resilient_rpc.h"
 #include "app/rpc_app.h"
 #include "core/testbed.h"
 #include "workload/open_loop.h"
@@ -18,11 +17,10 @@ namespace hostsim {
 struct Workload {
   std::vector<std::unique_ptr<LongFlowSender>> long_senders;
   std::vector<std::unique_ptr<LongFlowReceiver>> long_receivers;
+  /// Ping-pong clients; with traffic.resilience.enabled each also runs
+  /// the deadline/retry/breaker policy.
   std::vector<std::unique_ptr<RpcClient>> rpc_clients;
   std::vector<std::unique_ptr<RpcServer>> rpc_servers;
-  /// Deadline/retry/breaker clients (traffic.resilience.enabled); these
-  /// replace rpc_clients for the rpc patterns when resilience is on.
-  std::vector<std::unique_ptr<ResilientRpcClient>> resilient_clients;
   /// Open-loop traffic engine (Pattern::open_loop only).
   std::unique_ptr<workload::OpenLoopEngine> open_loop;
 
@@ -37,10 +35,8 @@ struct Workload {
   /// Clears client latency records (start of a measurement window).
   void reset_rpc_latency();
 
-  /// True when the workload runs resilient clients.
-  bool resilient() const { return !resilient_clients.empty(); }
-  /// Summed resilience counters across all resilient clients.
-  ResilientRpcClient::Counters rpc_recovery_totals() const;
+  /// Summed resilience counters across all RPC clients.
+  RpcClient::Counters rpc_recovery_totals() const;
 };
 
 /// Builds the applications and flows for `traffic` on `cluster`.

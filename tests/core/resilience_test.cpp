@@ -8,12 +8,8 @@
 
 #include <string>
 
-#include "app/resilient_rpc.h"
-#include "app/rpc_app.h"
 #include "core/experiment.h"
 #include "core/serialize.h"
-#include "core/testbed.h"
-#include "sim/contract.h"
 #include "sweep/artifact.h"
 #include "sweep/campaign.h"
 #include "sweep/runner.h"
@@ -195,65 +191,6 @@ TEST(ResilienceTest, LegacyDocumentsCarryNoResilienceKeys) {
   const Metrics run = run_experiment(run_config);
   EXPECT_FALSE(run.has_recovery);
   EXPECT_EQ(metrics_to_json(run).find("recovery"), std::string::npos);
-}
-
-// Satellite: the retry/backoff client historically assumed ping-pong
-// (exactly one outstanding request, self-issued).  Driver mode lets an
-// external open-loop generator queue multiple outstanding submissions;
-// they must serve serially over the single byte stream, one completion
-// callback each, with no self-issued extras.
-TEST(ResilienceTest, DriverModeServesQueuedSubmissionsSerially) {
-  ExperimentConfig config;
-  Testbed testbed(config);
-  auto endpoints = testbed.make_flow(/*sender_core=*/0, /*receiver_core=*/0);
-  RpcServer server(testbed.receiver().core(0), *endpoints.at_receiver,
-                   16 * kKiB);
-  RpcResilienceConfig policy;
-  policy.enabled = true;
-  policy.deadline = 20 * kMillisecond;  // never expires in this test
-  policy.max_retries = 2;
-  ResilientRpcClient client(
-      testbed.sender().core(0), *endpoints.at_sender, 16 * kKiB, policy,
-      Rng(42), [](Core&, int) -> TransportSocket* { return nullptr; });
-  int ok = 0;
-  int failed = 0;
-  client.enable_driver_mode([&](bool success) {
-    if (success) {
-      ++ok;
-    } else {
-      ++failed;
-    }
-  });
-  // Three submissions land before the first response completes.
-  client.submit();
-  client.submit();
-  client.submit();
-  EXPECT_EQ(client.queued(), 3u);
-  testbed.run_until(10 * kMillisecond);
-  // Exactly the three submissions completed — the closed loop did not
-  // self-issue a fourth.
-  EXPECT_EQ(client.completed(), 3u);
-  EXPECT_EQ(ok, 3);
-  EXPECT_EQ(failed, 0);
-  EXPECT_EQ(client.queued(), 0u);
-  EXPECT_EQ(server.served(), 3u);
-  EXPECT_EQ(client.counters().retries, 0u);
-}
-
-// Satellite: submitting to a closed-loop client is a contract violation
-// (a second writer would desync the echo framing), asserted clearly.
-TEST(ResilienceTest, SubmitWithoutDriverModeAsserts) {
-  ExperimentConfig config;
-  Testbed testbed(config);
-  auto endpoints = testbed.make_flow(/*sender_core=*/0, /*receiver_core=*/0);
-  RpcResilienceConfig policy;
-  policy.enabled = true;
-  policy.deadline = 20 * kMillisecond;
-  ResilientRpcClient client(
-      testbed.sender().core(0), *endpoints.at_sender, 16 * kKiB, policy,
-      Rng(42), [](Core&, int) -> TransportSocket* { return nullptr; });
-  ScopedContractMode mode(ContractMode::throwing);
-  EXPECT_THROW(client.submit(), ContractViolation);
 }
 
 }  // namespace
