@@ -230,9 +230,7 @@ void RpcClient::trace_attempt(Nanos now) {
 }
 
 void RpcServer::rebind(TransportSocket& socket) {
-  socket_ = &socket;
-  socket_->set_rx_waiter(&thread_);
-  socket_->set_tx_waiter(&thread_);
+  bind_socket(socket);
   request_received_ = 0;
   response_pending_ = 0;
   serve_ordinal_ = 0;
@@ -245,10 +243,18 @@ void RpcServer::finish_service(Nanos now) {
   service_span_ = -1;
 }
 
-RpcServer::RpcServer(Core& core, TransportSocket& socket, Bytes rpc_size)
-    : socket_(&socket), rpc_size_(rpc_size), thread_(core, "rpc-server") {
+void RpcServer::bind_socket(TransportSocket& socket) {
+  socket_ = &socket;
   socket_->set_rx_waiter(&thread_);
   socket_->set_tx_waiter(&thread_);
+  // A reset connection ends this server process, as a client's crash
+  // ends a netperf server; a reconnecting client rebinds a fresh one.
+  socket_->set_error_callback([](SocketError) {});
+}
+
+RpcServer::RpcServer(Core& core, TransportSocket& socket, Bytes rpc_size)
+    : rpc_size_(rpc_size), thread_(core, "rpc-server") {
+  bind_socket(socket);
   thread_.set_body([this](Core& c, Thread& thread) {
     // Flush a response blocked on send-buffer space.
     if (response_pending_ > 0) {

@@ -149,10 +149,11 @@ class RpcServer {
   void rebind(TransportSocket& socket);
 
  private:
+  void bind_socket(TransportSocket& socket);
   /// Closes the open service span at response-fully-sent.
   void finish_service(Nanos now);
 
-  TransportSocket* socket_;
+  TransportSocket* socket_ = nullptr;
   Bytes rpc_size_;
   Bytes request_received_ = 0;
   Bytes response_pending_ = 0;  ///< response bytes not yet accepted

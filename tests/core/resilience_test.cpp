@@ -10,6 +10,7 @@
 
 #include "core/experiment.h"
 #include "core/serialize.h"
+#include "sim/contract.h"
 #include "sweep/artifact.h"
 #include "sweep/campaign.h"
 #include "sweep/runner.h"
@@ -191,6 +192,47 @@ TEST(ResilienceTest, LegacyDocumentsCarryNoResilienceKeys) {
   const Metrics run = run_experiment(run_config);
   EXPECT_FALSE(run.has_recovery);
   EXPECT_EQ(metrics_to_json(run).find("recovery"), std::string::npos);
+}
+
+// Without a retry budget a crash still resets every connection it
+// touches: plain clients, servers and long flows observe the reset (and
+// stop) instead of dying unreported, so the fault-disposition rule holds
+// whichever end of which pattern the crash hits.
+TEST(RpcResetTest, PlainEndpointsObserveResets) {
+  struct Case {
+    const char* name;
+    Pattern pattern;
+    int hosts;
+    int crashed;
+    TransportKind transport;
+  };
+  const Case cases[] = {
+      {"rpc, receiver crash", Pattern::rpc_incast, 3, 2, TransportKind::tcp},
+      {"rpc, receiver crash, homa", Pattern::rpc_incast, 3, 2,
+       TransportKind::homa},
+      {"rpc, client crash", Pattern::rpc_incast, 3, 0, TransportKind::tcp},
+      {"rpc, two hosts", Pattern::rpc_incast, 2, 1, TransportKind::tcp},
+      {"mixed, receiver crash", Pattern::mixed, 2, 1, TransportKind::tcp},
+      {"mixed, sender crash", Pattern::mixed, 2, 0, TransportKind::tcp},
+  };
+  ScopedContractMode mode(ContractMode::throwing);
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    ExperimentConfig config;
+    config.traffic.pattern = c.pattern;
+    config.traffic.flows = 4;
+    config.stack.transport.kind = c.transport;
+    config.topology.num_hosts = c.hosts;
+    config.topology.use_switch = c.hosts > 2;
+    config.faults.host_crashes.push_back(
+        {3 * kMillisecond, kMillisecond / 2, c.crashed});
+    config.warmup = 1 * kMillisecond;
+    config.duration = 8 * kMillisecond;
+    Metrics m;
+    EXPECT_NO_THROW(m = run_experiment(config));
+    EXPECT_EQ(m.invariant_violations, 0u);
+    EXPECT_GT(m.recovery.sockets_killed, 0u);
+  }
 }
 
 }  // namespace
