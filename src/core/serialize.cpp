@@ -164,7 +164,7 @@ class JsonParser {
   explicit JsonParser(std::string_view text) : text_(text) {}
 
   std::optional<JsonValue> parse_document() {
-    std::optional<JsonValue> value = parse_value();
+    std::optional<JsonValue> value = parse_value(0);
     if (!value) return std::nullopt;
     skip_ws();
     if (pos_ != text_.size()) return std::nullopt;  // trailing garbage
@@ -239,11 +239,17 @@ class JsonParser {
     return std::nullopt;  // unterminated
   }
 
-  std::optional<JsonValue> parse_value() {
+  /// Deepest array/object nesting accepted.  Our own documents nest
+  /// about 5 levels; the cap keeps a hostile file from overflowing the
+  /// stack of this recursive parser (and of JsonValue's destructor).
+  static constexpr int kMaxDepth = 64;
+
+  std::optional<JsonValue> parse_value(int depth) {
     skip_ws();
     if (pos_ >= text_.size()) return std::nullopt;
     JsonValue value;
     const char c = text_[pos_];
+    if ((c == '{' || c == '[') && depth == kMaxDepth) return std::nullopt;
     if (c == '{') {
       ++pos_;
       value.kind_ = JsonValue::Kind::object;
@@ -253,7 +259,7 @@ class JsonParser {
         skip_ws();
         std::optional<std::string> name = parse_string();
         if (!name || !consume(':')) return std::nullopt;
-        std::optional<JsonValue> member = parse_value();
+        std::optional<JsonValue> member = parse_value(depth + 1);
         if (!member) return std::nullopt;
         value.members_.emplace(std::move(*name), std::move(*member));
         if (consume(',')) continue;
@@ -267,7 +273,7 @@ class JsonParser {
       skip_ws();
       if (consume(']')) return value;
       while (true) {
-        std::optional<JsonValue> item = parse_value();
+        std::optional<JsonValue> item = parse_value(depth + 1);
         if (!item) return std::nullopt;
         value.items_.push_back(std::move(*item));
         if (consume(',')) continue;

@@ -83,7 +83,8 @@ class JsonValue {
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* find(std::string_view name) const;
 
-  /// Parses a complete JSON document; nullopt on any syntax error.
+  /// Parses a complete JSON document; nullopt on any syntax error and
+  /// on arrays/objects nested more than 64 deep.
   static std::optional<JsonValue> parse(std::string_view text);
 
  private:

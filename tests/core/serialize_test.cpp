@@ -57,6 +57,17 @@ TEST(JsonValueTest, RejectsMalformedDocuments) {
   EXPECT_FALSE(JsonValue::parse("\"unterminated").has_value());
 }
 
+TEST(JsonValueTest, DeepNestingIsRejectedNotACrash) {
+  EXPECT_FALSE(JsonValue::parse(std::string(2'000'000, '[')).has_value());
+  std::string objects;
+  for (int i = 0; i < 2'000'000; ++i) objects += "{\"a\":";
+  EXPECT_FALSE(JsonValue::parse(objects).has_value());
+  // The cap sits far above our own documents' nesting.
+  const std::string deepest = std::string(64, '[') + std::string(64, ']');
+  EXPECT_TRUE(JsonValue::parse(deepest).has_value());
+  EXPECT_FALSE(JsonValue::parse("[" + deepest + "]").has_value());
+}
+
 TEST(JsonValueTest, LargeU64SurvivesRoundTrip) {
   JsonWriter w;
   w.begin_object();

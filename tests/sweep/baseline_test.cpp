@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <random>
 #include <string>
 
 #include "core/serialize.h"
@@ -159,6 +160,56 @@ TEST(GateTest, MalformedInputReportsErrorNotCrash) {
   const GateReport report = gate_against_baseline(artifact, "{}");
   EXPECT_FALSE(report.error.empty());
   EXPECT_NE(format_gate_report(report).find("gate ERROR"), std::string::npos);
+}
+
+/// A real two-point campaign of short switched RPC runs through a host
+/// crash, so its points carry the per-host, fabric and recovery sections.
+CampaignResult crash_campaign_result() {
+  Campaign campaign;
+  campaign.name = "gate_property";
+  campaign.base.traffic.pattern = Pattern::rpc_incast;
+  campaign.base.topology.num_hosts = 3;
+  campaign.base.topology.use_switch = true;
+  campaign.base.faults.host_crashes.push_back(
+      {kMillisecond, kMillisecond / 2, 0});
+  campaign.base.warmup = kMillisecond;
+  campaign.base.duration = 2 * kMillisecond;
+  campaign.axes.push_back(Axis::flows({1, 2}));
+  RunnerOptions options;
+  options.jobs = 1;
+  options.use_cache = false;
+  return run_campaign(campaign, options);
+}
+
+// Truncated and bit-flipped inputs are data, not crashes: every strict
+// prefix of an artifact or a metrics document is a parse error the gate
+// reports, and random byte flips end in a report of some kind.
+TEST(GatePropertyTest, PrefixesAndByteFlipsNeverCrash) {
+  const CampaignResult result = crash_campaign_result();
+  const std::string artifact = campaign_to_json(result, "test");
+  const std::string metrics = metrics_to_json(result.points.front().metrics);
+  ASSERT_TRUE(gate_against_baseline(artifact, artifact).ok());
+  std::mt19937_64 rng(0xf1195);
+  for (const std::string* doc : {&artifact, &metrics}) {
+    for (std::size_t length = 0; length < doc->size(); ++length) {
+      const std::string prefix = doc->substr(0, length);
+      ASSERT_FALSE(JsonValue::parse(prefix).has_value()) << prefix;
+      EXPECT_FALSE(gate_against_baseline(prefix, artifact).error.empty());
+      EXPECT_FALSE(gate_against_baseline(artifact, prefix).error.empty());
+    }
+    for (int trial = 0; trial < 1000; ++trial) {
+      std::string damaged = *doc;
+      for (int flip = 1 + static_cast<int>(rng() % 4); flip > 0; --flip) {
+        damaged[rng() % damaged.size()] ^= static_cast<char>(1 + rng() % 255);
+      }
+      (void)JsonValue::parse(damaged);
+      (void)metrics_from_json(damaged);
+      EXPECT_FALSE(
+          format_gate_report(gate_against_baseline(damaged, artifact)).empty());
+      EXPECT_FALSE(
+          format_gate_report(gate_against_baseline(artifact, damaged)).empty());
+    }
+  }
 }
 
 }  // namespace

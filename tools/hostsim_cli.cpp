@@ -10,11 +10,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/experiment.h"
@@ -175,6 +177,9 @@ int main(int argc, char** argv) {
     else if (arg == "--breakdown") breakdown = true;
     else if (auto v = flag_value(arg, "--pattern")) {
       config.traffic.pattern = parse_pattern(*v);
+      if (config.traffic.pattern == Pattern::open_loop) {
+        config.traffic.workload.enabled = true;
+      }
     } else if (auto v = flag_value(arg, "--flows")) {
       config.traffic.flows = static_cast<int>(int_flag(*v, "--flows", 0));
     } else if (auto v = flag_value(arg, "--rpc-kb")) {
@@ -203,7 +208,8 @@ int main(int argc, char** argv) {
       config.traffic.workload.churn_prob = num_flag(*v, "--churn", 0, 1);
     } else if (auto v = flag_value(arg, "--slo-us")) {
       config.traffic.workload.enabled = true;
-      config.traffic.workload.slo = int_flag(*v, "--slo-us") * kMicrosecond;
+      config.traffic.workload.slo =
+          int_flag(*v, "--slo-us", 0) * kMicrosecond;
     } else if (auto v = flag_value(arg, "--workload-jsonl")) {
       workload_jsonl = std::string(*v);
     } else if (auto v = flag_value(arg, "--steering")) {
@@ -224,7 +230,7 @@ int main(int argc, char** argv) {
       config.stack.nic_ring_size =
           static_cast<int>(int_flag(*v, "--ring", 1));
     } else if (auto v = flag_value(arg, "--rxbuf-kb")) {
-      config.stack.tcp_rx_buf = int_flag(*v, "--rxbuf-kb") * kKiB;
+      config.stack.tcp_rx_buf = int_flag(*v, "--rxbuf-kb", 0) * kKiB;
     } else if (auto v = flag_value(arg, "--gbps")) {
       config.link_gbps = positive_flag(*v, "--gbps");
     } else if (auto v = flag_value(arg, "--loss")) {
@@ -244,7 +250,7 @@ int main(int argc, char** argv) {
           int_flag(*v, "--switch-ecn-kb", 0) * kKiB;
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--port-gbps")) {
-      config.topology.port_gbps = num_flag(*v, "--port-gbps");
+      config.topology.port_gbps = num_flag(*v, "--port-gbps", 0);
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--ge")) {
       fault_spec(parse_ge_spec(*v, config.faults));
@@ -283,19 +289,19 @@ int main(int argc, char** argv) {
       config.shards = static_cast<int>(int_flag(*v, "--shards", 1));
     } else if (auto v = flag_value(arg, "--trace")) {
       config.obs.trace_capacity =
-          static_cast<std::size_t>(int_flag(*v, "--trace"));
+          static_cast<std::size_t>(int_flag(*v, "--trace", 0));
     } else if (auto v = flag_value(arg, "--obs-spans")) {
       config.obs.span_rate = num_flag(*v, "--obs-spans", 0, 1);
     } else if (auto v = flag_value(arg, "--obs-trace")) {
       config.obs.trace_rate = num_flag(*v, "--obs-trace", 0, 1);
     } else if (auto v = flag_value(arg, "--obs-sample-us")) {
       config.obs.sample_period =
-          int_flag(*v, "--obs-sample-us") * kMicrosecond;
+          int_flag(*v, "--obs-sample-us", 0) * kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-window-us")) {
       config.obs.latency_window =
-          int_flag(*v, "--obs-window-us") * kMicrosecond;
+          int_flag(*v, "--obs-window-us", 0) * kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-slo-us")) {
-      config.obs.slo_p99 = int_flag(*v, "--obs-slo-us") * kMicrosecond;
+      config.obs.slo_p99 = int_flag(*v, "--obs-slo-us", 0) * kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-out")) {
       config.obs.out_dir = std::string(*v);
     } else {
@@ -312,6 +318,15 @@ int main(int argc, char** argv) {
                  "an integer >= 1; 0 only with --pattern=mixed");
   }
   fault_spec(check_fault_targets(config.faults, config.topology.num_hosts));
+  if (config.obs.enabled() && !config.obs.out_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(config.obs.out_dir, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create obs directory '%s': %s\n",
+                   config.obs.out_dir.c_str(), ec.message().c_str());
+      return 2;
+    }
+  }
 
   const Metrics metrics = run_experiment(config);
 

@@ -9,8 +9,9 @@
 //   $ hostsim_sweep gate artifacts/fig05_one_to_one.json \
 //         baselines/fig05_one_to_one.json
 //
-// `run --baseline` (and `gate`) exit nonzero on any out-of-tolerance
-// deviation, which is what CI hangs a merge decision on.
+// `run --baseline` (and `gate`) exit 1 on any out-of-tolerance
+// deviation, which is what CI hangs a merge decision on, and 2 when an
+// input is unreadable or not a campaign artifact.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -44,6 +45,7 @@ subcommands:
   run <name>|all [options]      execute campaign(s), write artifacts
   gate <result.json> <baseline.json> [options]
                                 diff two artifacts, exit 1 on violation
+                                (2 when a file is not an artifact)
 
 run options:
   --jobs=N            worker threads (default: all hardware threads)
@@ -88,6 +90,13 @@ std::string slurp(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+/// An input that is not a campaign artifact is a usage error (exit 2,
+/// one line on stderr), never a regression (exit 1).
+int bad_artifact(const sweep::GateReport& report) {
+  std::fprintf(stderr, "gate: %s\n", report.error.c_str());
+  return 2;
 }
 
 int cmd_list() {
@@ -158,7 +167,8 @@ int cmd_run(const std::vector<std::string_view>& args) {
   // never enter config hashes, so the cache and artifacts are identical
   // at any value.
   if (const char* shards = std::getenv("HOSTSIM_SHARDS")) {
-    run.runner.shards = static_cast<int>(int_flag(shards, "HOSTSIM_SHARDS"));
+    run.runner.shards =
+        static_cast<int>(int_flag(shards, "HOSTSIM_SHARDS", 1));
   }
   for (std::string_view arg : args) {
     if (arg == "--no-cache") run.runner.use_cache = false;
@@ -166,9 +176,9 @@ int cmd_run(const std::vector<std::string_view>& args) {
     else if (arg == "--quick") run.quick = true;
     else if (arg == "--quiet") run.quiet = true;
     else if (auto v = flag_value(arg, "--jobs")) {
-      run.runner.jobs = static_cast<int>(int_flag(*v, "--jobs"));
+      run.runner.jobs = static_cast<int>(int_flag(*v, "--jobs", 1));
     } else if (auto v = flag_value(arg, "--shards")) {
-      run.runner.shards = static_cast<int>(int_flag(*v, "--shards"));
+      run.runner.shards = static_cast<int>(int_flag(*v, "--shards", 1));
     } else if (auto v = flag_value(arg, "--cache-dir")) {
       run.runner.cache_dir = std::string(*v);
     } else if (auto v = flag_value(arg, "--out")) {
@@ -178,11 +188,10 @@ int cmd_run(const std::vector<std::string_view>& args) {
     } else if (auto v = flag_value(arg, "--write-baseline")) {
       run.write_baseline_path = std::string(*v);
     } else if (auto v = flag_value(arg, "--obs-spans")) {
-      run.runner.obs.span_rate = num_flag(*v, "--obs-spans");
+      run.runner.obs.span_rate = num_flag(*v, "--obs-spans", 0, 1);
     } else if (auto v = flag_value(arg, "--obs-sample-us")) {
       run.runner.obs.sample_period =
-          static_cast<Nanos>(num_flag(*v, "--obs-sample-us")) *
-          kMicrosecond;
+          int_flag(*v, "--obs-sample-us", 0) * kMicrosecond;
     } else if (auto v = flag_value(arg, "--obs-out")) {
       run.obs_out = std::string(*v);
     } else if (auto v = flag_value(arg, "--workload-out")) {
@@ -310,6 +319,7 @@ int cmd_run(const std::vector<std::string_view>& args) {
       const sweep::GateReport report = sweep::gate_against_baseline(
           sweep::campaign_to_json(result, sweep::git_describe()),
           slurp(run.baseline_path), run.gate);
+      if (!report.error.empty()) return bad_artifact(report);
       std::fputs(sweep::format_gate_report(report).c_str(), stdout);
       if (!report.ok()) gate_failed = true;
     }
@@ -328,6 +338,7 @@ int cmd_gate(const std::vector<std::string_view>& args) {
   if (files.size() != 2) usage(2);
   const sweep::GateReport report =
       sweep::gate_against_baseline(slurp(files[0]), slurp(files[1]), options);
+  if (!report.error.empty()) return bad_artifact(report);
   std::fputs(sweep::format_gate_report(report).c_str(), stdout);
   return report.ok() ? 0 : 1;
 }
