@@ -120,9 +120,6 @@ class Cluster {
   }
   int num_links() const { return static_cast<int>(links_.size()); }
 
-  /// Legacy name for the degenerate topology's single back-to-back wire.
-  Link& wire() { return link(0); }
-
   /// The switch fabric; nullptr in the degenerate back-to-back topology.
   Switch* fabric() { return fabric_.get(); }
 
@@ -198,14 +195,6 @@ class Cluster {
   /// steering table would not fit (§3.5).
   FlowEndpoints make_flow(FlowEndpoint src, FlowEndpoint dst,
                           bool explicit_irq_mapping = true);
-
-  /// Legacy two-server form: sender host 0 -> receiver host H-1.
-  FlowEndpoints make_flow(int sender_core, int receiver_core,
-                          bool explicit_irq_mapping = true) {
-    return make_flow(FlowEndpoint{0, sender_core},
-                     FlowEndpoint{num_hosts() - 1, receiver_core},
-                     explicit_irq_mapping);
-  }
 
   int flows_created() const { return next_flow_; }
   const FlowRoute& flow_route(int flow) const {

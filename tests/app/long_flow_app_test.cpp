@@ -13,7 +13,7 @@ struct LongFlowFixture : ::testing::Test {
   void SetUp() override {
     ExperimentConfig config;
     testbed = std::make_unique<Testbed>(config);
-    auto endpoints = testbed->make_flow(0, 0);
+    auto endpoints = testbed->make_flow({0, 0}, {1, 0});
     sender = std::make_unique<LongFlowSender>(testbed->sender().core(0),
                                               *endpoints.at_sender);
     receiver = std::make_unique<LongFlowReceiver>(testbed->receiver().core(0),

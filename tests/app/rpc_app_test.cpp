@@ -15,8 +15,7 @@ struct RpcFixture : ::testing::Test {
     ExperimentConfig config;
     testbed = std::make_unique<Testbed>(config);
     for (int i = 0; i < connections; ++i) {
-      auto endpoints = testbed->make_flow(/*sender_core=*/i,
-                                          /*receiver_core=*/0);
+      auto endpoints = testbed->make_flow({0, i}, {1, 0});
       servers.push_back(std::make_unique<RpcServer>(
           testbed->receiver().core(0), *endpoints.at_receiver, rpc_size));
       clients.push_back(std::make_unique<RpcClient>(

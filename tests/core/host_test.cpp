@@ -42,8 +42,8 @@ TEST(HostTest, NicConfigDerivesFromStackConfig) {
 TEST(TestbedTest, FlowIdsAreSequential) {
   ExperimentConfig config;
   Testbed testbed(config);
-  testbed.make_flow(0, 0);
-  testbed.make_flow(1, 1);
+  testbed.make_flow({0, 0}, {1, 0});
+  testbed.make_flow({0, 1}, {1, 1});
   EXPECT_EQ(testbed.flows_created(), 2);
   EXPECT_EQ(testbed.sender().stack().socket(1).flow(), 1);
 }
@@ -51,7 +51,7 @@ TEST(TestbedTest, FlowIdsAreSequential) {
 TEST(TestbedTest, HostsAreIndependent) {
   ExperimentConfig config;
   Testbed testbed(config);
-  auto endpoints = testbed.make_flow(0, 3);
+  auto endpoints = testbed.make_flow({0, 0}, {1, 3});
   EXPECT_NE(&testbed.sender(), &testbed.receiver());
   EXPECT_EQ(endpoints.at_sender->app_core(), 0);
   EXPECT_EQ(endpoints.at_receiver->app_core(), 3);
@@ -69,8 +69,8 @@ TEST(TestbedTest, WirePropagationAndRateFromConfig) {
   Frame frame;
   frame.flow = 99;
   frame.payload = 1250 - kFrameHeaderBytes;
-  testbed.wire().transmit(Link::Side::a, frame);
-  EXPECT_EQ(testbed.wire().egress_delay(Link::Side::a), 400);
+  testbed.link(0).transmit(Link::Side::a, frame);
+  EXPECT_EQ(testbed.link(0).egress_delay(Link::Side::a), 400);
 }
 
 }  // namespace

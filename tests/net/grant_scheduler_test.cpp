@@ -70,7 +70,7 @@ TEST(GrantSchedulerTest, ReducesIncastCacheContention) {
 TEST(GrantSchedulerTest, GrantOnSenderDrivenSocketIsAContractError) {
   ExperimentConfig config;
   Testbed testbed(config);
-  auto endpoints = testbed.make_flow(0, 0);
+  auto endpoints = testbed.make_flow({0, 0}, {1, 0});
   Context ctx{"driver", false};
   testbed.receiver().core(0).post(ctx, [&](Core& c) {
     EXPECT_DEATH(static_cast<TcpSocket*>(endpoints.at_receiver)->grant_credit(c, 1000),

@@ -32,7 +32,7 @@ TEST_P(SocketProperty, ByteConservationUnderRandomDriving) {
   config.loss_rate = param.loss;
   config.seed = param.seed;
   Testbed testbed(config);
-  auto endpoints = testbed.make_flow(0, 0);
+  auto endpoints = testbed.make_flow({0, 0}, {1, 0});
   TransportSocket* tx = endpoints.at_sender;
   TransportSocket* rx = endpoints.at_receiver;
 

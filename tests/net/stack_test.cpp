@@ -16,7 +16,7 @@ struct StackFixture : ::testing::Test {
   void SetUp() override {
     ExperimentConfig config;
     testbed = std::make_unique<Testbed>(config);
-    auto endpoints = testbed->make_flow(0, 0);
+    auto endpoints = testbed->make_flow({0, 0}, {1, 0});
     tx = endpoints.at_sender;
     rx = endpoints.at_receiver;
   }
@@ -43,7 +43,7 @@ TEST_F(StackFixture, CreateSocketRejectsDuplicateFlow) {
 }
 
 TEST_F(StackFixture, TotalDeliveredAggregatesSockets) {
-  auto more = testbed->make_flow(1, 1);
+  auto more = testbed->make_flow({0, 1}, {1, 1});
   on_sender([this](Core& c) { tx->send(c, 64 * kKiB); });
   testbed->run_until(2 * kMillisecond);
   Context ctx{"driver", false};
@@ -147,7 +147,7 @@ TEST(StackRetirement, DeliveredTotalNeverDecreases) {
   EXPECT_EQ(server.total_delivered_to_app(), 64 * kKiB);
 
   // An aborted, destroyed pre-established flow keeps its bytes too.
-  auto endpoints = testbed.make_flow(1, 1);
+  auto endpoints = testbed.make_flow({0, 1}, {1, 1});
   TransportSocket* tx = endpoints.at_sender;
   TransportSocket* rx = endpoints.at_receiver;
   on(testbed.sender().core(1), [tx](Core& core) { tx->send(core, 16 * kKiB); });

@@ -18,7 +18,7 @@ struct SocketFixture : ::testing::Test {
     ExperimentConfig config;
     config.stack = stack;
     testbed = std::make_unique<Testbed>(config);
-    auto endpoints = testbed->make_flow(/*sender_core=*/0, /*receiver_core=*/0);
+    auto endpoints = testbed->make_flow({0, 0}, {1, 0});
     tx = static_cast<TcpSocket*>(endpoints.at_sender);
     rx = static_cast<TcpSocket*>(endpoints.at_receiver);
   }
@@ -119,7 +119,7 @@ TEST_F(SocketFixture, LostFramesAreRetransmitted) {
   config.loss_rate = 0.02;
   config.seed = 3;
   testbed = std::make_unique<Testbed>(config);
-  auto endpoints = testbed->make_flow(0, 0);
+  auto endpoints = testbed->make_flow({0, 0}, {1, 0});
   tx = static_cast<TcpSocket*>(endpoints.at_sender);
   rx = static_cast<TcpSocket*>(endpoints.at_receiver);
 
@@ -145,7 +145,7 @@ TEST_F(SocketFixture, DupAcksTriggerFastRetransmitNotRto) {
   config.loss_rate = 0.005;
   config.seed = 11;
   testbed = std::make_unique<Testbed>(config);
-  auto endpoints = testbed->make_flow(0, 0);
+  auto endpoints = testbed->make_flow({0, 0}, {1, 0});
   tx = static_cast<TcpSocket*>(endpoints.at_sender);
   rx = static_cast<TcpSocket*>(endpoints.at_receiver);
   for (int round = 0; round < 30; ++round) {
@@ -192,7 +192,7 @@ TEST_F(SocketFixture, RetransmitTimeoutRecoversTailLoss) {
   config.loss_rate = 0.5;
   config.seed = 5;
   testbed = std::make_unique<Testbed>(config);
-  auto endpoints = testbed->make_flow(0, 0);
+  auto endpoints = testbed->make_flow({0, 0}, {1, 0});
   tx = static_cast<TcpSocket*>(endpoints.at_sender);
   rx = static_cast<TcpSocket*>(endpoints.at_receiver);
   on_core(testbed->sender(), 0, [this](Core& c) { tx->send(c, 64 * kKiB); });

@@ -83,7 +83,7 @@ TEST_P(TransportConformance, ConnectAcceptAndTransfer) {
 TEST_P(TransportConformance, ByteConservationUnderRandomDriving) {
   const ConformanceParam param = GetParam();
   Testbed testbed(base_config(param));
-  auto endpoints = testbed.make_flow(0, 0);
+  auto endpoints = testbed.make_flow({0, 0}, {1, 0});
   TransportSocket* tx = endpoints.at_sender;
   TransportSocket* rx = endpoints.at_receiver;
 
@@ -131,7 +131,7 @@ TEST_P(TransportConformance, ByteConservationUnderRandomDriving) {
 TEST_P(TransportConformance, AbortMidFlightStaysConservative) {
   const ConformanceParam param = GetParam();
   Testbed testbed(base_config(param));
-  auto endpoints = testbed.make_flow(0, 0);
+  auto endpoints = testbed.make_flow({0, 0}, {1, 0});
   TransportSocket* tx = endpoints.at_sender;
   TransportSocket* rx = endpoints.at_receiver;
 
@@ -186,7 +186,7 @@ TEST(HomaTransport, SrptShortMessageOvertakesLong) {
   ExperimentConfig config;
   config.stack.transport.kind = TransportKind::homa;
   Testbed testbed(config);
-  auto endpoints = testbed.make_flow(0, 0);
+  auto endpoints = testbed.make_flow({0, 0}, {1, 0});
   TransportSocket* tx = endpoints.at_sender;
   TransportSocket* rx = endpoints.at_receiver;
 
