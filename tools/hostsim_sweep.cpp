@@ -21,6 +21,7 @@
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <system_error>
 #include <vector>
 
 #include "core/report.h"
@@ -207,6 +208,15 @@ int cmd_run(const std::vector<std::string_view>& args) {
     }
   }
   if (run.campaigns.empty()) usage(2);
+  if (run.runner.obs.enabled() && !run.obs_out.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(run.obs_out, ec);
+    if (ec) {
+      std::fprintf(stderr, "cannot create obs directory '%s': %s\n",
+                   run.obs_out.c_str(), ec.message().c_str());
+      return 2;
+    }
+  }
 
   std::vector<sweep::Campaign> selected;
   if (run.campaigns.size() == 1 && run.campaigns[0] == "all") {
