@@ -1,6 +1,7 @@
-// Flag helpers shared by the command-line tools: `--name=value` matching
-// and strict numeric values.  A malformed number never runs as 0: the
-// tool exits 2 with a one-line message instead.
+// Flag helpers shared by the command-line tools: `--name=value` matching,
+// strict numeric values and output directories.  A malformed number
+// never runs as 0, and a directory that cannot be created never surfaces
+// as an uncaught exception: the tool exits 2 with a one-line message.
 #ifndef HOSTSIM_TOOLS_FLAGS_H
 #define HOSTSIM_TOOLS_FLAGS_H
 
@@ -8,10 +9,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <system_error>
 
 #include "sim/fault_spec.h"
 
@@ -69,6 +72,17 @@ inline double positive_flag(std::string_view value, const char* what) {
   const double parsed = num_flag(value, what);
   if (parsed <= 0) invalid_flag(what, value, "a number > 0");
   return parsed;
+}
+
+/// Creates `dir` and its parents, or exits 2 naming the `what` directory.
+inline void create_dir_or_exit(const std::string& dir, const char* what) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  if (ec) {
+    std::fprintf(stderr, "cannot create %s directory '%s': %s\n", what,
+                 dir.c_str(), ec.message().c_str());
+    std::exit(2);
+  }
 }
 
 }  // namespace hostsim::tools

@@ -10,13 +10,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <optional>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "core/experiment.h"
@@ -319,13 +317,7 @@ int main(int argc, char** argv) {
   }
   fault_spec(check_fault_targets(config.faults, config.topology.num_hosts));
   if (config.obs.enabled() && !config.obs.out_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config.obs.out_dir, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create obs directory '%s': %s\n",
-                   config.obs.out_dir.c_str(), ec.message().c_str());
-      return 2;
-    }
+    create_dir_or_exit(config.obs.out_dir, "obs");
   }
 
   const Metrics metrics = run_experiment(config);

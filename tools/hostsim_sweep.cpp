@@ -21,7 +21,6 @@
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <system_error>
 #include <vector>
 
 #include "core/report.h"
@@ -209,13 +208,7 @@ int cmd_run(const std::vector<std::string_view>& args) {
   }
   if (run.campaigns.empty()) usage(2);
   if (run.runner.obs.enabled() && !run.obs_out.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(run.obs_out, ec);
-    if (ec) {
-      std::fprintf(stderr, "cannot create obs directory '%s': %s\n",
-                   run.obs_out.c_str(), ec.message().c_str());
-      return 2;
-    }
+    create_dir_or_exit(run.obs_out, "obs");
   }
 
   std::vector<sweep::Campaign> selected;
@@ -279,13 +272,7 @@ int cmd_run(const std::vector<std::string_view>& args) {
     if (!run.workload_out.empty()) {
       const std::filesystem::path dir =
           std::filesystem::path(run.workload_out) / campaign.name;
-      std::error_code ec;
-      std::filesystem::create_directories(dir, ec);
-      if (ec) {
-        std::fprintf(stderr, "cannot create workload directory '%s'\n",
-                     dir.string().c_str());
-        return 2;
-      }
+      create_dir_or_exit(dir.string(), "workload");
       std::size_t written = 0;
       for (const sweep::PointResult& point : result.points) {
         if (point.metrics.workload_records.empty()) continue;
@@ -305,13 +292,7 @@ int cmd_run(const std::vector<std::string_view>& args) {
     }
 
     if (!run.write_baseline_path.empty()) {
-      std::error_code ec;
-      std::filesystem::create_directories(run.write_baseline_path, ec);
-      if (ec) {
-        std::fprintf(stderr, "cannot create baseline directory '%s'\n",
-                     run.write_baseline_path.c_str());
-        return 2;
-      }
+      create_dir_or_exit(run.write_baseline_path, "baseline");
       const std::string target =
           (std::filesystem::path(run.write_baseline_path) /
            (campaign.name + ".json"))
