@@ -207,9 +207,6 @@ int cmd_run(const std::vector<std::string_view>& args) {
     }
   }
   if (run.campaigns.empty()) usage(2);
-  if (run.runner.obs.enabled() && !run.obs_out.empty()) {
-    create_dir_or_exit(run.obs_out, "obs");
-  }
 
   std::vector<sweep::Campaign> selected;
   if (run.campaigns.size() == 1 && run.campaigns[0] == "all") {
@@ -226,6 +223,12 @@ int cmd_run(const std::vector<std::string_view>& args) {
       selected.push_back(std::move(*campaign));
     }
   }
+
+  // Output directories that cannot be created fail before any point runs.
+  if (run.runner.obs.enabled() && !run.obs_out.empty()) {
+    create_dir_or_exit(run.obs_out, "obs");
+  }
+  create_dir_or_exit(run.out_dir, "artifact");
 
   // Smoke timing is a *config* change (shared with the bench binaries'
   // --quick), applied to the base before expansion so every point — and
