@@ -1,8 +1,9 @@
 #include "core/cluster.h"
 
+#include <cstdint>
 #include <string>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "sim/contract.h"
 #include "sim/fault_spec.h"
@@ -40,37 +41,43 @@ std::optional<std::string> check_flow_bytes(const std::string& label,
   return std::nullopt;
 }
 
+/// Page-leak freedom as a mark pass over page ids.  Every held page must
+/// be live: the allocator's page with that id, with refs > 0.  The first
+/// one that is not, in collection order, is a use after free.  Every live
+/// page must be held; leaks are named in id order.
 std::optional<std::string> check_host_pages(Host& host) {
-  std::unordered_set<const Page*> held;
+  std::vector<const Page*> held;  // duplicates: descriptors share pages
   host.nic().collect_held_pages(held);
   host.stack().collect_held_pages(held);
 
-  const std::vector<const Page*> live = host.allocator().live_page_list();
-  std::unordered_set<const Page*> live_set(live.begin(), live.end());
-
-  std::string detail;
-  int leaked = 0;
-  for (const Page* page : live) {
-    if (held.find(page) == held.end()) {
-      ++leaked;
-      if (leaked <= 8) {
-        detail += (detail.empty() ? "page id " : ", ") +
-                  std::to_string(page->id) + " (refs=" +
-                  std::to_string(page->refs) + ")";
-      }
-    }
-  }
+  const PageAllocator& allocator = host.allocator();
+  std::vector<std::uint8_t> marked(allocator.pages_created() + 1, 0);
+  std::size_t distinct = 0;
   for (const Page* page : held) {
-    if (live_set.find(page) == live_set.end()) {
+    if (allocator.page(page->id) != page || page->refs <= 0) {
       return host.name() + ": holds a reference to freed page id " +
              std::to_string(page->id) + " — use after free";
     }
+    distinct += marked[page->id] == 0;
+    marked[page->id] = 1;
+  }
+
+  std::string detail;
+  int leaked = 0;
+  std::size_t live = 0;
+  for (PageId id = 1; id < marked.size(); ++id) {
+    const Page* page = allocator.page(id);
+    if (page->refs <= 0) continue;
+    ++live;
+    if (marked[id] != 0 || ++leaked > 8) continue;
+    detail += (detail.empty() ? "page id " : ", ") + std::to_string(id) +
+              " (refs=" + std::to_string(page->refs) + ")";
   }
   if (leaked > 0) {
     return host.name() + ": " + std::to_string(leaked) +
            " leaked page(s): " + detail + (leaked > 8 ? ", ..." : "") +
-           " (live=" + std::to_string(live.size()) +
-           ", held=" + std::to_string(held.size()) + ")";
+           " (live=" + std::to_string(live) +
+           ", held=" + std::to_string(distinct) + ")";
   }
   return std::nullopt;
 }

@@ -242,19 +242,21 @@ int Nic::posted_descriptors(int index) const {
       queues_.at(static_cast<std::size_t>(index)).posted.size());
 }
 
-void Nic::collect_held_pages(std::unordered_set<const Page*>& held) const {
+void Nic::collect_held_pages(std::vector<const Page*>& held) const {
   for (const RxQueue& queue : queues_) {
     for (const RxDescriptor& descriptor : queue.posted) {
       for (const Fragment& fragment : descriptor.fragments) {
-        held.insert(fragment.page);
+        held.push_back(fragment.page);
       }
     }
     for (const BacklogEntry& entry : queue.backlog) {
       for (const Fragment& fragment : entry.fragments) {
-        held.insert(fragment.page);
+        held.push_back(fragment.page);
       }
     }
-    if (const Page* carving = queue.pool->current_page()) held.insert(carving);
+    if (const Page* carving = queue.pool->current_page()) {
+      held.push_back(carving);
+    }
   }
 }
 

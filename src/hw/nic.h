@@ -22,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cpu/core.h"
@@ -154,10 +153,10 @@ class Nic {
   std::uint64_t ring_drops() const { return ring_drops_; }
   std::uint64_t irqs() const { return irqs_; }
 
-  /// Adds every page the NIC currently holds a reference to (posted rx
-  /// descriptors, queue backlogs, pool carving pages) to `held`; used by
-  /// the end-of-run leak sweep.
-  void collect_held_pages(std::unordered_set<const Page*>& held) const;
+  /// Appends every page the NIC currently holds a reference to, queue by
+  /// queue (posted rx descriptors, backlog, pool carving page), to
+  /// `held`, once per holder; used by the end-of-run leak sweep.
+  void collect_held_pages(std::vector<const Page*>& held) const;
 
  private:
   struct RxDescriptor {

@@ -33,11 +33,12 @@ Page* PageAllocator::alloc(Core& core) {
         page = global.front();
         global.pop_front();
       } else {
-        arena_.push_back(std::make_unique<Page>());
-        page = arena_.back().get();
-        page->id = next_id_++;
+        if (pages_created_ % kChunkPages == 0) {
+          slab_.push_back(std::make_unique<Page[]>(kChunkPages));
+        }
+        page = &slab_.back()[pages_created_ % kChunkPages];
+        page->id = ++pages_created_;
         page->numa_node = node;
-        ++pages_created_;
       }
       pageset.push_back(page);
     }
@@ -51,14 +52,6 @@ Page* PageAllocator::alloc(Core& core) {
   require(page->refs == 0, "allocated page has stale references");
   ++live_pages_;
   return page;
-}
-
-std::vector<const Page*> PageAllocator::live_page_list() const {
-  std::vector<const Page*> live;
-  for (const auto& page : arena_) {
-    if (page->refs > 0) live.push_back(page.get());
-  }
-  return live;
 }
 
 void PageAllocator::release(Core& core, Page* page) {

@@ -13,6 +13,11 @@
 // This is load-bearing for the cache model: with a small NIC rx ring the
 // same few pages cycle through DMA and stay LLC-resident, which is
 // exactly the paper's fig. 3(e) ring-size effect.
+//
+// Pages live in a slab of fixed-size chunks that never move, because
+// fragments, descriptors and pagesets keep `Page*`.  Ids are dense per
+// allocator: the n-th page created has id n, so `page(id)` is an index
+// and the leak sweep can mark pages by id.
 #ifndef HOSTSIM_MEM_PAGE_ALLOCATOR_H
 #define HOSTSIM_MEM_PAGE_ALLOCATOR_H
 
@@ -57,19 +62,24 @@ class PageAllocator {
   /// Pages currently live (allocated and not yet freed); for tests.
   std::int64_t live_pages() const { return live_pages_; }
 
-  /// Every live page, for leak diagnostics (slow: walks the arena).
-  std::vector<const Page*> live_page_list() const;
+  /// The page carrying `id`, or nullptr for 0 and for ids past the last
+  /// page created.  O(1).
+  const Page* page(PageId id) const {
+    if (id == 0 || id > pages_created_) return nullptr;
+    return &slab_[(id - 1) / kChunkPages][(id - 1) % kChunkPages];
+  }
 
  private:
+  static constexpr std::uint64_t kChunkPages = 1024;
+
   int num_cores_;
   std::vector<std::vector<Page*>> pagesets_;  // per core, LIFO (cache-warm)
   std::vector<std::deque<Page*>> global_;    // per node, FIFO
-  std::deque<std::unique_ptr<Page>> arena_;  // page object storage
-  PageId next_id_ = 1;
+  std::vector<std::unique_ptr<Page[]>> slab_;  // page id - 1 by chunk
+  std::uint64_t pages_created_ = 0;
 
   HitRate pageset_stats_;
   std::uint64_t remote_frees_ = 0;
-  std::uint64_t pages_created_ = 0;
   std::int64_t live_pages_ = 0;
 };
 

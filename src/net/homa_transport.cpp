@@ -66,15 +66,14 @@ void HomaSocket::release_rx(Core& core) {
   transport_->sched_purge(core, *this);
 }
 
-void HomaSocket::collect_protocol_pages(
-    std::unordered_set<const Page*>& held) const {
+void HomaSocket::collect_protocol_pages(std::vector<const Page*>& held) const {
   for (const TxMessage& msg : tx_messages_) {
-    for (const Page* page : msg.pages) held.insert(page);
+    for (const Page* page : msg.pages) held.push_back(page);
   }
   for (const auto& [id, msg] : rx_messages_) {
     for (const auto& [offset, skb] : msg.frags) {
       for (const Fragment& fragment : skb.fragments) {
-        held.insert(fragment.page);
+        held.push_back(fragment.page);
       }
     }
   }
@@ -575,12 +574,11 @@ void HomaTransport::rx_flush(Core& core, int queue) {
   }
 }
 
-void HomaTransport::collect_held_pages(
-    std::unordered_set<const Page*>& held) const {
+void HomaTransport::collect_held_pages(std::vector<const Page*>& held) const {
   for (const auto& queue : pending_) {
     for (const auto& [flow, batch] : queue) {
       for (const Fragment& fragment : batch.skb.fragments) {
-        held.insert(fragment.page);
+        held.push_back(fragment.page);
       }
     }
   }

@@ -115,8 +115,7 @@ class HomaSocket : public TransportSocket {
   void on_read(Core& core, Bytes copied) override;
   void release_tx(Core& core) override;
   void release_rx(Core& core) override;
-  void collect_protocol_pages(
-      std::unordered_set<const Page*>& held) const override;
+  void collect_protocol_pages(std::vector<const Page*>& held) const override;
 
   /// Sender ack-clock window (messages), at least 1.
   std::size_t tx_window() const;
@@ -178,8 +177,7 @@ class HomaTransport : public Transport {
                                                int app_core) override;
   void rx_frame(Core& core, int queue, Nic::PolledFrame polled) override;
   void rx_flush(Core& core, int queue) override;
-  void collect_held_pages(
-      std::unordered_set<const Page*>& held) const override;
+  void collect_held_pages(std::vector<const Page*>& held) const override;
   void on_socket_destroyed(int flow) override;
 
   /// Total grants issued (parity with GrantScheduler::grants_issued).

@@ -344,7 +344,7 @@ Bytes Stack::total_delivered_to_app() const {
   return total;
 }
 
-void Stack::collect_held_pages(std::unordered_set<const Page*>& held) const {
+void Stack::collect_held_pages(std::vector<const Page*>& held) const {
   for (const auto& [flow, socket] : sockets_) {
     socket->collect_held_pages(held);
   }

@@ -223,9 +223,9 @@ class Stack {
   /// so the total never moves backwards.
   Bytes total_delivered_to_app() const;
 
-  /// Adds every page the stack holds a reference to (socket queues,
-  /// parked cross-core requeues) to `held`; used by the leak sweep.
-  void collect_held_pages(std::unordered_set<const Page*>& held) const;
+  /// Appends every page the stack holds a reference to (socket queues,
+  /// then parked cross-core requeues) to `held`; used by the leak sweep.
+  void collect_held_pages(std::vector<const Page*>& held) const;
 
   /// Test hook: silently drops the next page-backed data skb *without*
   /// releasing its page references — a deliberate skb leak for

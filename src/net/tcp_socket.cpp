@@ -54,13 +54,14 @@ void TcpSocket::release_rx(Core& core) {
   ofo_bytes_ = 0;
 }
 
-void TcpSocket::collect_protocol_pages(
-    std::unordered_set<const Page*>& held) const {
+void TcpSocket::collect_protocol_pages(std::vector<const Page*>& held) const {
   for (const TxChunk& chunk : tx_queue_) {
-    for (const Page* page : chunk.pages) held.insert(page);
+    for (const Page* page : chunk.pages) held.push_back(page);
   }
   for (const auto& [seq, skb] : ofo_) {
-    for (const Fragment& fragment : skb.fragments) held.insert(fragment.page);
+    for (const Fragment& fragment : skb.fragments) {
+      held.push_back(fragment.page);
+    }
   }
 }
 

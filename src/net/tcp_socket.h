@@ -16,7 +16,7 @@
 #include <deque>
 #include <map>
 #include <memory>
-#include <unordered_set>
+#include <vector>
 
 #include "sim/timer.h"
 #include "hw/link.h"
@@ -101,8 +101,7 @@ class TcpSocket : public TransportSocket {
   void on_read(Core& core, Bytes copied) override;
   void release_tx(Core& core) override;
   void release_rx(Core& core) override;
-  void collect_protocol_pages(
-      std::unordered_set<const Page*>& held) const override;
+  void collect_protocol_pages(std::vector<const Page*>& held) const override;
 
   // tx path
   void tcp_output(Core& core);

@@ -136,10 +136,11 @@ void TcpTransport::rx_flush(Core& core, int queue) {
   }
 }
 
-void TcpTransport::collect_held_pages(
-    std::unordered_set<const Page*>& held) const {
+void TcpTransport::collect_held_pages(std::vector<const Page*>& held) const {
   requeue_park_.for_each([&held](const Skb& skb) {
-    for (const Fragment& fragment : skb.fragments) held.insert(fragment.page);
+    for (const Fragment& fragment : skb.fragments) {
+      held.push_back(fragment.page);
+    }
   });
 }
 

@@ -13,7 +13,6 @@
 #define HOSTSIM_NET_TCP_TRANSPORT_H
 
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "mem/pool.h"
@@ -37,8 +36,7 @@ class TcpTransport : public Transport {
                                                int app_core) override;
   void rx_frame(Core& core, int queue, Nic::PolledFrame polled) override;
   void rx_flush(Core& core, int queue) override;
-  void collect_held_pages(
-      std::unordered_set<const Page*>& held) const override;
+  void collect_held_pages(std::vector<const Page*>& held) const override;
   void on_socket_destroyed(int /*flow*/) override {}
 
  private:

@@ -120,10 +120,11 @@ void TransportSocket::release_pages(Core& core, const Skb& skb) {
   }
 }
 
-void TransportSocket::collect_held_pages(
-    std::unordered_set<const Page*>& held) const {
+void TransportSocket::collect_held_pages(std::vector<const Page*>& held) const {
   for (const Skb& skb : rq_) {
-    for (const Fragment& fragment : skb.fragments) held.insert(fragment.page);
+    for (const Fragment& fragment : skb.fragments) {
+      held.push_back(fragment.page);
+    }
   }
   collect_protocol_pages(held);
 }

@@ -36,7 +36,7 @@
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <unordered_set>
+#include <vector>
 
 #include "cpu/core.h"
 #include "cpu/scheduler.h"
@@ -232,7 +232,7 @@ class TransportSocket {
   virtual Bytes inflight() const = 0;
 
   /// Adds every page this socket holds a reference to; leak sweep.
-  void collect_held_pages(std::unordered_set<const Page*>& held) const;
+  void collect_held_pages(std::vector<const Page*>& held) const;
 
   // --- Observability tx-watch (request tracing) ---------------------------
 
@@ -264,8 +264,7 @@ class TransportSocket {
   /// receive queue is released.
   virtual void release_rx(Core& core) = 0;
   /// Adds the pages of protocol-owned queues (tx, out of order).
-  virtual void collect_protocol_pages(
-      std::unordered_set<const Page*>& held) const = 0;
+  virtual void collect_protocol_pages(std::vector<const Page*>& held) const = 0;
 
   // --- Shared machinery for the hooks -------------------------------------
 
@@ -364,8 +363,7 @@ class Transport {
 
   /// Pages the transport itself holds outside any socket (e.g. parked
   /// cross-core requeues); leak sweep.
-  virtual void collect_held_pages(
-      std::unordered_set<const Page*>& held) const = 0;
+  virtual void collect_held_pages(std::vector<const Page*>& held) const = 0;
 
   /// Called after the Stack removed a (dead) socket from its table.
   virtual void on_socket_destroyed(int flow) = 0;

@@ -141,5 +141,44 @@ TEST_F(AllocatorFixture, LivePagesNeverNegativeProperty) {
   });
 }
 
+TEST_F(AllocatorFixture, SlabPagesKeepAddressAndIdAsItGrows) {
+  in_task(local, [&](Core& c) {
+    std::vector<Page*> pages{allocator.alloc(c)};
+    pages.front()->refs = 1;
+    const PageId first_id = pages.front()->id;
+    while (pages.size() < 100'100) {
+      pages.push_back(allocator.alloc(c));
+      pages.back()->refs = 1;
+    }
+    EXPECT_GT(allocator.pages_created(), 100'000u);
+    // Every page handed out is still where the slab put it, under the
+    // id it was created with.
+    EXPECT_EQ(pages.front()->id, first_id);
+    EXPECT_EQ(allocator.page(first_id), pages.front());
+    std::size_t moved = 0;
+    for (Page* page : pages) moved += allocator.page(page->id) != page;
+    EXPECT_EQ(moved, 0u);
+    for (Page* page : pages) allocator.release(c, page);
+  });
+}
+
+TEST_F(AllocatorFixture, IdLookupReturnsTheCarrierOrNull) {
+  EXPECT_EQ(allocator.page(0), nullptr);
+  EXPECT_EQ(allocator.page(1), nullptr);  // nothing created yet
+  in_task(local, [&](Core& c) {
+    Page* page = allocator.alloc(c);
+    page->refs = 1;
+    // A refill creates a whole batch, ids 1..batch, in creation order.
+    const PageId last = allocator.pages_created();
+    EXPECT_EQ(last, static_cast<PageId>(cost.pageset_batch));
+    for (PageId id = 1; id <= last; ++id) {
+      ASSERT_NE(allocator.page(id), nullptr);
+      EXPECT_EQ(allocator.page(id)->id, id);
+    }
+    EXPECT_EQ(allocator.page(last + 1), nullptr);
+    allocator.release(c, page);
+  });
+}
+
 }  // namespace
 }  // namespace hostsim

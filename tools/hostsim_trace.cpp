@@ -8,21 +8,29 @@
 //   hostsim_trace --demo
 //
 // --demo runs a small traced incast in-process, writes its artifacts to
-// a temp directory, and analyzes its own spans.jsonl — the ctest smoke
-// uses it to cover the full pipeline (trace -> export -> parse -> path).
+// a per-process temp directory, and analyzes its own spans.jsonl — the
+// ctest smoke uses it to cover the full pipeline (trace -> export ->
+// parse -> path).
+//
+// A `--top` that is not an integer >= 1, and a trace whose parent links
+// loop (a span id repeats on the critical path), exit 2 with one line on
+// stderr.
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/serialize.h"
+#include "flags.h"
 #include "sim/units.h"
 
 namespace {
@@ -81,18 +89,19 @@ std::string host_name(std::int64_t host) {
 
 /// The chain of spans that determined the request's completion: at each
 /// level, the child whose end is latest (ties: earliest start, then
-/// span id, so output is deterministic).
-void print_critical_path(const std::vector<const SpanRow*>& trace_spans) {
+/// span id, so output is deterministic).  Returns false, having printed
+/// the path up to that point, when a span id repeats on the path.
+bool print_critical_path(const std::vector<const SpanRow*>& trace_spans) {
   std::map<std::string, std::vector<const SpanRow*>> children;
   const SpanRow* root = nullptr;
   for (const SpanRow* span : trace_spans) {
     if (span->kind == "request") root = span;
     children[span->parent].push_back(span);
   }
-  if (root == nullptr) return;
+  std::set<std::string> on_path;
   int depth = 0;
-  const SpanRow* current = root;
-  while (current != nullptr) {
+  for (const SpanRow* current = root; current != nullptr; ++depth) {
+    if (!on_path.insert(current->span).second) return false;
     std::printf("  %*s%-8s %-7s %10.1f ..%10.1f us  (%8.1f us)%s%s\n",
                 depth * 2, "", current->kind.c_str(),
                 host_name(current->host).c_str(), us(current->start),
@@ -115,8 +124,8 @@ void print_critical_path(const std::vector<const SpanRow*>& trace_spans) {
       }
     }
     current = next;
-    ++depth;
   }
+  return true;
 }
 
 int analyze(const std::string& path, std::size_t top) {
@@ -172,7 +181,13 @@ int analyze(const std::string& path, std::size_t top) {
     std::printf("\n#%zu trace %s cls=%s: %.1f us, %zu span(s)\n", i + 1,
                 ref.trace->c_str(), ref.root->cls.c_str(), us(ref.duration),
                 by_trace[*ref.trace].size());
-    print_critical_path(by_trace[*ref.trace]);
+    if (!print_critical_path(by_trace[*ref.trace])) {
+      std::fprintf(stderr,
+                   "hostsim_trace: trace %s in %s: a span id repeats on its "
+                   "critical path (parent links form a cycle)\n",
+                   ref.trace->c_str(), path.c_str());
+      return 2;
+    }
   }
   if (traces.empty()) {
     std::fprintf(stderr, "hostsim_trace: no completed requests in %s\n",
@@ -184,7 +199,8 @@ int analyze(const std::string& path, std::size_t top) {
 
 int run_demo() {
   namespace fs = std::filesystem;
-  const fs::path dir = fs::temp_directory_path() / "hostsim-trace-demo";
+  const fs::path dir = fs::temp_directory_path() /
+                       ("hostsim-trace-demo-" + std::to_string(::getpid()));
   fs::remove_all(dir);
 
   hostsim::ExperimentConfig config;
@@ -214,9 +230,9 @@ int main(int argc, char** argv) {
     const std::string_view arg = argv[i];
     if (arg == "--demo") {
       demo = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
+    } else if (const auto value = hostsim::tools::flag_value(arg, "--top")) {
       top = static_cast<std::size_t>(
-          std::strtoull(arg.data() + 6, nullptr, 10));
+          hostsim::tools::int_flag(*value, "--top", 1));
     } else if (arg == "--help" || arg == "-h") {
       std::printf("usage: hostsim_trace <spans.jsonl> [--top=N] | --demo\n");
       return 0;
