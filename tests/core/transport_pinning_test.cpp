@@ -13,7 +13,10 @@
 //  * traced RPC runs (ping-pong incast under both transports, the
 //    fig. 11 mixed pattern, and a resilient incast through a host
 //    crash), each pinned by its metrics JSON and by its request-class
-//    rollup, which carries the client class names and span latencies.
+//    rollup, which carries the client class names and span latencies,
+//  * a buffered 5-host incast whose 2000 Gbps ports serialize a 66-byte
+//    ACK in 0 ns, so the switch schedules that hop at the current
+//    instant (the event loop's immediate path), under both transports.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -125,6 +128,40 @@ TEST(TransportPinning, ZeroCopyRemoteNumaShortRunBitIdentical) {
   EXPECT_DOUBLE_EQ(metrics.total_gbps, 99.017877333333331);
   EXPECT_EQ(metrics.app_bytes, 37131704);
   EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x509cd80b974fc97full);
+}
+
+// 4:1 incast through a buffered switch whose 2000 Gbps egress ports
+// serialize a header-only frame in 0 ns: every ACK's serialize stage is
+// due at the instant it is enqueued.  Captured before the switch's
+// in-flight frames moved from per-frame events into per-hop FIFOs.
+ExperimentConfig same_instant_switch_config(TransportKind transport) {
+  ExperimentConfig config;
+  config.stack.transport.kind = transport;
+  config.traffic.pattern = Pattern::incast;
+  config.traffic.flows = 4;
+  config.topology.num_hosts = 5;
+  config.topology.use_switch = true;
+  config.topology.switch_buffer = 256 * kKiB;
+  config.topology.port_gbps = 2000;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 3 * kMillisecond;
+  return config;
+}
+
+TEST(TransportPinning, SameInstantSwitchIncast5ShortRunBitIdentical) {
+  const Metrics metrics =
+      run_experiment(same_instant_switch_config(TransportKind::tcp));
+  EXPECT_DOUBLE_EQ(metrics.total_gbps, 28.053504);
+  EXPECT_EQ(metrics.app_bytes, 10520064);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x1d7bad012d5dc42cull);
+}
+
+TEST(TransportPinning, HomaSameInstantSwitchIncast5ShortRunBitIdentical) {
+  const Metrics metrics =
+      run_experiment(same_instant_switch_config(TransportKind::homa));
+  EXPECT_DOUBLE_EQ(metrics.total_gbps, 34.819007999999997);
+  EXPECT_EQ(metrics.app_bytes, 13057128);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xf717a12ff5c6b50full);
 }
 
 /// Fingerprint of the per-class request rollup (never serialized).
