@@ -167,11 +167,18 @@ Cluster::Cluster(const ExperimentConfig& config) : config_(config) {
     // references into these containers.  The delivery band is used at
     // every shard count (serial included — see build_cluster), so these
     // exist whenever the switch topology does.
-    shard_frames_.reserve(loops_.size());
-    for (std::size_t s = 0; s < loops_.size(); ++s) {
-      shard_frames_.push_back(std::make_unique<SlotPool<Frame>>());
+    const std::size_t shards = loops_.size();
+    ingress_ = std::vector<EventFifo<Arrival>>(
+        static_cast<std::size_t>(config.topology.num_hosts) * shards);
+    for (std::size_t f = 0; f < ingress_.size(); ++f) {
+      // Host h's uplink feeds fabric ingress port h.
+      const int port = static_cast<int>(f / shards);
+      ingress_[f].bind(*loops_[f % shards], [this, port](Arrival& arrival) {
+        fabric_->ingress_ranked(port, std::move(arrival.payload),
+                                arrival.sent, arrival.sub);
+      });
     }
-    channels_.resize(loops_.size() * loops_.size());
+    channels_.resize(shards * shards);
     link_delivery_seq_.assign(
         static_cast<std::size_t>(config.topology.num_hosts), 0);
   }
@@ -456,7 +463,8 @@ void Cluster::build_cluster() {
               link_delivery_seq_[static_cast<std::size_t>(i)]++;
           const int dst_shard = shard_of_host(frame.dst_host);
           if (dst_shard == src_shard) {
-            schedule_ingress(dst_shard, at, sent, sub, std::move(frame));
+            ingress(i, dst_shard)
+                .push_delivery(at, sent, sub, {at, sent, sub, frame});
           } else {
             require(at > executor_->round_deadline(),
                     "cross-shard frame lands inside the open round window "
@@ -481,31 +489,16 @@ void Cluster::build_cluster() {
   }
 }
 
-void Cluster::schedule_ingress(int dst_shard, Nanos at, Nanos sent,
-                               std::uint64_t sub, Frame frame) {
-  // Fabric ingress port for host h's uplink is h, and the NIC stamped
-  // src_host — so the channel need not carry the port separately.
-  const int in_port = frame.src_host;
-  SlotPool<Frame>& pool = *shard_frames_[static_cast<std::size_t>(dst_shard)];
-  const SlotPool<Frame>::Slot slot = pool.acquire(std::move(frame));
-  loops_[static_cast<std::size_t>(dst_shard)]->schedule_delivery(
-      at, sent, sub, [this, dst_shard, in_port, slot, sent, sub] {
-        SlotPool<Frame>& frames =
-            *shard_frames_[static_cast<std::size_t>(dst_shard)];
-        Frame frame = std::move(frames[slot]);
-        frames.release(slot);
-        fabric_->ingress_ranked(in_port, std::move(frame), sent, sub);
-      });
-}
-
 void Cluster::drain_channels() {
   const int shards = num_shards();
   for (int src = 0; src < shards; ++src) {
     for (int dst = 0; dst < shards; ++dst) {
       if (src == dst) continue;
-      channel(src, dst).drain([this, dst](ShardChannel<Frame>::Item& item) {
-        schedule_ingress(dst, item.at, item.sent, item.sub,
-                         std::move(item.payload));
+      // The NIC stamped src_host, the index of the uplink the frame
+      // took — so the channel need not carry the link separately.
+      channel(src, dst).drain([this, dst](const Arrival& item) {
+        ingress(item.payload.src_host, dst)
+            .push_delivery(item.at, item.sent, item.sub, item);
       });
     }
   }

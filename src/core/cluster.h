@@ -49,6 +49,7 @@
 #include "hw/switch.h"
 #include "net/transport.h"
 #include "obs/observer.h"
+#include "sim/event_fifo.h"
 #include "sim/event_loop.h"
 #include "sim/fault_injector.h"
 #include "sim/invariant_checker.h"
@@ -246,10 +247,14 @@ class Cluster {
   /// every live socket on it is aborted (killed_by_fault) in a task on
   /// its app core, so page releases charge in proper context.
   void register_crash_handler(FaultInjector& injector);
-  /// Schedules one cross-host frame's fabric ingress on the destination
-  /// shard's loop under the deterministic delivery key.
-  void schedule_ingress(int dst_shard, Nanos at, Nanos sent,
-                        std::uint64_t sub, Frame frame);
+  /// A frame bound for the switch ingress, with its delivery key.
+  using Arrival = ShardChannel<Frame>::Item;
+  /// The FIFO carrying `uplink`'s frames to the fabric ingress on
+  /// `shard`'s loop, under their deterministic delivery keys.
+  EventFifo<Arrival>& ingress(int uplink, int shard) {
+    return ingress_[static_cast<std::size_t>(uplink) * loops_.size() +
+                    static_cast<std::size_t>(shard)];
+  }
   /// Barrier hook: moves parked channel frames into destination loops.
   void drain_channels();
   ShardChannel<Frame>& channel(int src_shard, int dst_shard) {
@@ -267,9 +272,9 @@ class Cluster {
   std::vector<std::vector<int>> shard_hosts_;
   std::unique_ptr<ShardedExecutor> executor_;
   std::vector<ShardChannel<Frame>> channels_;      ///< src*K + dst
-  /// Frames parked while a delivery event is pending, one pool per
-  /// destination shard (the event captures a 4-byte slot handle).
-  std::vector<std::unique_ptr<SlotPool<Frame>>> shard_frames_;
+  /// Frames on their way to the switch ingress, one FIFO per (uplink,
+  /// destination shard) on that shard's loop: uplink*K + shard.
+  std::vector<EventFifo<Arrival>> ingress_;
   /// Per-link delivery sequence numbers (single writer: the shard that
   /// owns the link), composing the low bits of the delivery subkey.
   std::vector<std::uint64_t> link_delivery_seq_;

@@ -15,6 +15,11 @@ Link::Link(EventLoop& loop, const Config& config, Rng rng)
   require(config.gbps > 0, "link rate must be positive");
   require(config.loss_rate >= 0 && config.loss_rate <= 1,
           "loss rate must be a probability");
+  for (std::size_t to = 0; to < 2; ++to) {
+    in_flight_[to].bind(loop, [this, to](Frame& frame) {
+      sinks_[to](std::move(frame));
+    });
+  }
 }
 
 void Link::attach(Side side, std::function<void(Frame)> deliver) {
@@ -68,12 +73,7 @@ void Link::transmit(Side from, Frame frame) {
                   std::move(frame));
     return;
   }
-  const SlotPool<Frame>::Slot slot = in_flight_.acquire(frame);
-  loop_->schedule_at(tx_end + config_.propagation, [this, to, slot] {
-    Frame delivered = in_flight_[slot];
-    in_flight_.release(slot);
-    sinks_[to](delivered);
-  });
+  in_flight_[to].push_at(tx_end + config_.propagation, std::move(frame));
 }
 
 }  // namespace hostsim

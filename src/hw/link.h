@@ -19,7 +19,7 @@
 #include <cstdint>
 #include <functional>
 
-#include "mem/pool.h"
+#include "sim/event_fifo.h"
 #include "sim/event_loop.h"
 #include "sim/fault_injector.h"
 #include "sim/rng.h"
@@ -130,10 +130,7 @@ class Link {
   std::array<std::function<void(Frame)>, 2> sinks_{};
   std::array<RemoteForward, 2> forwards_{};
   std::array<Nanos, 2> busy_until_{};
-  // Frames propagating toward a sink are parked here so the delivery
-  // event captures only a 4-byte slot handle — a Frame (~72 bytes)
-  // captured by value would spill the event's inline storage.
-  SlotPool<Frame> in_flight_;
+  std::array<EventFifo<Frame>, 2> in_flight_;  ///< by destination side
   Rng rng_;
   FaultInjector* faults_ = nullptr;
 

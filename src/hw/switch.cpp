@@ -13,8 +13,8 @@ Switch::Switch(EventLoop& loop, const Config& config) : config_(config) {
   require(config.buffer_bytes >= 0, "switch buffer must be non-negative");
   require(config.ecn_threshold_bytes >= 0,
           "switch ECN threshold must be non-negative");
-  ports_.resize(static_cast<std::size_t>(config.num_ports));
-  for (Port& port : ports_) port.loop = &loop;
+  ports_ = std::vector<Port>(static_cast<std::size_t>(config.num_ports));
+  for (int i = 0; i < num_ports(); ++i) shard_port(i, loop, nullptr);
   route_.assign(static_cast<std::size_t>(config.num_ports), -1);
 }
 
@@ -37,6 +37,14 @@ void Switch::shard_port(int port, EventLoop& loop, FaultInjector* faults) {
   Port& p = ports_[static_cast<std::size_t>(port)];
   p.loop = &loop;
   p.faults = faults;
+  // The frame leaves the buffer when its serialization completes; the
+  // downlink propagation happens outside it.
+  p.serializing.bind(loop, [this, &p](Frame& frame) {
+    p.stats.queued_bytes -= frame.wire_bytes();
+    p.propagating.push_at(p.loop->now() + config_.propagation,
+                          std::move(frame));
+  });
+  p.propagating.bind(loop, [&p](Frame& frame) { p.sink(std::move(frame)); });
 }
 
 void Switch::enable_trace(std::size_t capacity) {
@@ -218,20 +226,7 @@ void Switch::ingress_ranked(int port, Frame frame, Nanos sent,
                                     tx_end + config_.propagation,
                                     wire_bytes});
   }
-  // The frame occupies the FIFO until its serialization completes at
-  // tx_end; the downlink propagation happens outside the buffer.
-  const SlotPool<Frame>::Slot slot = egress_port.in_flight.acquire(frame);
-  loop->schedule_at(tx_end, [this, out, slot] {
-    Port& p = ports_[static_cast<std::size_t>(out)];
-    p.stats.queued_bytes -= p.in_flight[slot].wire_bytes();
-    p.loop->schedule_at(p.loop->now() + config_.propagation,
-                        [this, out, slot] {
-      Port& q = ports_[static_cast<std::size_t>(out)];
-      Frame delivered = q.in_flight[slot];
-      q.in_flight.release(slot);
-      q.sink(delivered);
-    });
-  });
+  egress_port.serializing.push_at(tx_end, std::move(frame));
 }
 
 }  // namespace hostsim

@@ -24,7 +24,7 @@
 // id (port i and host i's uplink are one "cable").
 //
 // Partitioning: all mutable per-frame state (busy_until, FIFO
-// occupancy, stats, in-flight slots, trace ring) lives per egress port.
+// occupancy, stats, in-flight frames, trace ring) lives per egress port.
 // shard_port() binds each port to the loop and fault injector of the
 // shard owning its destination host — the single loop when serial — and
 // ingress executes there.  Every frame arrives through the delivery
@@ -40,8 +40,8 @@
 #include <vector>
 
 #include "hw/link.h"
-#include "mem/pool.h"
 #include "obs/event_trace.h"
+#include "sim/event_fifo.h"
 #include "sim/event_loop.h"
 #include "sim/fault_injector.h"
 #include "sim/units.h"
@@ -156,9 +156,10 @@ class Switch {
     PortStats stats;
     EventLoop* loop = nullptr;       ///< owning shard's loop
     FaultInjector* faults = nullptr;
-    // Frames serializing/propagating toward this port's host; per-port
-    // so concurrent shards never share a slab.
-    SlotPool<Frame> in_flight;
+    // Frames serializing, then propagating, toward this port's host;
+    // per-port, so concurrent shards never share a FIFO.
+    EventFifo<Frame> serializing;
+    EventFifo<Frame> propagating;
     KeepNewestRing<RankedRecord> trace;
     KeepNewestRing<HopRecord> hops;
   };

@@ -2,7 +2,7 @@
 //
 // The hot paths park objects that are logically "in flight" — event
 // nodes waiting in the timer queue, skbs crossing cores on the RPS/RFS
-// requeue, frames propagating down the wire.  Allocating each of those
+// requeue.  Allocating each of those
 // individually (or keying them into an unordered_map) costs an
 // allocation plus a hash per object.  SlotPool recycles slots from a
 // contiguous slab through a freelist instead: acquire/release are O(1),

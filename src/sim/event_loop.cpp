@@ -20,7 +20,7 @@ EventId EventLoop::schedule_at(Nanos at, Action action) {
     ++immediate_live_;
     return kImmediateBit | imm_next_seq_++;
   }
-  return push_heap(at, static_cast<std::uint64_t>(now_), next_seq_++,
+  return push_heap({at, static_cast<std::uint64_t>(now_), next_seq_++},
                    std::move(action));
 }
 
@@ -31,22 +31,25 @@ EventId EventLoop::schedule_after(Nanos delay, Action action) {
 
 EventId EventLoop::schedule_delivery(Nanos at, Nanos sent, std::uint64_t sub,
                                      Action action) {
-  require(at > now_, "deliveries must land strictly in the future");
   require(static_cast<bool>(action), "event action must be callable");
-  require((sub & kDeliveryBit) == 0, "delivery subkey overflows tag bit");
-  return push_heap(at, static_cast<std::uint64_t>(sent), kDeliveryBit | sub,
-                   std::move(action));
+  return push_heap(delivery_key(at, sent, sub), std::move(action));
 }
 
-EventId EventLoop::push_heap(Nanos at, std::uint64_t key_hi,
-                             std::uint64_t key_lo, Action action) {
+EventLoop::Key EventLoop::delivery_key(Nanos at, Nanos sent,
+                                       std::uint64_t sub) const {
+  require(at > now_, "deliveries must land strictly in the future");
+  require((sub & kDeliveryBit) == 0, "delivery subkey overflows tag bit");
+  return {at, static_cast<std::uint64_t>(sent), kDeliveryBit | sub};
+}
+
+EventId EventLoop::push_heap(const Key& key, Action action) {
   const Slot slot = actions_.acquire(std::move(action));
   if (slot >= gen_.size()) {
     gen_.resize(slot + 1, 0);
     heap_pos_.resize(slot + 1, 0);
   }
   const auto pos = static_cast<std::uint32_t>(heap_.size());
-  heap_.push_back(HeapEntry{at, key_hi, key_lo, slot});
+  heap_.push_back(HeapEntry{key, slot});
   heap_pos_[slot] = pos;
   sift_up(pos);
   return make_id(slot);
@@ -105,7 +108,7 @@ void EventLoop::fire(Slot slot, Nanos at) {
 bool EventLoop::step() {
   // Heap entries at the current time predate every immediate-queue
   // entry, so they fire first.
-  if (!heap_.empty() && heap_[0].at == now_) {
+  if (!heap_.empty() && heap_[0].key.at == now_) {
     const Slot slot = heap_[0].slot;
     remove_at(0);
     fire(slot, now_);
@@ -147,13 +150,14 @@ bool EventLoop::step() {
   if (heap_.empty()) return false;
   const HeapEntry top = heap_[0];
   remove_at(0);
-  fire(top.slot, top.at);
+  fire(top.slot, top.key.at);
   return true;
 }
 
 void EventLoop::run_until(Nanos deadline) {
   require(deadline >= now_, "deadline is in the past");
-  while (immediate_live_ > 0 || (!heap_.empty() && heap_[0].at <= deadline)) {
+  while (immediate_live_ > 0 ||
+         (!heap_.empty() && heap_[0].key.at <= deadline)) {
     step();
   }
   now_ = deadline;
@@ -168,7 +172,7 @@ void EventLoop::sift_up(std::uint32_t pos) {
   const HeapEntry entry = heap_[pos];
   while (pos > 0) {
     const std::uint32_t parent = (pos - 1) / kArity;
-    if (!before(entry, heap_[parent])) break;
+    if (!before(entry.key, heap_[parent].key)) break;
     heap_[pos] = heap_[parent];
     heap_pos_[heap_[pos].slot] = pos;
     pos = parent;
@@ -186,9 +190,9 @@ std::uint32_t EventLoop::sift_down(std::uint32_t pos) {
     std::uint32_t best = first;
     const std::uint32_t limit = std::min(first + kArity, count);
     for (std::uint32_t child = first + 1; child < limit; ++child) {
-      if (before(heap_[child], heap_[best])) best = child;
+      if (before(heap_[child].key, heap_[best].key)) best = child;
     }
-    if (!before(heap_[best], entry)) break;
+    if (!before(heap_[best].key, entry.key)) break;
     heap_[pos] = heap_[best];
     heap_pos_[heap_[pos].slot] = pos;
     pos = best;

@@ -17,7 +17,8 @@
 // immediate-queue entry (same-time events created during now-processing
 // route to the FIFO, never the heap).  Actions are InlineFunction
 // rather than std::function, so the common capture shapes (a `this`
-// pointer plus a few scalars) never touch the heap.
+// pointer plus a few scalars) never touch the heap.  Frames in flight
+// wait in per-hop EventFifos (sim/event_fifo.h): one heap entry per hop.
 #ifndef HOSTSIM_SIM_EVENT_LOOP_H
 #define HOSTSIM_SIM_EVENT_LOOP_H
 
@@ -74,16 +75,19 @@ class EventLoop {
   /// Drains the queue completely (useful in unit tests).
   void run_to_completion();
 
-  /// Exact number of live queued events.  Cancelled events are removed
-  /// eagerly and never counted.
-  std::size_t pending() const { return heap_.size() + immediate_live_; }
+  /// Exact number of live queued events, EventFifo items parked behind
+  /// their FIFO's head included.  Cancelled events are removed eagerly
+  /// and never counted.
+  std::size_t pending() const {
+    return heap_.size() + immediate_live_ + parked_;
+  }
 
   /// Timestamp of the earliest pending event, or kNoEvent when idle.
   /// Used by the sharded executor's conservative horizon computation.
   static constexpr Nanos kNoEvent = ~(Nanos{1} << 63);  // max int64
   Nanos next_event_at() const {
     if (immediate_live_ > 0) return now_;
-    return heap_.empty() ? kNoEvent : heap_[0].at;
+    return heap_.empty() ? kNoEvent : heap_[0].key.at;
   }
 
   /// Total number of events executed so far.
@@ -108,6 +112,8 @@ class EventLoop {
   // rearm()) or TimerHandle instead of carrying raw EventIds around.
   friend class Timer;
   friend class TimerHandle;
+  template <class T>
+  friend class EventFifo;
 
   /// Cancels a previously scheduled event: an O(log n) removal from the
   /// queue.  Cancelling an event that has already fired (or was already
@@ -116,34 +122,38 @@ class EventLoop {
 
   using Slot = SlotPool<Action>::Slot;
 
+  /// An event's ordering key.  Ties within `at` break on a composite
+  /// (hi, lo) key.  For locally scheduled events hi is the scheduling
+  /// time and lo the insertion sequence; since the sequence is monotone
+  /// with the clock, (at, sched_time, seq) orders exactly like the
+  /// historical (at, seq) — serial runs are bit-identical to the old
+  /// engine.  For cross-shard deliveries hi is the *sender's* timestamp
+  /// and lo a tagged per-channel subkey, making the tie-break a pure
+  /// function of simulated history instead of thread interleaving.
+  struct Key {
+    Nanos at;
+    std::uint64_t hi;
+    std::uint64_t lo;
+  };
+
   /// One heap element.  Deliberately small and trivially copyable —
   /// sift operations shuffle these, never the actions themselves.
-  /// Ties within `at` break on a composite (key_hi, key_lo) key.  For
-  /// locally scheduled events key_hi is the scheduling time and key_lo
-  /// the insertion sequence; since the sequence is monotone with the
-  /// clock, (at, sched_time, seq) orders exactly like the historical
-  /// (at, seq) — serial runs are bit-identical to the old engine.  For
-  /// cross-shard deliveries key_hi is the *sender's* timestamp and
-  /// key_lo a tagged per-channel subkey, making the tie-break a pure
-  /// function of simulated history instead of thread interleaving.
   struct HeapEntry {
-    Nanos at;
-    std::uint64_t key_hi;
-    std::uint64_t key_lo;
+    Key key;
     Slot slot;
   };
 
   static constexpr std::uint32_t kArity = 4;
   /// Tag bit distinguishing immediate-event ids from heap-event ids.
   static constexpr EventId kImmediateBit = EventId{1} << 63;
-  /// key_lo tag marking cross-shard deliveries (ranks after local
-  /// events with the same (at, key_hi)).
+  /// Key::lo tag marking cross-shard deliveries (ranks after local
+  /// events with the same (at, hi)).
   static constexpr std::uint64_t kDeliveryBit = std::uint64_t{1} << 63;
 
-  static bool before(const HeapEntry& a, const HeapEntry& b) {
+  static bool before(const Key& a, const Key& b) {
     if (a.at != b.at) return a.at < b.at;
-    if (a.key_hi != b.key_hi) return a.key_hi < b.key_hi;
-    return a.key_lo < b.key_lo;
+    if (a.hi != b.hi) return a.hi < b.hi;
+    return a.lo < b.lo;
   }
 
   EventId make_id(Slot slot) const {
@@ -154,9 +164,10 @@ class EventLoop {
            (static_cast<EventId>(slot) + 1);
   }
 
-  /// Inserts a heap entry with an explicit tie-break key.
-  EventId push_heap(Nanos at, std::uint64_t key_hi, std::uint64_t key_lo,
-                    Action action);
+  /// The key schedule_delivery() gives a delivery (validated).
+  Key delivery_key(Nanos at, Nanos sent, std::uint64_t sub) const;
+  /// Inserts a heap entry with an explicit key.
+  EventId push_heap(const Key& key, Action action);
   /// Executes the heap event in `slot` at simulated time `at`.
   void fire(Slot slot, Nanos at);
   void cancel_immediate(std::uint64_t seq);
@@ -186,6 +197,7 @@ class EventLoop {
   std::uint64_t imm_active_base_ = 0;
   std::uint64_t imm_next_seq_ = 0;
   std::size_t immediate_live_ = 0;
+  std::size_t parked_ = 0;  // EventFifo items behind their FIFO's head
   std::uint64_t watchdog_every_ = 0;
   WatchdogHook watchdog_hook_;
   Rng rng_;
