@@ -38,15 +38,9 @@ class EventFifo {
   }
 
   /// Queues `item` for `at` (>= now) as schedule_at() would order its
-  /// own event; an item due now takes the immediate path in one.
+  /// own event.
   void push_at(Nanos at, T item) {
-    if (at == loop_->now()) {
-      loop_->schedule_at(at, [this, item = std::move(item)]() mutable {
-        handler_(item);
-      });
-      return;
-    }
-    require(at > loop_->now(), "cannot schedule events in the past");
+    require(at >= loop_->now(), "cannot schedule events in the past");
     enqueue({at, static_cast<std::uint64_t>(loop_->now()),
              loop_->next_seq_++},
             std::move(item));

@@ -10,16 +10,6 @@ namespace hostsim {
 EventId EventLoop::schedule_at(Nanos at, Action action) {
   require(at >= now_, "cannot schedule events in the past");
   require(static_cast<bool>(action), "event action must be callable");
-  if (at == now_) {
-    // Fire-at-now events skip the heap and the pool entirely.  Every
-    // heap entry at the current time was scheduled before
-    // now-processing began (an event scheduled *during* it lands here
-    // instead), so draining the heap's now-entries before this FIFO
-    // preserves insertion order.
-    imm_incoming_.push_back(std::move(action));
-    ++immediate_live_;
-    return kImmediateBit | imm_next_seq_++;
-  }
   return push_heap({at, static_cast<std::uint64_t>(now_), next_seq_++},
                    std::move(action));
 }
@@ -57,38 +47,15 @@ EventId EventLoop::push_heap(const Key& key, Action action) {
 
 void EventLoop::cancel(EventId id) {
   if (id == 0) return;
-  if (id & kImmediateBit) {
-    cancel_immediate(id & ~kImmediateBit);
-    return;
-  }
   const auto slot = static_cast<Slot>((id & 0xffffffffu) - 1);
   const auto gen = static_cast<std::uint32_t>(id >> 32);
   // A fired or previously-cancelled event released its slot and bumped
   // the generation, so a stale id fails this check and is a no-op.
-  if (slot >= gen_.size() || (gen_[slot] & 0x7fffffffu) != gen ||
-      !actions_.is_live(slot)) {
+  if (slot >= gen_.size() || gen_[slot] != gen || !actions_.is_live(slot)) {
     return;
   }
   remove_at(heap_pos_[slot]);
   release_slot(slot);
-}
-
-void EventLoop::cancel_immediate(std::uint64_t seq) {
-  // Entries before the active buffer's base (or before its drain head)
-  // already fired or were recycled: stale id, no-op.
-  if (seq < imm_active_base_) return;
-  std::uint64_t index = seq - imm_active_base_;
-  if (index < imm_active_.size()) {
-    if (index < imm_head_ || !imm_active_[index]) return;
-    imm_active_[index].reset();
-    --immediate_live_;
-    return;
-  }
-  index -= imm_active_.size();
-  if (index < imm_incoming_.size() && imm_incoming_[index]) {
-    imm_incoming_[index].reset();
-    --immediate_live_;
-  }
 }
 
 void EventLoop::fire(Slot slot, Nanos at) {
@@ -106,47 +73,6 @@ void EventLoop::fire(Slot slot, Nanos at) {
 }
 
 bool EventLoop::step() {
-  // Heap entries at the current time predate every immediate-queue
-  // entry, so they fire first.
-  if (!heap_.empty() && heap_[0].key.at == now_) {
-    const Slot slot = heap_[0].slot;
-    remove_at(0);
-    fire(slot, now_);
-    return true;
-  }
-  for (;;) {
-    // Skip entries cancelled while queued (reset to empty Actions).
-    while (imm_head_ < imm_active_.size() && !imm_active_[imm_head_]) {
-      ++imm_head_;
-    }
-    if (imm_head_ < imm_active_.size()) {
-      // Fire in place: the active buffer only ever shrinks from the
-      // front while draining (pushes go to imm_incoming_), so the
-      // reference stays valid across the call.  The head is advanced
-      // first so an in-action cancel of the firing id is a no-op.
-      Action& action = imm_active_[imm_head_];
-      ++imm_head_;
-      --immediate_live_;
-      ++executed_;
-      action();
-      action.reset();
-      if (watchdog_every_ > 0 && executed_ % watchdog_every_ == 0) {
-        watchdog_hook_(*this);
-      }
-      return true;
-    }
-    if (imm_incoming_.empty()) break;
-    imm_active_.clear();
-    imm_head_ = 0;
-    std::swap(imm_active_, imm_incoming_);
-    imm_active_base_ = imm_next_seq_ - imm_active_.size();
-  }
-  if (!imm_active_.empty()) {
-    // Fully drained (possibly ending on cancelled tails): recycle.
-    imm_active_.clear();
-    imm_head_ = 0;
-    imm_active_base_ = imm_next_seq_;
-  }
   if (heap_.empty()) return false;
   const HeapEntry top = heap_[0];
   remove_at(0);
@@ -156,10 +82,7 @@ bool EventLoop::step() {
 
 void EventLoop::run_until(Nanos deadline) {
   require(deadline >= now_, "deadline is in the past");
-  while (immediate_live_ > 0 ||
-         (!heap_.empty() && heap_[0].key.at <= deadline)) {
-    step();
-  }
+  while (!heap_.empty() && heap_[0].key.at <= deadline) step();
   now_ = deadline;
 }
 

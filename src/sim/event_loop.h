@@ -5,17 +5,11 @@
 // given (configuration, seed) pair.
 //
 // Internals (see DESIGN.md, "Engine internals & performance"): the queue
-// is an indexed 4-ary heap of 32-byte POD entries.  Actions live in a
-// slot pool off to the side, so sift operations never move a callable;
-// each slot keeps a back-pointer into the heap, which makes cancel() a
-// true O(log n) removal and pending() an exact live count.  Events
-// scheduled at exactly `now()` bypass the heap and the pool entirely:
-// they go into a double-buffered FIFO of actions and fire in place, so
-// zero-delay storms never sift or touch slot bookkeeping.  This
-// preserves the global (timestamp, insertion order) execution order
-// because a heap entry at the current time always predates every
-// immediate-queue entry (same-time events created during now-processing
-// route to the FIFO, never the heap).  Actions are InlineFunction
+// is an indexed 4-ary heap of 32-byte POD entries, and every event goes
+// through it, zero-delay ones included.  Actions live in a slot pool off
+// to the side, so sift operations never move a callable; each slot keeps
+// a back-pointer into the heap, which makes cancel() a true O(log n)
+// removal and pending() an exact live count.  Actions are InlineFunction
 // rather than std::function, so the common capture shapes (a `this`
 // pointer plus a few scalars) never touch the heap.  Frames in flight
 // wait in per-hop EventFifos (sim/event_fifo.h): one heap entry per hop.
@@ -33,11 +27,9 @@
 
 namespace hostsim {
 
-/// Identifier of a scheduled event, usable for cancellation.  Heap
-/// events encode a (generation, slot) pair; immediate (fire-at-now)
-/// events set the top bit over a monotone sequence number.  Either way
-/// a stale id (fired or already cancelled) stays recognizably stale and
-/// cancelling it is a no-op.
+/// Identifier of a scheduled event, usable for cancellation: a
+/// (generation, slot) pair, so a stale id (fired or already cancelled)
+/// stays recognizably stale and cancelling it is a no-op.
 using EventId = std::uint64_t;
 
 /// Time-ordered event queue with deterministic tie-breaking.
@@ -78,15 +70,12 @@ class EventLoop {
   /// Exact number of live queued events, EventFifo items parked behind
   /// their FIFO's head included.  Cancelled events are removed eagerly
   /// and never counted.
-  std::size_t pending() const {
-    return heap_.size() + immediate_live_ + parked_;
-  }
+  std::size_t pending() const { return heap_.size() + parked_; }
 
   /// Timestamp of the earliest pending event, or kNoEvent when idle.
   /// Used by the sharded executor's conservative horizon computation.
   static constexpr Nanos kNoEvent = ~(Nanos{1} << 63);  // max int64
   Nanos next_event_at() const {
-    if (immediate_live_ > 0) return now_;
     return heap_.empty() ? kNoEvent : heap_[0].key.at;
   }
 
@@ -127,9 +116,11 @@ class EventLoop {
   /// time and lo the insertion sequence; since the sequence is monotone
   /// with the clock, (at, sched_time, seq) orders exactly like the
   /// historical (at, seq) — serial runs are bit-identical to the old
-  /// engine.  For cross-shard deliveries hi is the *sender's* timestamp
-  /// and lo a tagged per-channel subkey, making the tie-break a pure
-  /// function of simulated history instead of thread interleaving.
+  /// engine.  An event scheduled at `now()` gets hi == at, so it fires
+  /// after every entry queued before the clock reached `at`.  For
+  /// cross-shard deliveries hi is the *sender's* timestamp and lo a
+  /// tagged per-channel subkey, making the tie-break a pure function of
+  /// simulated history instead of thread interleaving.
   struct Key {
     Nanos at;
     std::uint64_t hi;
@@ -144,8 +135,6 @@ class EventLoop {
   };
 
   static constexpr std::uint32_t kArity = 4;
-  /// Tag bit distinguishing immediate-event ids from heap-event ids.
-  static constexpr EventId kImmediateBit = EventId{1} << 63;
   /// Key::lo tag marking cross-shard deliveries (ranks after local
   /// events with the same (at, hi)).
   static constexpr std::uint64_t kDeliveryBit = std::uint64_t{1} << 63;
@@ -157,10 +146,9 @@ class EventLoop {
   }
 
   EventId make_id(Slot slot) const {
-    // Generations are masked to 31 bits so heap ids never collide with
-    // the immediate tag bit; aliasing would need one slot to be reused
-    // 2^31 times while a stale id is still held.
-    return (static_cast<EventId>(gen_[slot] & 0x7fffffffu) << 32) |
+    // Aliasing would need one slot to be reused 2^32 times while a stale
+    // id is still held.
+    return (static_cast<EventId>(gen_[slot]) << 32) |
            (static_cast<EventId>(slot) + 1);
   }
 
@@ -170,7 +158,6 @@ class EventLoop {
   EventId push_heap(const Key& key, Action action);
   /// Executes the heap event in `slot` at simulated time `at`.
   void fire(Slot slot, Nanos at);
-  void cancel_immediate(std::uint64_t seq);
   void sift_up(std::uint32_t pos);
   std::uint32_t sift_down(std::uint32_t pos);
   /// Removes the entry at heap position `pos`, restoring heap order.
@@ -185,18 +172,6 @@ class EventLoop {
   SlotPool<Action> actions_;
   std::vector<std::uint32_t> gen_;       // by slot; survives slot reuse
   std::vector<std::uint32_t> heap_pos_;  // by slot; valid while live
-  // Immediate (fire-at-now) events: a double-buffered FIFO of actions.
-  // `imm_active_` is drained in place (stable storage while an action
-  // runs); pushes land in `imm_incoming_`; the buffers swap when the
-  // active one runs dry.  A cancelled entry is an empty Action, skipped
-  // at drain.  `imm_active_base_` is the immediate-sequence number of
-  // imm_active_[0], letting cancel() map an id back to its ring slot.
-  std::vector<Action> imm_active_;
-  std::vector<Action> imm_incoming_;
-  std::size_t imm_head_ = 0;
-  std::uint64_t imm_active_base_ = 0;
-  std::uint64_t imm_next_seq_ = 0;
-  std::size_t immediate_live_ = 0;
   std::size_t parked_ = 0;  // EventFifo items behind their FIFO's head
   std::uint64_t watchdog_every_ = 0;
   WatchdogHook watchdog_hook_;

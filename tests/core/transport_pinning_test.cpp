@@ -15,8 +15,8 @@
 //    crash), each pinned by its metrics JSON and by its request-class
 //    rollup, which carries the client class names and span latencies,
 //  * a buffered 5-host incast whose 2000 Gbps ports serialize a 66-byte
-//    ACK in 0 ns, so the switch schedules that hop at the current
-//    instant (the event loop's immediate path), under both transports.
+//    ACK in 0 ns, so the switch queues that hop for the current
+//    instant (a same-instant EventFifo push), under both transports.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -63,7 +63,7 @@ class World {
       const int id = next_id_++;
       const Nanos now = loop.now();
       switch (rng_.next_below(5)) {
-        case 0:  // plain local event; delay 0 takes the immediate path
+        case 0:  // plain local event, possibly due at now
           plain_.emplace_back(
               loop, loop.schedule_at(now + static_cast<Nanos>(
                                                rng_.next_below(4)),

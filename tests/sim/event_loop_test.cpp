@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <vector>
 
 namespace hostsim {
@@ -143,8 +144,8 @@ TEST(EventLoopTest, CancelFrontThenMiddleKeepsOrder) {
 }
 
 TEST(EventLoopTest, CancelImmediateEvent) {
-  // Events scheduled at exactly now() take the immediate fast path;
-  // cancelling one must still work and keep pending() exact.
+  // Cancelling an event scheduled at exactly now() must work and keep
+  // pending() exact.
   EventLoop loop;
   int fired = 0;
   loop.schedule_at(5, [&] {
@@ -191,6 +192,22 @@ TEST(EventLoopTest, MixedHeapAndImmediateOrdering) {
   loop.schedule_at(10, [&] { order.push_back(2); });
   loop.run_to_completion();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5}));
+}
+
+TEST(EventLoopTest, SamplerTickFiresAfterZeroDelayEvents) {
+  // The obs sampler keys its tick (at, sent = at, 1 << 62) so that it
+  // reads state after every datapath event at that instant, including
+  // one scheduled at the instant itself.
+  EventLoop loop;
+  std::vector<int> order;
+  loop.schedule_delivery(10, 10, std::uint64_t{1} << 62,
+                         [&] { order.push_back(2); });
+  loop.schedule_at(10, [&] {
+    order.push_back(0);
+    loop.schedule_at(loop.now(), [&] { order.push_back(1); });
+  });
+  loop.run_to_completion();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 TEST(EventLoopTest, DeterministicUnderScheduleCancelChurn) {
