@@ -93,12 +93,12 @@ bool LlcModel::touch_read(PageId page) {
   return false;
 }
 
-void LlcModel::insert(PageId page) {
+bool LlcModel::insert(PageId page) {
   const std::size_t set = set_of(page);
   ++tick_;
   if (Way* way = find(set, page)) {
     way->last_use = tick_;
-    return;
+    return true;
   }
   Way* row = &ways_[set * static_cast<std::size_t>(config_.ways)];
   Way* victim = &row[0];
@@ -113,6 +113,7 @@ void LlcModel::insert(PageId page) {
     ++wasted_ddio_fills_;
   }
   *victim = Way{page, tick_, /*referenced=*/true, /*ddio_fill=*/false};
+  return false;
 }
 
 bool LlcModel::contains(PageId page) const {

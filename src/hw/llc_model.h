@@ -53,7 +53,8 @@ class LlcModel {
   bool touch_read(PageId page);
 
   /// Demand write fill (sender-side copy into fresh kernel pages).
-  void insert(PageId page);
+  /// Returns true when the page was already resident.
+  bool insert(PageId page);
 
   bool contains(PageId page) const;
 

@@ -214,7 +214,7 @@ void TransportSocket::copy_from_user(Core& core, Bytes len, PageList& pages) {
     Page* page = stack_->allocator().alloc(core);
     page->refs = 1;
     const Bytes page_bytes = std::min<Bytes>(kPageBytes, len - i * kPageBytes);
-    const bool resident = llc.contains(page->id);
+    const bool resident = llc.insert(page->id);
     if (resident) {
       stats.sender_copy.hit();
     } else {
@@ -223,7 +223,6 @@ void TransportSocket::copy_from_user(Core& core, Bytes len, PageList& pages) {
     copy_cycles += static_cast<double>(page_bytes) *
                    (cost.copy_cyc_per_byte_hit +
                     (resident ? 0.0 : cost.copy_write_miss_extra));
-    llc.insert(page->id);
     pages.push_back(page);
   }
   core.charge(CpuCategory::data_copy, static_cast<Cycles>(copy_cycles));

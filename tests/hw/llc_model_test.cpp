@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/rng.h"
+
 #include <set>
 #include <vector>
 
@@ -128,6 +130,49 @@ TEST(LlcModelTest, WorkingSetWithinDdioCapacityHits) {
     for (PageId p = 1; p <= working_set; ++p) llc.touch_read(p);
   }
   EXPECT_LT(llc.read_stats().miss_rate(), 0.2);
+}
+
+TEST(LlcModelTest, InsertReportsResidencyLikeContains) {
+  // insert() returning the page's prior residency must leave the model
+  // exactly where contains() followed by insert() leaves it.
+  LlcConfig config{/*sets=*/4, /*ways=*/4, /*ddio_ways=*/2};
+  LlcModel probed(config);
+  LlcModel direct(config);
+  Rng rng(11);
+  int insert_hits = 0;
+  for (int op = 0; op < 20000; ++op) {
+    const PageId page = 1 + rng.next_below(48);
+    bool probed_hit = false;
+    bool direct_hit = false;
+    switch (rng.next_below(4)) {
+      case 0:
+        probed.dma_write(page);
+        direct.dma_write(page);
+        break;
+      case 1:
+        probed.dma_invalidate(page);
+        direct.dma_invalidate(page);
+        break;
+      case 2:
+        probed_hit = probed.touch_read(page);
+        direct_hit = direct.touch_read(page);
+        break;
+      default:
+        probed_hit = probed.contains(page);
+        probed.insert(page);
+        direct_hit = direct.insert(page);
+        insert_hits += direct_hit;
+        break;
+    }
+    ASSERT_EQ(probed_hit, direct_hit) << "op " << op;
+    ASSERT_EQ(probed.read_stats().hits(), direct.read_stats().hits());
+    ASSERT_EQ(probed.read_stats().misses(), direct.read_stats().misses());
+    ASSERT_EQ(probed.occupancy(), direct.occupancy()) << "op " << op;
+    ASSERT_EQ(probed.wasted_ddio_fills(), direct.wasted_ddio_fills());
+  }
+  // Both insert outcomes occur.
+  EXPECT_GT(insert_hits, 500);
+  EXPECT_GT(direct.wasted_ddio_fills(), 0u);
 }
 
 }  // namespace
