@@ -166,9 +166,7 @@ void Nic::kick_napi(int index) {
 }
 
 void Nic::release_fragments(Core& core, FragmentVec& fragments) {
-  for (const Fragment& fragment : fragments) {
-    allocator_->release(core, fragment.page);
-  }
+  allocator_->release(core, fragments);
   fragments.clear();
 }
 

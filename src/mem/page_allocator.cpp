@@ -59,6 +59,10 @@ void PageAllocator::release(Core& core, Page* page) {
   if (--page->refs == 0) free(core, page);
 }
 
+void PageAllocator::release(Core& core, const FragmentVec& fragments) {
+  for (const Fragment& fragment : fragments) release(core, fragment.page);
+}
+
 void PageAllocator::free(Core& core, Page* page) {
   require(page != nullptr && page->refs == 0, "free of referenced page");
   const CostModel& cost = core.cost();

@@ -47,6 +47,8 @@ class PageAllocator {
   /// Drops one page reference; frees the page when the last reference
   /// drops.
   void release(Core& core, Page* page);
+  /// Drops one reference per fragment, in order.
+  void release(Core& core, const FragmentVec& fragments);
 
   /// Frees a page with no outstanding references.  Local-node frees go
   /// through the pageset; remote-node frees take the expensive global

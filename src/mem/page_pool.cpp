@@ -15,9 +15,7 @@ FragmentVec PagePool::alloc_span(Core& core, Bytes bytes) {
       if (faults_ != nullptr && !faults_->pool_alloc_allowed()) {
         // Allocation denied (memory-pressure window).  Roll back the
         // partially carved span so the caller sees a clean failure.
-        for (const Fragment& fragment : fragments) {
-          allocator_->release(core, fragment.page);
-        }
+        allocator_->release(core, fragments);
         return {};
       }
       // The pool drops its own reference to the exhausted page; frames

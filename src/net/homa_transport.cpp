@@ -503,9 +503,7 @@ void HomaTransport::deliver(Core& core, int flow, PendingBatch&& batch) {
   if (socket == nullptr || socket->dead()) {
     // Unknown or terminally failed flow: drop the data and answer with
     // an RST so the sender learns the connection is gone.
-    for (const Fragment& fragment : batch.skb.fragments) {
-      stack_->allocator_->release(core, fragment.page);
-    }
+    stack_->allocator_->release(core, batch.skb.fragments);
     stack_->send_rst(flow);
     return;
   }
@@ -519,9 +517,7 @@ void HomaTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
   if (frame.is_ack || frame.is_grant || frame.is_resend || frame.is_rst) {
     // Header-only control: copybreak-class skb, dispatched inline.
     core.charge(CpuCategory::skb_mgmt, cost.skb_alloc / 3);
-    for (const Fragment& fragment : polled.fragments) {
-      stack_->allocator_->release(core, fragment.page);
-    }
+    stack_->allocator_->release(core, polled.fragments);
     auto* socket = static_cast<HomaSocket*>(stack_->find_socket(frame.flow));
     if (socket == nullptr || socket->dead()) {
       if (!frame.is_rst) stack_->send_rst(frame.flow);

@@ -394,9 +394,7 @@ void Stack::napi_poll(Core& core, int queue) {
       // it will be repaired like any other loss.  Distinct from wire
       // loss in that the receiver pays for the frame before discarding.
       core.charge(CpuCategory::skb_mgmt, cost.skb_alloc + cost.skb_free);
-      for (const Fragment& fragment : polled->fragments) {
-        allocator_->release(core, fragment.page);
-      }
+      allocator_->release(core, polled->fragments);
       ++stats_.rx_csum_drops;
       continue;
     }
@@ -412,9 +410,7 @@ void Stack::napi_poll(Core& core, int queue) {
       } else {
         handle_syn(core, polled->frame);
       }
-      for (const Fragment& fragment : polled->fragments) {
-        allocator_->release(core, fragment.page);
-      }
+      allocator_->release(core, polled->fragments);
       continue;
     }
 
@@ -423,9 +419,7 @@ void Stack::napi_poll(Core& core, int queue) {
       // ACK path would have paid.
       core.charge(CpuCategory::skb_mgmt, cost.skb_alloc / 3);
       fin_flows.push_back(polled->frame.flow);
-      for (const Fragment& fragment : polled->fragments) {
-        allocator_->release(core, fragment.page);
-      }
+      allocator_->release(core, polled->fragments);
       continue;
     }
 

@@ -44,9 +44,7 @@ void TcpTransport::deliver(Core& core, Skb&& skb) {
     // learns the connection is gone instead of retransmitting into a
     // void until its own timeout fires.
     const int flow = skb.flow;
-    for (const Fragment& fragment : skb.fragments) {
-      stack_->allocator_->release(core, fragment.page);
-    }
+    stack_->allocator_->release(core, skb.fragments);
     stack_->send_rst(flow);
     return;
   }
@@ -75,9 +73,7 @@ void TcpTransport::deliver(Core& core, Skb&& skb) {
                                                       std::move(queued));
             return;
           }
-          for (const Fragment& fragment : queued.fragments) {
-            stack_->allocator_->release(remote, fragment.page);
-          }
+          stack_->allocator_->release(remote, queued.fragments);
         });
   });
 }
@@ -119,9 +115,7 @@ void TcpTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
         });
       }
     }
-    for (const Fragment& fragment : polled.fragments) {
-      stack_->allocator_->release(core, fragment.page);
-    }
+    stack_->allocator_->release(core, polled.fragments);
     return;
   }
   Gro& gro = gros_.at(static_cast<std::size_t>(queue));

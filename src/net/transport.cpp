@@ -115,9 +115,7 @@ void TransportSocket::wake_writer() {
 }
 
 void TransportSocket::release_pages(Core& core, const Skb& skb) {
-  for (const Fragment& fragment : skb.fragments) {
-    stack_->allocator().release(core, fragment.page);
-  }
+  stack_->allocator().release(core, skb.fragments);
 }
 
 void TransportSocket::collect_held_pages(std::vector<const Page*>& held) const {
