@@ -435,7 +435,6 @@ void Cluster::build_cluster() {
     fabric_->attach_port(i, [this, i](Frame frame) {
       hosts_[static_cast<std::size_t>(i)]->nic().receive(std::move(frame));
     });
-    fabric_->set_route(i, i);
 
     // The uplink tail feeds the switch, and every cross-host frame takes
     // the deterministic delivery band — in serial mode too: the uplink

@@ -15,21 +15,11 @@ Switch::Switch(EventLoop& loop, const Config& config) : config_(config) {
           "switch ECN threshold must be non-negative");
   ports_ = std::vector<Port>(static_cast<std::size_t>(config.num_ports));
   for (int i = 0; i < num_ports(); ++i) shard_port(i, loop, nullptr);
-  route_.assign(static_cast<std::size_t>(config.num_ports), -1);
 }
 
 void Switch::attach_port(int port, std::function<void(Frame)> deliver) {
   require(port >= 0 && port < num_ports(), "switch port out of range");
   ports_[static_cast<std::size_t>(port)].sink = std::move(deliver);
-}
-
-void Switch::set_route(int host, int port) {
-  require(port >= 0 && port < num_ports(), "switch port out of range");
-  if (host >= static_cast<int>(route_.size())) {
-    route_.resize(static_cast<std::size_t>(host) + 1, -1);
-  }
-  require(host >= 0, "host index must be non-negative");
-  route_[static_cast<std::size_t>(host)] = port;
 }
 
 void Switch::shard_port(int port, EventLoop& loop, FaultInjector* faults) {
@@ -150,19 +140,18 @@ void Switch::ingress_ranked(int port, Frame frame, Nanos sent,
                             std::uint64_t sub) {
   require(port >= 0 && port < num_ports(), "switch port out of range");
   const Rank rank{sent, sub};
-  const int dst = frame.dst_host;
-  require(dst >= 0 && dst < static_cast<int>(route_.size()),
+  // Port i is host i's cable, so a frame leaves by its destination host.
+  const int out = frame.dst_host;
+  require(out >= 0 && out < num_ports(),
           "frame destination host is unroutable");
-  const int out = route_[static_cast<std::size_t>(dst)];
-  require(out >= 0, "no route installed for destination host");
   Port& egress_port = ports_[static_cast<std::size_t>(out)];
   require(static_cast<bool>(egress_port.sink), "egress port not attached");
   EventLoop* loop = egress_port.loop;
   int trace_idx = 0;
 
-  // Egress-side flap: the downlink cable (port `out` / host `dst`'s
-  // uplink) is down, so the frame is lost leaving the switch.  The
-  // ingress-side window was already applied by the uplink Link itself.
+  // Egress-side flap: the downlink cable (port and host `out`) is down,
+  // so the frame is lost leaving the switch.  The ingress-side window
+  // was already applied by the uplink Link itself.
   if (egress_port.faults != nullptr && !egress_port.faults->link_up(out)) {
     ++egress_port.stats.flap_drops;
     egress_port.faults->note_flap_drop();

@@ -92,9 +92,6 @@ class Switch {
   /// receive path).
   void attach_port(int port, std::function<void(Frame)> deliver);
 
-  /// Routes frames for `host` out of `port`.
-  void set_route(int host, int port);
-
   /// Binds `port` to its owning shard's loop and fault injector (per-port
   /// flap and blackhole faults; egress consults link_up(port)).  Ingress
   /// for frames bound to this port must then execute on that loop (the
@@ -170,7 +167,6 @@ class Switch {
   Config config_;
   std::size_t trace_capacity_ = 0;
   std::vector<Port> ports_;
-  std::vector<int> route_;  ///< host index -> egress port
 };
 
 /// TraceRecord::host value used by fabric-side events.

@@ -15,13 +15,12 @@ Frame data_frame(int flow, Bytes payload, int dst_host) {
   return frame;
 }
 
-/// A 2-port switch with identity host->port routes and per-port arrival
+/// A 2-port switch (port i forwards to host i) with per-port arrival
 /// logs.
 struct Fixture {
   explicit Fixture(const Switch::Config& config)
       : sw(loop, config), arrivals(static_cast<std::size_t>(config.num_ports)) {
     for (int p = 0; p < config.num_ports; ++p) {
-      sw.set_route(p, p);
       sw.attach_port(p, [this, p](Frame frame) {
         arrivals[static_cast<std::size_t>(p)].push_back(
             {loop.now(), frame});
@@ -175,7 +174,6 @@ TEST(SwitchTest, PortFlapDropsOnlyThatPortsTraffic) {
   Switch sw(loop, config);
   std::vector<int> delivered;
   for (int p = 0; p < 3; ++p) {
-    sw.set_route(p, p);
     sw.attach_port(p, [&delivered, p](Frame) { delivered.push_back(p); });
   }
   for (int p = 0; p < 3; ++p) sw.shard_port(p, loop, &faults);
