@@ -7,8 +7,9 @@
 //   HOSTSIM_SHARDS=N  event-loop shards per point (default: 1 = serial;
 //                     artifacts are bit-identical at any value)
 //   HOSTSIM_CACHE=1   reuse .hostsim-cache/ results across invocations
-// A malformed HOSTSIM_JOBS/HOSTSIM_SHARDS ("abc", "1.5", "") exits 2 with
-// a one-line message instead of running as the default.
+// A HOSTSIM_JOBS/HOSTSIM_SHARDS that is not an integer >= 1 ("abc", "1.5",
+// "", "0", "-2") exits 2 with a one-line message instead of running as
+// the default.
 #ifndef HOSTSIM_BENCH_BENCH_COMMON_H
 #define HOSTSIM_BENCH_BENCH_COMMON_H
 
@@ -47,11 +48,12 @@ inline ExperimentConfig quick_adjust(ExperimentConfig config, bool quick) {
 inline sweep::RunnerOptions env_runner_options() {
   sweep::RunnerOptions options;
   if (const char* jobs = std::getenv("HOSTSIM_JOBS")) {
-    options.jobs = static_cast<int>(tools::int_flag(jobs, "HOSTSIM_JOBS"));
+    options.jobs =
+        static_cast<int>(tools::int_flag(jobs, "HOSTSIM_JOBS", 1));
   }
   if (const char* shards = std::getenv("HOSTSIM_SHARDS")) {
     options.shards =
-        static_cast<int>(tools::int_flag(shards, "HOSTSIM_SHARDS"));
+        static_cast<int>(tools::int_flag(shards, "HOSTSIM_SHARDS", 1));
   }
   const char* cache = std::getenv("HOSTSIM_CACHE");
   options.use_cache = cache != nullptr && cache[0] != '\0' &&
