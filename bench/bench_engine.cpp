@@ -2,12 +2,17 @@
 //
 // Every figure is regenerated from millions of per-packet events, so
 // engine events/sec is the binding constraint on how many scenarios a
-// sweep can afford.  This harness pins numbers on the three shapes that
-// dominate real runs and emits them as BENCH_engine.json, giving every
-// future PR a perf trajectory to compare against:
+// sweep can afford.  This harness times two event-loop microbenches, a
+// fig. 5 point and a cluster run at several shard counts, and emits them
+// as BENCH_engine.json, giving every future PR a perf trajectory to
+// compare against:
 //
-//   storm_zero_delay       raw schedule+dispatch of tiny closures with the
-//                          clock frozen (the GRO/NAPI task-chain shape)
+//   storm_zero_delay       schedule+dispatch of tiny closures with the
+//                          clock frozen: 64 chains that each reschedule
+//                          themselves at zero delay, so the heap holds 64
+//                          entries due now (no workload schedules
+//                          zero-delay events; the storm guard treats a
+//                          long run of them as livelock)
 //   schedule_cancel_churn  arm/disarm of far-future timers (the RTO shape:
 //                          almost every armed timer is cancelled)
 //   fig05_end_to_end       a fig. 5 one-to-one point (8 flows), measuring
