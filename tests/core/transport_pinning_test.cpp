@@ -17,6 +17,10 @@
 //  * a buffered 5-host incast whose 2000 Gbps ports serialize a 66-byte
 //    ACK in 0 ns, so the switch queues that hop for the current
 //    instant (a same-instant EventFifo push), under both transports.
+//  * one-to-one runs under each rx descriptor shape the other pins miss
+//    (1566-byte descriptors, LRO merging descriptors' fragments, DCA off,
+//    a 64-entry ring, a page-pool pressure window), captured before
+//    posted descriptors were stored as page-id records.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -242,6 +246,60 @@ TEST(TransportPinning, ResilientCrashRpcShortRunBitIdentical) {
   EXPECT_GT(metrics.obs_classes[0].retries, 0u);
   EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x810fe09576db2236ull);
   EXPECT_EQ(classes_fingerprint(metrics), 0x52c7ca43c858c9a8ull);
+}
+
+// Eight one-to-one flows, 2 ms warm-up and 3 ms measured, under one rx
+// descriptor shape: how many pages a descriptor spans, whose fragments
+// LRO merges, how the DMA lands and how soon pages recycle.
+Metrics run_descriptor_shape(void (*shape)(ExperimentConfig&)) {
+  ExperimentConfig config;
+  config.traffic.pattern = Pattern::one_to_one;
+  config.traffic.flows = 8;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 3 * kMillisecond;
+  shape(config);
+  return run_experiment(config);
+}
+
+// 1566-byte descriptors over one or two pages.
+TEST(TransportPinning, MtuDescriptorShortRunBitIdentical) {
+  const Metrics metrics = run_descriptor_shape(
+      [](ExperimentConfig& config) { config.stack.jumbo = false; });
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x0b1870a017202940ull);
+}
+
+// LRO appends the fragments of several descriptors onto one.
+TEST(TransportPinning, LroDescriptorShortRunBitIdentical) {
+  const Metrics metrics = run_descriptor_shape([](ExperimentConfig& config) {
+    config.stack.lro = true;
+    config.stack.gro = false;
+  });
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xac8a6b327166f883ull);
+}
+
+// DMA to DRAM: every descriptor page is invalidated in the LLC.
+TEST(TransportPinning, NoDcaDescriptorShortRunBitIdentical) {
+  const Metrics metrics = run_descriptor_shape(
+      [](ExperimentConfig& config) { config.stack.dca = false; });
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x90bb60976b2d9509ull);
+}
+
+// A 64-entry ring: pages recycle while still LLC-resident.
+TEST(TransportPinning, SmallRingDescriptorShortRunBitIdentical) {
+  const Metrics metrics = run_descriptor_shape(
+      [](ExperimentConfig& config) { config.stack.nic_ring_size = 64; });
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xd035ef793cd8b7a1ull);
+}
+
+// Half of the page allocations in [2 ms, 3 ms) are denied: spans fail
+// mid-carve and roll back, and rings run short.
+TEST(TransportPinning, PoolPressureDescriptorShortRunBitIdentical) {
+  const Metrics metrics = run_descriptor_shape([](ExperimentConfig& config) {
+    config.faults.pool_pressure.push_back(
+        {2 * kMillisecond, kMillisecond, 0.5});
+  });
+  EXPECT_GT(metrics.faults.pool_denials, 0u);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xeb65ae8133aad905ull);
 }
 
 }  // namespace
