@@ -66,7 +66,7 @@ void LlcModel::dma_write(PageId page) {
   if (victim->page != 0 && victim->ddio_fill && !victim->referenced) {
     ++wasted_ddio_fills_;
   }
-  *victim = Way{page, tick_, /*referenced=*/false, /*ddio_fill=*/true};
+  *victim = Way{page, /*referenced=*/false, /*ddio_fill=*/true, tick_};
 }
 
 void LlcModel::dma_invalidate(PageId page) {
@@ -112,7 +112,7 @@ bool LlcModel::insert(PageId page) {
   if (victim->page != 0 && victim->ddio_fill && !victim->referenced) {
     ++wasted_ddio_fills_;
   }
-  *victim = Way{page, tick_, /*referenced=*/true, /*ddio_fill=*/false};
+  *victim = Way{page, /*referenced=*/true, /*ddio_fill=*/false, tick_};
   return false;
 }
 

@@ -74,10 +74,11 @@ class LlcModel {
  private:
   struct Way {
     PageId page = 0;  ///< 0 = empty
-    std::uint64_t last_use = 0;
     bool referenced = false;  ///< read at least once since fill
     bool ddio_fill = false;
+    std::uint64_t last_use = 0;
   };
+  static_assert(sizeof(Way) == 16);
 
   std::size_t set_of(PageId page) const;
   Way* find(std::size_t set, PageId page);

@@ -1,5 +1,6 @@
 #include "hw/nic.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "obs/observer.h"
@@ -34,6 +35,8 @@ Nic::Nic(EventLoop& loop, const Config& config, const NumaTopology& topo,
       host_id_(host_id) {
   require(config.ring_size > 0, "ring must have descriptors");
   require(config.mtu_payload > 0, "mtu must be positive");
+  require(descriptor_bytes() <= 3 * kPageBytes + 1,
+          "an rx descriptor spans at most four pages");
   require(!cores_.empty(), "NIC needs cores for IRQ dispatch");
   require(static_cast<int>(llcs_.size()) == topo_.num_nodes,
           "one LLC per NUMA node expected");
@@ -81,16 +84,33 @@ void Nic::replenish(Core& core, RxQueue& queue) {
   const int target = config_.ring_size;
   while (static_cast<int>(queue.posted.size() + queue.backlog.size()) <
          target) {
-    RxDescriptor descriptor;
-    descriptor.fragments = queue.pool->alloc_span(core, descriptor_bytes());
-    if (descriptor.fragments.empty()) {
+    const FragmentVec span = queue.pool->alloc_span(core, descriptor_bytes());
+    if (span.empty()) {
       // Page-pool pressure denied the allocation: leave the ring short
       // and retry on the next NAPI round, exactly like a failed
       // GFP_ATOMIC refill in a real driver.
       break;
     }
-    queue.posted.push_back(std::move(descriptor));
+    RxDescriptor descriptor{};
+    descriptor.first_bytes = static_cast<std::uint16_t>(span[0].bytes);
+    descriptor.count = static_cast<std::uint8_t>(span.size());
+    for (std::size_t i = 0; i < span.size(); ++i) {
+      descriptor.pages[i] = span[i].page->id;
+    }
+    queue.posted.push_back(descriptor);
   }
+}
+
+FragmentVec Nic::fragments_of(const RxDescriptor& descriptor) const {
+  FragmentVec fragments;
+  Bytes rest = descriptor_bytes();
+  for (std::size_t i = 0; i < descriptor.count; ++i) {
+    const Bytes take =
+        i == 0 ? descriptor.first_bytes : std::min(rest, kPageBytes);
+    fragments.push_back(Fragment{allocator_->page(descriptor.pages[i]), take});
+    rest -= take;
+  }
+  return fragments;
 }
 
 void Nic::receive(Frame frame) {
@@ -115,11 +135,9 @@ void Nic::receive(Frame frame) {
       ++ring_drops_;
       return;
     }
-    RxDescriptor descriptor = std::move(queue.posted.front());
-    queue.posted.pop_front();
+    fragments = fragments_of(queue.posted.pop_front());
     // The DMA itself costs no CPU; it lands in the LLC iff DCA applies.
-    dma_into_cache(descriptor.fragments);
-    fragments = std::move(descriptor.fragments);
+    dma_into_cache(fragments);
     if (obs_ != nullptr && !frame.is_ack) {
       frame.obs_span = obs_->span_start(host_id_, frame.flow, frame.seq,
                                         frame.payload, loop_->now());
@@ -151,11 +169,10 @@ void Nic::kick_napi(int index) {
     // entries that saw an earlier kick keep their first stamp.  Frames
     // arriving during the active NAPI round get no IRQ stage at all —
     // matching reality, where they are polled without an interrupt.
-    for (const BacklogEntry& entry :
-         queues_[static_cast<std::size_t>(index)].backlog) {
-      if (entry.frame.obs_span >= 0) {
-        obs_->span_stamp(entry.frame.obs_span, obs::Stage::irq, loop_->now());
-      }
+    const RxQueue& queue = queues_[static_cast<std::size_t>(index)];
+    for (std::size_t i = 0; i < queue.backlog.size(); ++i) {
+      const auto span = queue.backlog[i].frame.obs_span;
+      if (span >= 0) obs_->span_stamp(span, obs::Stage::irq, loop_->now());
     }
   }
   cores_[static_cast<std::size_t>(index)]->post(
@@ -174,8 +191,7 @@ std::optional<Nic::PolledFrame> Nic::poll_one(Core& core, int index) {
   RxQueue& queue = queues_.at(static_cast<std::size_t>(index));
   if (queue.backlog.empty()) return std::nullopt;
 
-  BacklogEntry entry = std::move(queue.backlog.front());
-  queue.backlog.pop_front();
+  BacklogEntry entry = queue.backlog.pop_front();
 
   PolledFrame polled;
   polled.arrived_at = entry.arrived;
@@ -242,13 +258,13 @@ int Nic::posted_descriptors(int index) const {
 
 void Nic::collect_held_pages(std::vector<const Page*>& held) const {
   for (const RxQueue& queue : queues_) {
-    for (const RxDescriptor& descriptor : queue.posted) {
-      for (const Fragment& fragment : descriptor.fragments) {
+    for (std::size_t i = 0; i < queue.posted.size(); ++i) {
+      for (const Fragment& fragment : fragments_of(queue.posted[i])) {
         held.push_back(fragment.page);
       }
     }
-    for (const BacklogEntry& entry : queue.backlog) {
-      for (const Fragment& fragment : entry.fragments) {
+    for (std::size_t i = 0; i < queue.backlog.size(); ++i) {
+      for (const Fragment& fragment : queue.backlog[i].fragments) {
         held.push_back(fragment.page);
       }
     }

@@ -8,7 +8,9 @@
 // worst-case no-aRFS configuration steers to a NIC-remote core.
 //
 // Descriptors are pre-posted with page-pool memory and consumed in ring
-// order; the driver replenishes them during NAPI (paper §2.1).  The ring
+// order; the driver replenishes them during NAPI (paper §2.1).  A posted
+// descriptor is kept as the ids of the pages its span was carved from;
+// its fragment list is rebuilt when a frame is DMAd into it.  The ring
 // size therefore sets the page-reuse distance: with a small ring the
 // same pages recycle while still LLC-resident (DMA write-hits), with a
 // large ring every DMA write allocates a cold page into the DDIO ways —
@@ -16,8 +18,8 @@
 #ifndef HOSTSIM_HW_NIC_H
 #define HOSTSIM_HW_NIC_H
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -31,6 +33,7 @@
 #include "mem/iommu.h"
 #include "mem/page_allocator.h"
 #include "mem/page_pool.h"
+#include "mem/ring.h"
 #include "sim/fault_injector.h"
 #include "sim/timer.h"
 
@@ -159,17 +162,23 @@ class Nic {
   void collect_held_pages(std::vector<const Page*>& held) const;
 
  private:
+  /// A posted descriptor: the pages of its packed span.  Every fragment
+  /// after the first is a whole page except the last, which takes the
+  /// rest of descriptor_bytes().
   struct RxDescriptor {
-    FragmentVec fragments;
+    std::array<PageId, 4> pages;
+    std::uint16_t first_bytes;  ///< bytes of the first fragment
+    std::uint8_t count;         ///< fragments (pages) in the span
   };
+  static_assert(sizeof(RxDescriptor) == 20);
   struct BacklogEntry {
     Frame frame;
     FragmentVec fragments;
     Nanos arrived;
   };
   struct RxQueue {
-    std::deque<RxDescriptor> posted;
-    std::deque<BacklogEntry> backlog;
+    Ring<RxDescriptor> posted;
+    Ring<BacklogEntry> backlog;
     std::unique_ptr<PagePool> pool;
     bool napi_active = false;
     /// Interrupt-moderation window timer; armed() doubles as the old
@@ -182,6 +191,7 @@ class Nic {
     Context ksoftirqd{"ksoftirqd", /*kernel=*/false};
   };
 
+  FragmentVec fragments_of(const RxDescriptor& descriptor) const;
   void dma_into_cache(const FragmentVec& fragments);
   void replenish(Core& core, RxQueue& queue);
   void release_fragments(Core& core, FragmentVec& fragments);

@@ -17,14 +17,15 @@ namespace hostsim {
 
 inline constexpr Bytes kPageBytes = 4096;
 
-/// Globally unique page identity; used as the cache tag.
-using PageId = std::uint64_t;
+/// Page identity, unique within its allocator; used as the cache tag.
+using PageId = std::uint32_t;
 
 struct Page {
   PageId id = 0;
   int numa_node = 0;
   int refs = 0;  ///< outstanding fragment references
 };
+static_assert(sizeof(Page) == 12);
 
 /// A byte range within a page, referenced by an skb.
 struct Fragment {
@@ -33,8 +34,9 @@ struct Fragment {
 };
 
 /// Fragment list of one descriptor or skb.  Inlines the common case —
-/// an MTU frame spans at most ceil(9000/4096)+1 = 4 packed pool pages —
-/// and spills to the heap only for merged GRO/LRO trains.
+/// a 9066-byte jumbo descriptor spans 3 or 4 packed pool pages, a
+/// 1566-byte one 1 or 2 — and spills to the heap only for merged GRO/LRO
+/// trains.
 using FragmentVec = SmallVec<Fragment, 4>;
 
 }  // namespace hostsim

@@ -33,11 +33,12 @@ Page* PageAllocator::alloc(Core& core) {
         page = global.front();
         global.pop_front();
       } else {
+        require(pages_created_ < ~PageId{0}, "page ids exhausted");
         if (pages_created_ % kChunkPages == 0) {
           slab_.push_back(std::make_unique<Page[]>(kChunkPages));
         }
         page = &slab_.back()[pages_created_ % kChunkPages];
-        page->id = ++pages_created_;
+        page->id = static_cast<PageId>(++pages_created_);
         page->numa_node = node;
       }
       pageset.push_back(page);

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cpu/core.h"
@@ -69,6 +70,9 @@ class PageAllocator {
   const Page* page(PageId id) const {
     if (id == 0 || id > pages_created_) return nullptr;
     return &slab_[(id - 1) / kChunkPages][(id - 1) % kChunkPages];
+  }
+  Page* page(PageId id) {
+    return const_cast<Page*>(std::as_const(*this).page(id));
   }
 
  private:

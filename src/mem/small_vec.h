@@ -1,8 +1,9 @@
 // Small vector: inline storage for the common small case, heap spill
 // beyond it.
 //
-// The datapath's per-object arrays are almost always tiny — an MTU frame
-// spans at most two pool pages, a tx chunk at most sixteen — but
+// The datapath's per-object arrays are almost always tiny — an rx
+// descriptor spans at most four pool pages (a 9066-byte jumbo one spans
+// 3 or 4, a 1566-byte one 1 or 2), a tx chunk at most sixteen — but
 // std::vector pays a heap allocation for every one of them, on every
 // wire frame.  SmallVec keeps up to N elements in the object itself and
 // only allocates when a merge (GRO/LRO trains, 64KB chunks) grows past

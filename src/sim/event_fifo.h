@@ -7,14 +7,15 @@
 // seq), seq taken at push time, or schedule_delivery()'s (at, sent, sub)
 // — and the next head enters the heap under it, so execution order,
 // executed() and pending() (which counts parked items) are those of one
-// event per item.  SimBricks queues a channel's messages the same way.
+// event per item.  The items wait in a Ring (mem/ring.h).  SimBricks
+// queues a channel's messages the same way.
 #ifndef HOSTSIM_SIM_EVENT_FIFO_H
 #define HOSTSIM_SIM_EVENT_FIFO_H
 
 #include <cstdint>
 #include <utility>
-#include <vector>
 
+#include "mem/ring.h"
 #include "sim/contract.h"
 #include "sim/event_loop.h"
 
@@ -32,7 +33,7 @@ class EventFifo {
 
   /// Sets the loop the items fire on (only while empty) and the handler.
   void bind(EventLoop& loop, Handler handler) {
-    require(size_ == 0, "an event FIFO changes loops only while empty");
+    require(ring_.empty(), "an event FIFO changes loops only while empty");
     loop_ = &loop;
     handler_ = std::move(handler);
   }
@@ -52,7 +53,7 @@ class EventFifo {
   }
 
   /// Items queued under a key: the armed head plus the parked ones.
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return ring_.size(); }
 
  private:
   struct Keyed {
@@ -60,21 +61,11 @@ class EventFifo {
     T item;
   };
 
-  Keyed& slot(std::size_t i) {
-    return ring_[(head_ + i) & (ring_.size() - 1)];
-  }
-
   void enqueue(const EventLoop::Key& key, T item) {
-    require(size_ == 0 || !EventLoop::before(key, slot(size_ - 1).key),
+    require(ring_.empty() || !EventLoop::before(key, ring_.back().key),
             "event FIFO keys must not decrease");
-    if (size_ == ring_.size()) {  // double the ring, oldest item first
-      std::vector<Keyed> bigger(size_ == 0 ? 8 : 2 * size_);
-      for (std::size_t i = 0; i < size_; ++i) bigger[i] = std::move(slot(i));
-      ring_ = std::move(bigger);
-      head_ = 0;
-    }
-    slot(size_++) = Keyed{key, std::move(item)};
-    if (size_ > 1) {
+    ring_.push_back(Keyed{key, std::move(item)});
+    if (ring_.size() > 1) {
       ++loop_->parked_;
     } else {
       arm_head();
@@ -84,10 +75,9 @@ class EventFifo {
   // The head leaves the ring before the handler runs, so the handler may
   // push onto this FIFO again.
   void arm_head() {
-    loop_->push_heap(ring_[head_].key, [this] {
-      Keyed head = std::move(ring_[head_]);
-      head_ = (head_ + 1) & (ring_.size() - 1);
-      if (--size_ > 0) {
+    loop_->push_heap(ring_.front().key, [this] {
+      Keyed head = ring_.pop_front();
+      if (!ring_.empty()) {
         --loop_->parked_;
         arm_head();
       }
@@ -97,9 +87,7 @@ class EventFifo {
 
   EventLoop* loop_ = nullptr;
   Handler handler_;
-  std::vector<Keyed> ring_;  ///< power-of-two capacity; grows, never shrinks
-  std::size_t head_ = 0;
-  std::size_t size_ = 0;
+  Ring<Keyed> ring_;
 };
 
 }  // namespace hostsim

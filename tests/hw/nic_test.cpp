@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
+
+#include "sim/fault_injector.h"
+#include "sim/rng.h"
 
 namespace hostsim {
 namespace {
@@ -212,6 +216,112 @@ TEST_F(NicFixture, DescriptorAccountingInvariantHolds) {
               16);
   }
   loop->run_to_completion();
+}
+
+// A posted descriptor is stored as the page ids of its span and rebuilt
+// on DMA.  Seeded random traffic over all four queues, at both MTUs and
+// three ring sizes (1000 is not a power of two), with and without a
+// page-pool pressure window that makes spans fail mid-carve.  Every
+// polled data frame must carry a whole descriptor: its bytes sum to
+// descriptor_bytes(), only its first and last fragments are partial
+// pages, it spans at most 2 pages at MTU 1500 and 4 at 9000, and each
+// page is the allocator's and still referenced.  Without pool faults
+// the spans are consecutive carves: a descriptor that ends mid-page is
+// followed, on its queue, by one that starts there.
+TEST_F(NicFixture, PolledFramesCarryWholeDescriptorsProperty) {
+  struct Carve {
+    const Page* page = nullptr;  ///< last page of the previous descriptor
+    Bytes end = 0;               ///< where its span ended in that page
+  };
+  for (const Bytes mtu : {Bytes{1500}, Bytes{9000}}) {
+    for (const int ring : {4, 64, 1000}) {
+      for (const bool pressure : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "mtu=" << mtu << " ring=" << ring
+                                        << " pressure=" << pressure);
+        Nic::Config config;
+        config.mtu_payload = mtu;
+        config.ring_size = ring;
+        build(config);
+        FaultPlan plan;
+        plan.pool_pressure.push_back(
+            {loop->now() + 200'000, 400'000, /*deny_prob=*/0.5});
+        FaultInjector faults(*loop, plan, loop->rng().fork(),
+                             /*count_global_windows=*/true);
+        if (pressure) nic->set_fault_injector(&faults);
+
+        Rng rng(static_cast<std::uint64_t>(mtu + ring) * 2 + pressure);
+        std::vector<Carve> last(static_cast<std::size_t>(topo.num_cores()));
+        std::size_t data_frames = 0;
+        const std::size_t max_pages = mtu == 1500 ? 2 : 4;
+        const auto check = [&](int queue, const Nic::PolledFrame& polled) {
+          const FragmentVec& fragments = polled.fragments;
+          if (polled.frame.is_ack) {
+            EXPECT_TRUE(fragments.empty());
+            return;
+          }
+          ++data_frames;
+          ASSERT_FALSE(fragments.empty());
+          EXPECT_LE(fragments.size(), max_pages);
+          Bytes sum = 0;
+          for (std::size_t i = 0; i < fragments.size(); ++i) {
+            const Fragment& fragment = fragments[i];
+            EXPECT_EQ(allocator->page(fragment.page->id), fragment.page);
+            EXPECT_GT(fragment.page->refs, 0);
+            EXPECT_GT(fragment.bytes, 0);
+            EXPECT_LE(fragment.bytes, kPageBytes);
+            if (i > 0 && i + 1 < fragments.size()) {
+              EXPECT_EQ(fragment.bytes, kPageBytes);
+            }
+            sum += fragment.bytes;
+          }
+          EXPECT_EQ(sum, nic->descriptor_bytes());
+          if (pressure) return;
+          Carve& carve = last[static_cast<std::size_t>(queue)];
+          Bytes start = 0;
+          if (carve.page != nullptr && carve.end < kPageBytes) {
+            EXPECT_EQ(fragments[0].page, carve.page);
+            start = carve.end;
+            EXPECT_EQ(fragments[0].bytes,
+                      std::min(nic->descriptor_bytes(), kPageBytes - start));
+          }
+          carve.page = fragments.back().page;
+          carve.end = fragments.size() > 1 ? fragments.back().bytes
+                                           : start + fragments[0].bytes;
+        };
+        nic->set_rx_handler([&](Core& core, int queue) {
+          // A random budget leaves backlog for the ksoftirqd path.
+          for (auto budget = 1 + rng.next_below(8); budget > 0; --budget) {
+            auto polled = nic->poll_one(core, queue);
+            if (!polled) break;
+            check(queue, *polled);
+            allocator->release(core, polled->fragments);
+          }
+          nic->napi_complete(core, queue);
+        });
+
+        std::vector<std::int64_t> seq(8, 0);
+        for (int flow = 0; flow < 8; ++flow) {
+          nic->steer_flow(flow, flow % topo.num_cores());
+        }
+        for (int burst = 0; burst < 300; ++burst) {
+          for (auto n = rng.next_below(12); n > 0; --n) {
+            const int flow = static_cast<int>(rng.next_below(8));
+            const bool ack = rng.chance(0.2);
+            deliver(flow, seq[static_cast<std::size_t>(flow)], mtu, ack);
+            if (!ack) seq[static_cast<std::size_t>(flow)] += mtu;
+          }
+          loop->run_until(loop->now() +
+                          static_cast<Nanos>(rng.next_below(6'000)));
+        }
+        loop->run_to_completion();
+        nic->set_fault_injector(nullptr);
+        EXPECT_GT(data_frames, 500u);
+        if (pressure) {
+          EXPECT_GT(faults.counters().pool_denials, 0u);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

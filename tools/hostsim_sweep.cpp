@@ -6,8 +6,7 @@
 //   $ hostsim_sweep run all --out=artifacts
 //   $ hostsim_sweep run fig05_one_to_one --write-baseline=baselines
 //   $ hostsim_sweep run fig05_one_to_one --baseline=baselines/fig05_one_to_one.json
-//   $ hostsim_sweep gate artifacts/fig05_one_to_one.json \
-//         baselines/fig05_one_to_one.json
+//   $ hostsim_sweep gate artifacts/fig05_one_to_one.json baselines/fig05_one_to_one.json
 //
 // `run --baseline` (and `gate`) exit 1 on any out-of-tolerance
 // deviation, which is what CI hangs a merge decision on, and 2 when an
