@@ -15,9 +15,9 @@
 // exactly the paper's fig. 3(e) ring-size effect.
 //
 // Pages live in a slab of fixed-size chunks that never move, because
-// fragments, descriptors and pagesets keep `Page*`.  Ids are dense per
-// allocator: the n-th page created has id n, so `page(id)` is an index
-// and the leak sweep can mark pages by id.
+// fragments and pagesets keep `Page*`.  Ids are dense per allocator: the
+// n-th page created has id n, so `page(id)` is an index, the leak sweep
+// can mark pages by id, and a posted rx descriptor need only keep ids.
 #ifndef HOSTSIM_MEM_PAGE_ALLOCATOR_H
 #define HOSTSIM_MEM_PAGE_ALLOCATOR_H
 

@@ -33,23 +33,12 @@ FragmentVec make_payload(Rng& rng, Page* pages, Bytes& next) {
   return vec;
 }
 
-TEST(RingTest, WrappedRingGrowsOldestFirst) {
-  Ring<int> ring;
-  for (int i = 0; i < 8; ++i) ring.push_back(i);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(ring.pop_front(), i);
-  for (int i = 8; i < 20; ++i) ring.push_back(i);  // wraps, then grows
-  ASSERT_EQ(ring.size(), 15u);
-  for (std::size_t i = 0; i < ring.size(); ++i) {
-    EXPECT_EQ(ring[i], static_cast<int>(i) + 5);
-  }
-  EXPECT_EQ(ring.front(), 5);
-  EXPECT_EQ(ring.back(), 19);
-}
-
-// Seeded random phases of mostly-push and mostly-pop traffic, so the
-// ring grows while wrapped at several sizes and drains to empty.  Heap
-// payloads must come out with the buffer they went in with: moved
-// through every push and growth, never copied.
+// Each seeded program opens with 8 pushes, 5 pops and 12 pushes, which
+// wrap the ring before it first grows, then runs random phases of
+// mostly-push and mostly-pop traffic, so the ring grows while wrapped at
+// several sizes and drains to empty.  Heap payloads must come out with
+// the buffer they went in with: moved through every push and growth,
+// never copied.
 TEST(RingProperty, MatchesDeque) {
   Page pages[8];
   for (std::uint64_t seed = 1; seed <= 20; ++seed) {
@@ -59,32 +48,31 @@ TEST(RingProperty, MatchesDeque) {
     std::deque<FragmentVec> model;       // copies of the pushed payloads
     std::deque<const Fragment*> buffer;  // heap buffer pushed, or null
     Bytes next = 0;
-    for (int phase = 0; phase < 12; ++phase) {
-      const double push = phase % 2 == 0 ? 0.7 : 0.3;
-      for (int step = 0; step < 200; ++step) {
-        if (model.empty() || rng.chance(push)) {
-          FragmentVec payload = make_payload(rng, pages, next);
-          model.push_back(payload);
-          buffer.push_back(payload.is_inline() ? nullptr : payload.begin());
-          ring.push_back(std::move(payload));
-        } else {
-          FragmentVec popped = ring.pop_front();
-          EXPECT_TRUE(same(popped, model.front()));
-          if (buffer.front() != nullptr) {
-            EXPECT_EQ(popped.begin(), buffer.front());
-          }
-          model.pop_front();
-          buffer.pop_front();
+    for (int step = 0; step < 2400; ++step) {
+      const double push = (step / 200) % 2 == 0 ? 0.7 : 0.3;
+      const bool opening_pop = step >= 8 && step < 13;
+      if (step < 25 ? !opening_pop : model.empty() || rng.chance(push)) {
+        FragmentVec payload = make_payload(rng, pages, next);
+        model.push_back(payload);
+        buffer.push_back(payload.is_inline() ? nullptr : payload.begin());
+        ring.push_back(std::move(payload));
+      } else {
+        FragmentVec popped = ring.pop_front();
+        EXPECT_TRUE(same(popped, model.front()));
+        if (buffer.front() != nullptr) {
+          EXPECT_EQ(popped.begin(), buffer.front());
         }
-        ASSERT_EQ(ring.size(), model.size());
-        ASSERT_EQ(ring.empty(), model.empty());
-        if (model.empty()) continue;
-        EXPECT_TRUE(same(ring.front(), model.front()));
-        EXPECT_TRUE(same(ring.back(), model.back()));
-        const Ring<FragmentVec>& view = ring;
-        const std::size_t i = rng.next_below(model.size());
-        EXPECT_TRUE(same(view[i], model[i]));
+        model.pop_front();
+        buffer.pop_front();
       }
+      ASSERT_EQ(ring.size(), model.size());
+      ASSERT_EQ(ring.empty(), model.empty());
+      if (model.empty()) continue;
+      EXPECT_TRUE(same(ring.front(), model.front()));
+      EXPECT_TRUE(same(ring.back(), model.back()));
+      const Ring<FragmentVec>& view = ring;
+      const std::size_t i = rng.next_below(model.size());
+      EXPECT_TRUE(same(view[i], model[i]));
     }
   }
 }
