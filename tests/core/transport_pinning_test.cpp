@@ -21,13 +21,24 @@
 //    (1566-byte descriptors, LRO merging descriptors' fragments, DCA off,
 //    a 64-entry ring, a page-pool pressure window), captured before
 //    posted descriptors were stored as page-id records.
+//  * the request-trace artifacts of three traced runs on a 9-host
+//    switch (an open-loop fan-out with churn, and the resilient crash
+//    run under both transports): the span log, the Perfetto trace, the
+//    latency windows and the class rollup with its slowest hop, which
+//    only the hop join feeds.  Captured before request spans carried
+//    their class as an enum and the harvest merged hops with a heap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/experiment.h"
 #include "core/serialize.h"
 #include "sweep/campaigns.h"
+#include "temp_dir.h"
 
 namespace hostsim {
 namespace {
@@ -300,6 +311,111 @@ TEST(TransportPinning, PoolPressureDescriptorShortRunBitIdentical) {
   });
   EXPECT_GT(metrics.faults.pool_denials, 0u);
   EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xeb65ae8133aad905ull);
+}
+
+/// Hashes of one traced run's obs artifacts and class rollup.
+struct TraceArtifacts {
+  std::uint64_t spans = 0;    ///< obs.spans.jsonl
+  std::uint64_t trace = 0;    ///< obs.trace.json
+  std::uint64_t latency = 0;  ///< obs.latency.csv
+  std::uint64_t classes = 0;  ///< rollup, slowest hop included
+  Nanos slowest_hop = 0;      ///< worst over the classes
+};
+
+std::string slurp(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in.good()) << path;
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TraceArtifacts run_traced(ExperimentConfig config, const std::string& name) {
+  const std::filesystem::path dir = test_temp_dir(name);
+  std::filesystem::remove_all(dir);
+  config.obs.out_dir = dir.string();
+  const Metrics metrics = run_experiment(config);
+  TraceArtifacts out;
+  out.spans = fnv1a(slurp(dir / "obs.spans.jsonl"));
+  out.trace = fnv1a(slurp(dir / "obs.trace.json"));
+  out.latency = fnv1a(slurp(dir / "obs.latency.csv"));
+  std::filesystem::remove_all(dir);
+  std::string text;
+  for (const obs::RequestClassSummary& cls : metrics.obs_classes) {
+    text += cls.cls + "," + std::to_string(cls.requests) + "," +
+            std::to_string(cls.p50) + "," + std::to_string(cls.p99) + "," +
+            std::to_string(cls.retries) + "," +
+            std::to_string(cls.slowest_hop) + ";";
+    out.slowest_hop = std::max(out.slowest_hop, cls.slowest_hop);
+  }
+  out.classes = fnv1a(text);
+  return out;
+}
+
+// Open-loop fan-out through a buffered 9-host switch: pareto sizes,
+// three leaves per request and connection churn, so attempts open and
+// close on many flows and hops queue behind each other.
+TEST(TransportPinning, OpenLoopTraceArtifactsBitIdentical) {
+  ExperimentConfig config;
+  config.traffic.pattern = Pattern::open_loop;
+  config.traffic.flows = 8;
+  config.traffic.workload.enabled = true;
+  config.traffic.workload.rate_rps = 100'000;
+  config.traffic.workload.sizes = SizeDist::bounded_pareto;
+  config.traffic.workload.fan_out = 3;
+  config.traffic.workload.churn_prob = 0.05;
+  config.topology.num_hosts = 9;
+  config.topology.use_switch = true;
+  config.topology.switch_buffer = 256 * kKiB;
+  config.obs.trace_rate = 0.2;
+  config.warmup = 1 * kMillisecond;
+  config.duration = 4 * kMillisecond;
+  const TraceArtifacts got = run_traced(config, "hostsim-pin-open-loop");
+  EXPECT_GT(got.slowest_hop, 0);
+  EXPECT_EQ(got.spans, 0x627b1d8963164ee8ull);
+  EXPECT_EQ(got.trace, 0x1ce82334133dfa54ull);
+  EXPECT_EQ(got.latency, 0x4626cf1855e7ddd9ull);
+  EXPECT_EQ(got.classes, 0xa34aebad10c94f4full);
+}
+
+// ResilientCrashRpcShortRunBitIdentical's run, exporting its obs
+// artifacts.
+ExperimentConfig resilient_crash_config(TransportKind transport) {
+  ExperimentConfig config;
+  config.stack.transport.kind = transport;
+  config.traffic.pattern = Pattern::rpc_incast;
+  config.traffic.flows = 8;
+  config.topology.num_hosts = 9;
+  config.topology.use_switch = true;
+  config.topology.switch_buffer = 512 * kKiB;
+  config.faults.host_crashes.push_back(
+      {3 * kMillisecond, kMillisecond / 2, 8});
+  config.traffic.resilience.enabled = true;
+  config.traffic.resilience.max_retries = 3;
+  config.obs.trace_rate = 0.5;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 6 * kMillisecond;
+  return config;
+}
+
+TEST(TransportPinning, ResilientCrashRpcTraceArtifactsBitIdentical) {
+  const TraceArtifacts got = run_traced(
+      resilient_crash_config(TransportKind::tcp), "hostsim-pin-crash-tcp");
+  EXPECT_GT(got.slowest_hop, 0);
+  EXPECT_EQ(got.spans, 0x89e73242115fc3c9ull);
+  EXPECT_EQ(got.trace, 0xfb57003b07b5b35aull);
+  EXPECT_EQ(got.latency, 0xe83ef9c4458f4f69ull);
+  EXPECT_EQ(got.classes, 0xf197c958547858d1ull);
+}
+
+TEST(TransportPinning, HomaResilientCrashRpcTraceArtifactsBitIdentical) {
+  const TraceArtifacts got = run_traced(
+      resilient_crash_config(TransportKind::homa), "hostsim-pin-crash-homa");
+  EXPECT_GT(got.slowest_hop, 0);
+  EXPECT_EQ(got.spans, 0x3330a81c8085d7b7ull);
+  EXPECT_EQ(got.trace, 0x6416e7b7a8fb7273ull);
+  EXPECT_EQ(got.latency, 0x9c8bc2744c51aa94ull);
+  EXPECT_EQ(got.classes, 0x7b86d152c8fbdaaeull);
 }
 
 }  // namespace
