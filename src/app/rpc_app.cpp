@@ -13,7 +13,7 @@ RpcClient::RpcClient(Core& core, TransportSocket& socket, Bytes rpc_size,
     : socket_(&socket),
       rpc_size_(rpc_size),
       policy_(policy),
-      cls_(policy.enabled ? "rpc_resilient" : "rpc"),
+      cls_(policy.enabled ? obs::ReqClass::rpc_resilient : obs::ReqClass::rpc),
       rng_(rng),
       reconnect_(std::move(reconnect)),
       thread_(core, "rpc-client"),

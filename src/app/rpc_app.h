@@ -96,7 +96,7 @@ class RpcClient {
   TransportSocket* socket_;
   Bytes rpc_size_;
   RpcResilienceConfig policy_;
-  const char* cls_;  ///< request class for the monitor and the tracer
+  obs::ReqClass cls_;  ///< request class for the monitor and the tracer
   Rng rng_;
   ReconnectFn reconnect_;
   Thread thread_;

@@ -438,7 +438,10 @@ Metrics Experiment::run() {
         // order is canonical ((enqueue, port)), so index-derived span
         // ids are stable across runs and shard counts.
         std::uint64_t hop_seq = 0;
-        for (const Switch::HopRecord& hop : testbed.fabric()->hop_snapshot()) {
+        const std::vector<Switch::HopRecord> hops =
+            testbed.fabric()->hop_snapshot();
+        requests.reserve(requests.size() + hops.size());
+        for (const Switch::HopRecord& hop : hops) {
           obs::RequestSpan span;
           span.span_id = obs::mix64(0x686f70ULL ^ hop_seq++);  // "hop"
           if (span.span_id == 0) span.span_id = 1;

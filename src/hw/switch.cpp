@@ -49,13 +49,32 @@ void Switch::enable_hop_trace(std::size_t capacity) {
 }
 
 std::vector<Switch::HopRecord> Switch::hop_snapshot() const {
+  // Each port's ring is already in enqueue order (a port's loop clock
+  // never runs back), so merging the rings on a min-heap of port heads
+  // keyed (enqueue, port) gives the stable (enqueue, port) order.
+  std::vector<std::pair<Nanos, int>> heads;  // (enqueue, port), min-heap
+  std::vector<std::size_t> next(ports_.size(), 0);  // each head's ring index
+  std::size_t total = 0;
+  for (int p = 0; p < num_ports(); ++p) {
+    const auto& hops = ports_[static_cast<std::size_t>(p)].hops;
+    total += hops.size();
+    if (hops.size() != 0) heads.emplace_back(hops.at(0).enqueue, p);
+  }
+  std::ranges::make_heap(heads, std::greater<>{});
   std::vector<HopRecord> merged;
-  for (const Port& port : ports_) port.hops.append_to(merged);
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const HopRecord& a, const HopRecord& b) {
-                     if (a.enqueue != b.enqueue) return a.enqueue < b.enqueue;
-                     return a.port < b.port;
-                   });
+  merged.reserve(total);
+  while (!heads.empty()) {
+    std::ranges::pop_heap(heads, std::greater<>{});
+    const auto port = static_cast<std::size_t>(heads.back().second);
+    const auto& hops = ports_[port].hops;
+    merged.push_back(hops.at(next[port]));
+    if (++next[port] == hops.size()) {
+      heads.pop_back();
+    } else {
+      heads.back().first = hops.at(next[port]).enqueue;
+      std::ranges::push_heap(heads, std::greater<>{});
+    }
+  }
   return merged;
 }
 

@@ -87,12 +87,13 @@ class KeepNewestRing {
     }
   }
 
+  /// The `i`-th kept entry, oldest first (once the ring wrapped, `next_`
+  /// points at the oldest).
+  const T& at(std::size_t i) const { return ring_[(next_ + i) % ring_.size()]; }
+
   /// Appends the kept entries to `out`, oldest first.
   void append_to(std::vector<T>& out) const {
-    // Once the ring wrapped, `next_` points at the oldest entry.
-    for (std::size_t i = 0; i < ring_.size(); ++i) {
-      out.push_back(ring_[(next_ + i) % ring_.size()]);
-    }
+    for (std::size_t i = 0; i < ring_.size(); ++i) out.push_back(at(i));
   }
 
  private:

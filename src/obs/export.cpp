@@ -239,7 +239,7 @@ void write_perfetto_json(std::ostream& out, const std::vector<Span>& spans,
   for (const RequestSpan& span : requests) {
     if (!span.closed()) continue;
     std::string name = span.kind == ReqKind::request
-                           ? "req:" + span.cls
+                           ? "req:" + std::string(to_string(span.cls))
                            : std::string(to_string(span.kind));
     std::ostream& o = array.begin_event(name);
     o << ",\"ph\":\"X\",\"ts\":";
@@ -315,7 +315,7 @@ void write_spans_jsonl(std::ostream& out,
     out << ",\"kind\":";
     json_string(out, to_string(span.kind));
     out << ",\"cls\":";
-    json_string(out, span.cls);
+    json_string(out, to_string(span.cls));
     out << ",\"host\":" << span.host << ",\"flow\":" << span.flow
         << ",\"attempt\":" << span.attempt << ",\"start_ns\":" << span.start
         << ",\"end_ns\":" << span.end << ",\"bytes\":" << span.bytes

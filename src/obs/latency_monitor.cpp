@@ -7,7 +7,7 @@ namespace hostsim::obs {
 void LatencyMonitor::record(std::string_view series, Nanos value, Nanos now) {
   if (window_ <= 0) return;
   const std::int64_t window = now / window_;
-  auto series_it = cells_.find(std::string(series));
+  auto series_it = cells_.find(series);
   if (series_it == cells_.end()) {
     series_it = cells_.emplace(std::string(series),
                                std::map<std::int64_t, Histogram>{}).first;

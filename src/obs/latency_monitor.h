@@ -17,6 +17,7 @@
 #define HOSTSIM_OBS_LATENCY_MONITOR_H
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <string_view>
@@ -68,8 +69,9 @@ class LatencyMonitor {
 
  private:
   Nanos window_ = 0;
-  /// (series, window index) -> histogram of values completing there.
-  std::map<std::string, std::map<std::int64_t, Histogram>> cells_;
+  /// (series, window index) -> histogram of values completing there;
+  /// std::less<> finds a series by string_view, building no key.
+  std::map<std::string, std::map<std::int64_t, Histogram>, std::less<>> cells_;
 };
 
 }  // namespace hostsim::obs

@@ -14,6 +14,8 @@ constexpr std::string_view kStageSeries[kNumStages] = {
     "stage.tcpip",   "stage.wakeup", "stage.copy",
 };
 constexpr std::string_view kTotalSeries = "stage.total";
+constexpr std::string_view kClassSeries[] = {
+    "class.", "class.open_loop", "class.rpc", "class.rpc_resilient"};
 
 }  // namespace
 
@@ -73,11 +75,11 @@ RequestTracer& Observer::requests(int host) {
   return request_tracers_[host_index(host)];
 }
 
-void Observer::request_latency(int host, std::string_view cls, Nanos value,
+void Observer::request_latency(int host, ReqClass cls, Nanos value,
                                Nanos now) {
   LatencyMonitor& monitor = monitors_[host_index(host)];
   if (!monitor.enabled()) return;
-  monitor.record("class." + std::string(cls), value, now);
+  monitor.record(kClassSeries[static_cast<std::size_t>(cls)], value, now);
 }
 
 void Observer::start_sampler() {

@@ -83,8 +83,7 @@ class Observer {
 
   /// Latency-monitor feed for one completed request — called for every
   /// completion (traced or not) so class percentiles are unsampled.
-  void request_latency(int host, std::string_view cls, Nanos value,
-                       Nanos now);
+  void request_latency(int host, ReqClass cls, Nanos value, Nanos now);
 
   // -- harvest views (post-run, single thread) --
 

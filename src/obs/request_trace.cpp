@@ -37,6 +37,12 @@ std::string_view to_string(ReqKind kind) {
   return "?";
 }
 
+std::string_view to_string(ReqClass cls) {
+  constexpr std::string_view kNames[] = {"", "open_loop", "rpc",
+                                         "rpc_resilient"};
+  return kNames[static_cast<std::size_t>(cls)];
+}
+
 void RequestTracer::configure(std::uint64_t seed, int host, double trace_rate,
                               std::size_t max_spans) {
   seed_ = seed;
@@ -61,7 +67,7 @@ std::uint64_t RequestTracer::make_trace_id(int flow,
 
 std::int32_t RequestTracer::start(ReqKind kind, std::uint64_t trace_id,
                                   std::uint64_t parent_id, int flow,
-                                  std::string_view cls, std::int32_t attempt,
+                                  ReqClass cls, std::int32_t attempt,
                                   std::int64_t key, Bytes bytes, Nanos now) {
   if (threshold_ == 0) return -1;
   if (spans_.size() >= max_spans_) {
@@ -80,12 +86,12 @@ std::int32_t RequestTracer::start(ReqKind kind, std::uint64_t trace_id,
   span.kind = kind;
   span.host = host_;
   span.flow = flow;
-  span.cls = std::string(cls);
+  span.cls = cls;
   span.attempt = attempt;
   span.key = key;
   span.bytes = bytes;
   span.start = now;
-  spans_.push_back(std::move(span));
+  spans_.push_back(span);
   return static_cast<std::int32_t>(spans_.size() - 1);
 }
 
@@ -108,27 +114,24 @@ void join_request_spans(std::vector<RequestSpan>& spans) {
   // Client attempts index the joins: by (flow, key) for service spans,
   // by (flow, time window) for switch hops.
   struct AttemptRef {
+    int flow;
     std::uint64_t trace_id;
     std::uint64_t span_id;
     Nanos start;
     Nanos end;
   };
   std::map<std::pair<int, std::int64_t>, AttemptRef> by_key;
-  std::map<int, std::vector<AttemptRef>> by_flow;
+  std::vector<AttemptRef> by_flow;  // stable-sorted by (flow, start)
   for (const RequestSpan& span : spans) {
     if (span.kind != ReqKind::attempt || span.trace_id == 0) continue;
-    const AttemptRef ref{span.trace_id, span.span_id, span.start,
+    const AttemptRef ref{span.flow, span.trace_id, span.span_id, span.start,
                          span.closed() ? span.end : span.start};
     if (span.key >= 0) by_key.emplace(std::make_pair(span.flow, span.key), ref);
-    by_flow[span.flow].push_back(ref);
+    by_flow.push_back(ref);
   }
-  for (auto& [flow, refs] : by_flow) {
-    (void)flow;
-    std::sort(refs.begin(), refs.end(),
-              [](const AttemptRef& a, const AttemptRef& b) {
-                return a.start < b.start;
-              });
-  }
+  std::ranges::stable_sort(by_flow, {}, [](const AttemptRef& ref) {
+    return std::pair(ref.flow, ref.start);
+  });
 
   for (RequestSpan& span : spans) {
     if (span.trace_id != 0) continue;
@@ -138,15 +141,18 @@ void join_request_spans(std::vector<RequestSpan>& spans) {
       span.trace_id = it->second.trace_id;
       span.parent_id = it->second.span_id;
     } else if (span.kind == ReqKind::hop) {
-      const auto it = by_flow.find(span.flow);
-      if (it == by_flow.end()) continue;
       // The attempt whose on-the-wire window contains the hop's enqueue
       // instant.  Attempts on one flow never overlap (the client is
-      // serial per connection), so at most one matches.
-      for (const AttemptRef& ref : it->second) {
-        if (ref.start <= span.start && span.start <= ref.end) {
-          span.trace_id = ref.trace_id;
-          span.parent_id = ref.span_id;
+      // serial per connection), so at most one matches; none that
+      // starts after the hop can.
+      auto it = std::ranges::lower_bound(by_flow, span.flow, {},
+                                         &AttemptRef::flow);
+      for (; it != by_flow.end() && it->flow == span.flow &&
+             it->start <= span.start;
+           ++it) {
+        if (span.start <= it->end) {
+          span.trace_id = it->trace_id;
+          span.parent_id = it->span_id;
           break;
         }
       }
@@ -174,8 +180,8 @@ std::vector<RequestClassSummary> summarize_request_classes(
     std::uint64_t retries = 0;
     Nanos slowest_hop = 0;
   };
-  std::map<std::string, ClassAccum> classes;
-  std::map<std::uint64_t, std::string> trace_cls;
+  std::map<ReqClass, ClassAccum> classes;
+  std::map<std::uint64_t, ReqClass> trace_cls;
   for (const RequestSpan& span : spans) {
     if (span.kind != ReqKind::request || !span.closed()) continue;
     ClassAccum& accum = classes[span.cls];
@@ -196,7 +202,7 @@ std::vector<RequestClassSummary> summarize_request_classes(
   out.reserve(classes.size());
   for (const auto& [cls, accum] : classes) {
     RequestClassSummary summary;
-    summary.cls = cls;
+    summary.cls = std::string(to_string(cls));
     summary.requests = accum.requests;
     summary.p50 = accum.e2e.percentile(0.50);
     summary.p99 = accum.e2e.percentile(0.99);

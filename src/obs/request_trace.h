@@ -45,23 +45,33 @@ inline constexpr std::size_t kNumReqKinds = 7;
 
 std::string_view to_string(ReqKind kind);
 
+/// Request classes, declared in name order so that a map keyed on the
+/// class iterates as one keyed on its name.  Service and hop spans carry
+/// `none`, which renders as "".
+enum class ReqClass : std::uint8_t { none, open_loop, rpc, rpc_resilient };
+
+std::string_view to_string(ReqClass cls);
+
+/// Fields ordered largest first, so a span packs into 72 bytes.
 struct RequestSpan {
   std::uint64_t trace_id = 0;   ///< 0 until joined (service/hop spans)
   std::uint64_t span_id = 0;
   std::uint64_t parent_id = 0;  ///< 0 for roots
-  ReqKind kind = ReqKind::request;
-  int host = 0;                 ///< recording host (< 0 = switch)
-  int flow = -1;
-  std::string cls;              ///< request class ("rpc", "open_loop", ...)
-  std::int32_t attempt = 0;     ///< attempt ordinal within the request
   std::int64_t key = -1;        ///< join key: (epoch << 32) | serve ordinal
   Nanos start = 0;
   Nanos end = -1;               ///< -1 while open
   Bytes bytes = 0;
+  int host = 0;                 ///< recording host (< 0 = switch)
+  int flow = -1;
+  std::int32_t attempt = 0;     ///< attempt ordinal within the request
+  ReqKind kind = ReqKind::request;
+  ReqClass cls = ReqClass::none;
   bool ok = true;
 
   bool closed() const { return end >= 0; }
 };
+
+static_assert(sizeof(RequestSpan) == 72);
 
 /// Per-host request-span collector.  Single writer: only the shard that
 /// owns the host ever touches it.
@@ -84,7 +94,7 @@ class RequestTracer {
   /// Opens a span; returns its index, or -1 when disabled or capped.
   /// `trace_id` may be 0 for spans joined later (service).
   std::int32_t start(ReqKind kind, std::uint64_t trace_id,
-                     std::uint64_t parent_id, int flow, std::string_view cls,
+                     std::uint64_t parent_id, int flow, ReqClass cls,
                      std::int32_t attempt, std::int64_t key, Bytes bytes,
                      Nanos now);
 
@@ -110,8 +120,9 @@ class RequestTracer {
 /// Resolves cross-host links in a merged span set, in place:
 ///  * service spans adopt (trace_id, parent_id) from the client attempt
 ///    with the same (flow, key);
-///  * hop spans adopt them from the attempt on the same flow whose
-///    [start, end] window contains the hop's enqueue time;
+///  * hop spans adopt them from the earliest-starting attempt on the
+///    same flow whose [start, end] window contains the hop's enqueue
+///    time;
 ///  * spans that never joined a sampled trace are dropped;
 ///  * the survivors are sorted canonically by (start, trace_id, span_id).
 void join_request_spans(std::vector<RequestSpan>& spans);

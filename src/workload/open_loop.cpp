@@ -182,7 +182,7 @@ void OpenLoopEngine::on_arrival() {
     if (tracer.sampled(/*flow=*/-1, static_cast<std::int64_t>(id))) {
       tid = tracer.make_trace_id(-1, static_cast<std::int64_t>(id));
       root = tracer.start(obs::ReqKind::request, tid, 0, /*flow=*/-1,
-                          "open_loop", /*attempt=*/0,
+                          obs::ReqClass::open_loop, /*attempt=*/0,
                           static_cast<std::int64_t>(id), /*bytes=*/0, now);
     }
   }
@@ -240,8 +240,9 @@ void OpenLoopEngine::recover_slot(Core& core, Thread& thread, std::size_t i) {
       obs::RequestTracer& tracer = obs_->requests(0);
       slot.connect_span = tracer.start(
           obs::ReqKind::connect, trace_ids_[id],
-          tracer.span_id_of(root_spans_[id]), slot.flow, "open_loop",
-          records_[id].redispatches, /*key=*/-1, /*bytes=*/0, now);
+          tracer.span_id_of(root_spans_[id]), slot.flow,
+          obs::ReqClass::open_loop, records_[id].redispatches, /*key=*/-1,
+          /*bytes=*/0, now);
     }
   }
   thread.finish_quantum(/*more_work=*/false);
@@ -314,10 +315,10 @@ void OpenLoopEngine::trace_leaf_issue(std::size_t i, Nanos now) {
   slot.attempt_span = tracer.start(
       obs::ReqKind::attempt, tid,
       tracer.span_id_of(root_spans_[slot.leaf.request]), slot.flow,
-      "open_loop", attempt, key, slot.leaf.size, now);
+      obs::ReqClass::open_loop, attempt, key, slot.leaf.size, now);
   const std::int32_t xmit = tracer.start(
-      obs::ReqKind::xmit, tid, tracer.span_id_of(slot.attempt_span),
-      slot.flow, "open_loop", attempt, key, slot.leaf.size, now);
+      obs::ReqKind::xmit, tid, tracer.span_id_of(slot.attempt_span), slot.flow,
+      obs::ReqClass::open_loop, attempt, key, slot.leaf.size, now);
   if (xmit >= 0) {
     obs::RequestTracer* rt = &tracer;
     slot.sock->arm_tx_watch(slot.leaf.size,
@@ -342,7 +343,7 @@ void OpenLoopEngine::complete_leaf(Core& core, std::size_t i) {
     ++completed_requests_;
     latency_.record(now - r.arrival);
     if (obs_ != nullptr) {
-      obs_->request_latency(0, "open_loop", now - r.arrival, now);
+      obs_->request_latency(0, obs::ReqClass::open_loop, now - r.arrival, now);
       if (obs_->tracing() && root_spans_[id] >= 0) {
         obs_->requests(0).finish(root_spans_[id], now);
         root_spans_[id] = -1;

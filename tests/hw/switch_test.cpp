@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <vector>
+
+#include "sim/rng.h"
 
 namespace hostsim {
 namespace {
@@ -192,6 +196,106 @@ TEST(SwitchTest, PortFlapDropsOnlyThatPortsTraffic) {
   EXPECT_EQ(sw.flap_drops(), 1u);
   EXPECT_EQ(sw.port_stats(1).flap_drops, 1u);
   EXPECT_EQ(delivered, (std::vector<int>{2, 1}));
+}
+
+// hop_snapshot() merges the per-port hop rings.  The reference keeps
+// each port's newest `capacity` hops on the test side (a frame that
+// reaches its host was queued; one lost at the buffer bound was not),
+// concatenates the ports and stable-sorts by (enqueue, port).  Seeded
+// bursts wrap rings of 3-17 hops, overflow the buffer and enqueue on
+// several ports at the same instant.
+TEST(SwitchHopProperty, SnapshotMatchesStableSort) {
+  int wrapped = 0;
+  int shared_instants = 0;
+  std::uint64_t drops = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    Rng rng(seed);
+    Switch::Config config;
+    config.num_ports = 2 + static_cast<int>(rng.next_below(5));
+    config.port_gbps = 10.0;
+    config.propagation = static_cast<Nanos>(rng.next_below(2000));
+    config.buffer_bytes = 24 * kKiB;
+    Fixture f(config);
+    const std::size_t capacity = 3 + rng.next_below(15);
+    f.sw.enable_hop_trace(capacity);
+
+    // Frames sent toward each egress port, in ingress order; each frame
+    // carries its own flow id.
+    std::vector<std::vector<Switch::HopRecord>> sent(
+        static_cast<std::size_t>(config.num_ports));
+    std::map<Nanos, std::vector<int>> ports_at;  // instant -> egress ports
+    int next_flow = 0;
+    const int bursts = 10 + static_cast<int>(rng.next_below(40));
+    for (int b = 0; b < bursts; ++b) {
+      const Nanos at = 200 * static_cast<Nanos>(rng.next_below(30));
+      const int frames = 1 + static_cast<int>(rng.next_below(4));
+      for (int i = 0; i < frames; ++i) {
+        const int port = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(config.num_ports)));
+        const Frame frame = data_frame(
+            next_flow++, 64 + static_cast<Bytes>(rng.next_below(9000)), port);
+        ports_at[at].push_back(port);
+        f.loop.schedule_at(at, [&f, &sent, frame, port] {
+          sent[static_cast<std::size_t>(port)].push_back(
+              {port, frame.flow, f.loop.now(), -1, frame.wire_bytes()});
+          f.send(0, frame);
+        });
+      }
+    }
+    f.loop.run_to_completion();
+
+    std::map<int, Nanos> delivered;  // flow -> arrival at its host
+    for (const auto& arrivals : f.arrivals) {
+      for (const Fixture::Arrival& a : arrivals) {
+        delivered[a.frame.flow] = a.at;
+      }
+    }
+    std::vector<Switch::HopRecord> want;
+    for (const auto& port_sent : sent) {
+      std::vector<Switch::HopRecord> kept;
+      for (Switch::HopRecord hop : port_sent) {
+        const auto it = delivered.find(hop.flow);
+        if (it == delivered.end()) continue;
+        hop.deliver = it->second;
+        kept.push_back(hop);
+      }
+      if (kept.size() > capacity) {
+        ++wrapped;
+        kept.erase(kept.begin(),
+                   kept.end() - static_cast<std::ptrdiff_t>(capacity));
+      }
+      want.insert(want.end(), kept.begin(), kept.end());
+    }
+    std::stable_sort(want.begin(), want.end(),
+                     [](const Switch::HopRecord& a,
+                        const Switch::HopRecord& b) {
+                       if (a.enqueue != b.enqueue) return a.enqueue < b.enqueue;
+                       return a.port < b.port;
+                     });
+    for (const auto& [at, ports] : ports_at) {
+      (void)at;
+      if (std::adjacent_find(ports.begin(), ports.end(),
+                             std::not_equal_to<>()) != ports.end()) {
+        ++shared_instants;
+      }
+    }
+    drops += f.sw.dropped();
+
+    const std::vector<Switch::HopRecord> got = f.sw.hop_snapshot();
+    ASSERT_EQ(got.size(), want.size()) << "seed " << seed;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", hop " +
+                   std::to_string(i));
+      EXPECT_EQ(got[i].port, want[i].port);
+      EXPECT_EQ(got[i].flow, want[i].flow);
+      EXPECT_EQ(got[i].enqueue, want[i].enqueue);
+      EXPECT_EQ(got[i].deliver, want[i].deliver);
+      EXPECT_EQ(got[i].bytes, want[i].bytes);
+    }
+  }
+  EXPECT_GT(wrapped, 0) << "no hop ring wrapped";
+  EXPECT_GT(shared_instants, 0) << "no two ports enqueued at one instant";
+  EXPECT_GT(drops, 0u) << "no frame was lost at the buffer bound";
 }
 
 }  // namespace

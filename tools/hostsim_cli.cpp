@@ -190,13 +190,13 @@ int main(int argc, char** argv) {
       config.traffic.workload.enabled = true;
       if (*v == "poisson") config.traffic.workload.arrivals = ArrivalProcess::poisson;
       else if (*v == "mmpp") config.traffic.workload.arrivals = ArrivalProcess::mmpp;
-      else usage(2);
+      else invalid_flag("--arrivals", *v, "poisson | mmpp");
     } else if (auto v = flag_value(arg, "--size-dist")) {
       config.traffic.workload.enabled = true;
       if (*v == "fixed") config.traffic.workload.sizes = SizeDist::fixed;
       else if (*v == "lognormal") config.traffic.workload.sizes = SizeDist::lognormal;
       else if (*v == "pareto") config.traffic.workload.sizes = SizeDist::bounded_pareto;
-      else usage(2);
+      else invalid_flag("--size-dist", *v, "fixed | lognormal | pareto");
     } else if (auto v = flag_value(arg, "--fan-out")) {
       config.traffic.workload.enabled = true;
       config.traffic.workload.fan_out =
@@ -214,16 +214,16 @@ int main(int argc, char** argv) {
       if (*v == "rss") config.stack.fallback_steering = SteeringMode::rss;
       else if (*v == "rps") config.stack.fallback_steering = SteeringMode::rps;
       else if (*v == "rfs") config.stack.fallback_steering = SteeringMode::rfs;
-      else usage(2);
+      else invalid_flag("--steering", *v, "rss | rps | rfs");
     } else if (auto v = flag_value(arg, "--transport")) {
       if (*v == "tcp") config.stack.transport.kind = TransportKind::tcp;
       else if (*v == "homa") config.stack.transport.kind = TransportKind::homa;
-      else usage(2);
+      else invalid_flag("--transport", *v, "tcp | homa");
     } else if (auto v = flag_value(arg, "--cc")) {
       if (*v == "cubic") config.stack.cc = CcAlgo::cubic;
       else if (*v == "dctcp") config.stack.cc = CcAlgo::dctcp;
       else if (*v == "bbr") config.stack.cc = CcAlgo::bbr;
-      else usage(2);
+      else invalid_flag("--cc", *v, "cubic | dctcp | bbr");
     } else if (auto v = flag_value(arg, "--ring")) {
       config.stack.nic_ring_size =
           static_cast<int>(int_flag(*v, "--ring", 1));
