@@ -7,16 +7,23 @@
 //    drops + CE marks concentrate on one egress port),
 //  * overlapping global-flap + host-crash windows across 3 shards
 //    (fault state spans shard boundaries),
+//  * freshly built clusters over seeded shapes (what construction leaves
+//    in every allocator, ring, core account and loop),
 //  * a --jobs=8 sweep over sharded points (cache keys and artifacts
 //    independent of both parallelism knobs).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.h"
 #include "core/serialize.h"
+#include "core/testbed.h"
+#include "sim/rng.h"
 #include "sweep/campaign.h"
 #include "sweep/runner.h"
 
@@ -121,6 +128,124 @@ TEST(ShardPinning, OverlappingFaultWindowsThreeShardsBitIdentical) {
   EXPECT_EQ(serial.faults.host_crashes, 1u);
   const Artifacts sharded = run_with_shards(config, 3);
   expect_identical(serial, sharded, 3);
+}
+
+/// What a freshly built cluster holds, flattened host by host: each
+/// allocator's page counters and pageset hits/misses, each queue's posted
+/// descriptors, each core's cycles by category and tasks run, the held
+/// page ids in collection order, and the pending events.
+struct BuildSnapshot {
+  std::vector<std::int64_t> counters;
+  std::vector<PageId> held;
+  std::size_t events_pending = 0;
+};
+
+BuildSnapshot snapshot_build(Cluster& cluster) {
+  BuildSnapshot snap;
+  std::vector<std::int64_t>& c = snap.counters;
+  for (int h = 0; h < cluster.num_hosts(); ++h) {
+    Host& host = cluster.host(h);
+    const PageAllocator& allocator = host.allocator();
+    c.push_back(static_cast<std::int64_t>(allocator.pages_created()));
+    c.push_back(allocator.live_pages());
+    c.push_back(static_cast<std::int64_t>(allocator.pageset_stats().hits()));
+    c.push_back(static_cast<std::int64_t>(allocator.pageset_stats().misses()));
+    for (int q = 0; q < host.num_cores(); ++q) {
+      c.push_back(host.nic().posted_descriptors(q));
+    }
+    for (int i = 0; i < host.num_cores(); ++i) {
+      const Core& core = host.core(i);
+      for (std::size_t k = 0; k < kNumCpuCategories; ++k) {
+        c.push_back(core.account().get(static_cast<CpuCategory>(k)));
+      }
+      c.push_back(static_cast<std::int64_t>(core.tasks_run()));
+    }
+    std::vector<const Page*> held;
+    host.nic().collect_held_pages(held);
+    host.stack().collect_held_pages(held);
+    for (const Page* page : held) snap.held.push_back(page->id);
+  }
+  snap.events_pending = cluster.events_pending();
+  return snap;
+}
+
+/// Index of the first element where `a` and `b` differ (their common
+/// length when one is a prefix of the other), or -1 when they are equal.
+template <class T>
+long first_difference(const std::vector<T>& a, const std::vector<T>& b) {
+  const std::size_t common = std::min(a.size(), b.size());
+  for (std::size_t i = 0; i < common; ++i) {
+    if (a[i] != b[i]) return static_cast<long>(i);
+  }
+  return a.size() == b.size() ? -1 : static_cast<long>(common);
+}
+
+// Building a cluster at any shard count leaves every host exactly as the
+// one-shard build does: the NIC's t=0 ring fill charges the same cycles
+// and posts the same pages in the same order, and each loop holds the
+// same events.  A 1 ms incast on the same shape then yields the same
+// metrics.  Shapes are drawn from a fixed seed over host count, ring
+// size, MTU, transport and IOMMU.
+TEST(ShardPinning, ConstructionMatchesSerialBuild) {
+  constexpr int kHostChoices[] = {3, 9, 17, 33};
+  constexpr int kRingChoices[] = {64, 256, 1024};
+  Rng rng(3);
+  std::set<int> rings;
+  std::set<bool> jumbos;
+  std::set<bool> homas;
+  std::set<bool> iommus;
+  for (int shape = 0; shape < 8; ++shape) {
+    ExperimentConfig config;
+    config.topology.num_hosts = kHostChoices[shape % 4];
+    config.topology.use_switch = true;
+    config.stack.nic_ring_size = kRingChoices[rng.next_below(3)];
+    config.stack.jumbo = rng.chance(0.5);
+    const bool homa = rng.chance(0.5);
+    config.stack.transport.kind = homa ? TransportKind::homa
+                                       : TransportKind::tcp;
+    config.stack.iommu = rng.chance(0.5);
+    config.traffic.pattern = Pattern::incast;
+    config.traffic.flows = config.topology.num_hosts - 1;
+    config.warmup = 0;
+    config.duration = 1 * kMillisecond;
+    rings.insert(config.stack.nic_ring_size);
+    jumbos.insert(config.stack.jumbo);
+    homas.insert(homa);
+    iommus.insert(config.stack.iommu);
+    SCOPED_TRACE("shape " + std::to_string(shape) + ": " +
+                 std::to_string(config.topology.num_hosts) + " hosts, ring " +
+                 std::to_string(config.stack.nic_ring_size) +
+                 (config.stack.jumbo ? ", jumbo" : ", 1500B") +
+                 (homa ? ", homa" : ", tcp") +
+                 (config.stack.iommu ? ", iommu" : ""));
+
+    config.shards = 1;
+    BuildSnapshot serial;
+    {
+      Testbed testbed(config);
+      serial = snapshot_build(testbed);
+    }
+    ASSERT_GT(serial.held.size(), 0u);
+    const std::string serial_json = metrics_to_json(run_experiment(config));
+    for (int shards = 2; shards <= 4; ++shards) {
+      SCOPED_TRACE(std::to_string(shards) + " shards");
+      config.shards = shards;
+      BuildSnapshot sharded;
+      {
+        Testbed testbed(config);
+        sharded = snapshot_build(testbed);
+      }
+      EXPECT_EQ(first_difference(serial.counters, sharded.counters), -1);
+      EXPECT_EQ(first_difference(serial.held, sharded.held), -1);
+      EXPECT_EQ(serial.events_pending, sharded.events_pending);
+      EXPECT_EQ(serial_json, metrics_to_json(run_experiment(config)));
+    }
+  }
+  // The seed covers every ring size and both settings of each flag.
+  EXPECT_EQ(rings.size(), 3u);
+  EXPECT_EQ(jumbos.size(), 2u);
+  EXPECT_EQ(homas.size(), 2u);
+  EXPECT_EQ(iommus.size(), 2u);
 }
 
 // A parallel sweep over sharded points: neither --jobs nor --shards may
