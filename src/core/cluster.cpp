@@ -41,25 +41,32 @@ std::optional<std::string> check_flow_bytes(const std::string& label,
   return std::nullopt;
 }
 
-/// Page-leak freedom as a mark pass over page ids.  Every held page must
-/// be live: the allocator's page with that id, with refs > 0.  The first
-/// one that is not, in collection order, is a use after free.  Every live
-/// page must be held; leaks are named in id order.
+/// Page-leak freedom as a mark pass over page ids, marking each held page
+/// as it is visited (pages repeat: descriptors share them).  Every held
+/// page must be live: the allocator's page with that id, with refs > 0.
+/// The first one that is not, in collection order, is a use after free.
+/// Every live page must be held; leaks are named in id order.
 std::optional<std::string> check_host_pages(Host& host) {
-  std::vector<const Page*> held;  // duplicates: descriptors share pages
-  host.nic().collect_held_pages(held);
-  host.stack().collect_held_pages(held);
-
   const PageAllocator& allocator = host.allocator();
   std::vector<std::uint8_t> marked(allocator.pages_created() + 1, 0);
   std::size_t distinct = 0;
-  for (const Page* page : held) {
-    if (allocator.page(page->id) != page || page->refs <= 0) {
-      return host.name() + ": holds a reference to freed page id " +
-             std::to_string(page->id) + " — use after free";
+  const Page* freed = nullptr;  // the first held page that is not live
+  const auto mark = [&](const Page* page) {
+    if (freed != nullptr || allocator.page(page->id) != page ||
+        page->refs <= 0) {
+      if (freed == nullptr) freed = page;
+      return;
     }
     distinct += marked[page->id] == 0;
     marked[page->id] = 1;
+  };
+  host.nic().for_each_held_page(mark);
+  std::vector<const Page*> stack_held;
+  host.stack().collect_held_pages(stack_held);
+  for (const Page* page : stack_held) mark(page);
+  if (freed != nullptr) {
+    return host.name() + ": holds a reference to freed page id " +
+           std::to_string(freed->id) + " — use after free";
   }
 
   std::string detail;
@@ -162,6 +169,12 @@ Cluster::Cluster(const ExperimentConfig& config) : config_(config) {
           "more than 2 hosts requires the switch topology");
   require(config.shards >= 1, "config.shards must be >= 1");
   plan_shards();
+  std::vector<EventLoop*> loop_ptrs;
+  loop_ptrs.reserve(loops_.size());
+  for (auto& loop : loops_) loop_ptrs.push_back(loop.get());
+  executor_ = std::make_unique<ShardedExecutor>(loop_ptrs,
+                                                config_.wire_propagation);
+  executor_->set_barrier_hook([this] { drain_channels(); });
   if (!config.topology.degenerate()) {
     // Sized before construction: the links' forward closures capture
     // references into these containers.  The delivery band is used at
@@ -187,12 +200,6 @@ Cluster::Cluster(const ExperimentConfig& config) : config_(config) {
   } else {
     build_cluster();
   }
-  std::vector<EventLoop*> loop_ptrs;
-  loop_ptrs.reserve(loops_.size());
-  for (auto& loop : loops_) loop_ptrs.push_back(loop.get());
-  executor_ = std::make_unique<ShardedExecutor>(loop_ptrs,
-                                                config_.wire_propagation);
-  executor_->set_barrier_hook([this] { drain_channels(); });
   if (config_.obs.enabled()) {
     // Built last: the observer forks no RNG and schedules nothing until
     // start_sampler(), so the datapath above is bit-identical with or
@@ -421,14 +428,24 @@ void Cluster::build_cluster() {
     fabric_->enable_trace(config_.obs.trace_capacity);
   }
 
+  // Each shard builds its own hosts in host order on its own thread.  A
+  // host touches only itself, side a of its link and its shard's loop (its
+  // NIC's t=0 ring fill runs at once) and forks no RNG: each loop gets the
+  // events a serial build gives it.
+  hosts_.resize(static_cast<std::size_t>(num_hosts));
+  executor_->for_each_shard([this, num_hosts](int shard) {
+    for (int i : shard_hosts(shard)) {
+      const std::string name =
+          num_hosts == 2 ? (i == 0 ? "sender" : "receiver")
+                         : "host" + std::to_string(i);
+      hosts_[static_cast<std::size_t>(i)] = std::make_unique<Host>(
+          shard_loop(shard), config_, *links_[static_cast<std::size_t>(i)],
+          Link::Side::a, name, i);
+    }
+  });
+
   for (int i = 0; i < num_hosts; ++i) {
     const std::size_t shard = static_cast<std::size_t>(shard_of_host_[i]);
-    const std::string name =
-        num_hosts == 2 ? (i == 0 ? "sender" : "receiver")
-                       : "host" + std::to_string(i);
-    hosts_.push_back(std::make_unique<Host>(*loops_[shard], config_,
-                                            *links_[i], Link::Side::a, name,
-                                            i));
     // Switch egress delivers straight into the destination NIC (the
     // buffered fabric models the downlink's serialization + propagation
     // itself; pass-through adds nothing, by design — see hw/switch.h).
@@ -610,8 +627,17 @@ void Cluster::register_invariants(InvariantChecker& checker) {
   });
 
   checker.add_check("page-leak", [this]() -> std::optional<std::string> {
-    for (auto& host : hosts_) {
-      if (auto bad = check_host_pages(*host)) return bad;
+    // Each shard checks its own hosts on its own thread; the first
+    // failing host in host order decides, as a serial sweep would.
+    std::vector<std::optional<std::string>> verdicts(hosts_.size());
+    executor_->for_each_shard([this, &verdicts](int shard) {
+      for (int h : shard_hosts(shard)) {
+        verdicts[static_cast<std::size_t>(h)] =
+            check_host_pages(*hosts_[static_cast<std::size_t>(h)]);
+      }
+    });
+    for (std::optional<std::string>& verdict : verdicts) {
+      if (verdict) return verdict;
     }
     return std::nullopt;
   });

@@ -23,7 +23,8 @@
 // loops — host h on shard h*K/H — advanced by one ShardedExecutor (shard
 // 0 on the calling thread, one worker thread per other shard) under
 // conservative link-latency synchronization (sim/sharded_executor.h).
-// A serial run is the K = 1 case of the same executor.
+// A serial run is the K = 1 case of the same executor, whose threads also
+// build each shard's hosts and run their page-leak checks.
 // Everything a host touches (its cores, NIC,
 // stack, uplink Link, and the switch egress port toward it) lives on its
 // shard's loop; the only cross-shard traffic is frames leaving a Link's

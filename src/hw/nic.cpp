@@ -256,24 +256,6 @@ int Nic::posted_descriptors(int index) const {
       queues_.at(static_cast<std::size_t>(index)).posted.size());
 }
 
-void Nic::collect_held_pages(std::vector<const Page*>& held) const {
-  for (const RxQueue& queue : queues_) {
-    for (std::size_t i = 0; i < queue.posted.size(); ++i) {
-      for (const Fragment& fragment : fragments_of(queue.posted[i])) {
-        held.push_back(fragment.page);
-      }
-    }
-    for (std::size_t i = 0; i < queue.backlog.size(); ++i) {
-      for (const Fragment& fragment : queue.backlog[i].fragments) {
-        held.push_back(fragment.page);
-      }
-    }
-    if (const Page* carving = queue.pool->current_page()) {
-      held.push_back(carving);
-    }
-  }
-}
-
 void Nic::napi_complete(Core& core, int index) {
   RxQueue& queue = queues_.at(static_cast<std::size_t>(index));
   require(queue.napi_active, "napi_complete on an idle queue");

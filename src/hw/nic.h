@@ -156,10 +156,31 @@ class Nic {
   std::uint64_t ring_drops() const { return ring_drops_; }
   std::uint64_t irqs() const { return irqs_; }
 
-  /// Appends every page the NIC currently holds a reference to, queue by
-  /// queue (posted rx descriptors, backlog, pool carving page), to
-  /// `held`, once per holder; used by the end-of-run leak sweep.
-  void collect_held_pages(std::vector<const Page*>& held) const;
+  /// Calls `visit(const Page*)` for every page the NIC currently holds a
+  /// reference to, queue by queue (posted rx descriptors, backlog, pool
+  /// carving page), once per holder; used by the end-of-run leak sweep.
+  template <class Visit>
+  void for_each_held_page(Visit&& visit) const {
+    for (const RxQueue& queue : queues_) {
+      for (std::size_t i = 0; i < queue.posted.size(); ++i) {
+        const RxDescriptor& descriptor = queue.posted[i];
+        for (std::size_t k = 0; k < descriptor.count; ++k) {
+          visit(allocator_->page(descriptor.pages[k]));
+        }
+      }
+      for (std::size_t i = 0; i < queue.backlog.size(); ++i) {
+        for (const Fragment& fragment : queue.backlog[i].fragments) {
+          visit(fragment.page);
+        }
+      }
+      if (const Page* carving = queue.pool->current_page()) visit(carving);
+    }
+  }
+
+  /// Appends the pages for_each_held_page() visits to `held`, in order.
+  void collect_held_pages(std::vector<const Page*>& held) const {
+    for_each_held_page([&held](const Page* page) { held.push_back(page); });
+  }
 
  private:
   /// A posted descriptor: the pages of its packed span.  Every fragment

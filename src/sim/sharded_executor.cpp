@@ -96,9 +96,12 @@ Nanos ShardedExecutor::clamp_to_heartbeat(Nanos window) const {
   return std::min(window, next_tick);
 }
 
-void ShardedExecutor::run_shard(std::size_t shard, Nanos window) {
+void ShardedExecutor::run_shard(std::size_t shard, Nanos window,
+                                const ShardTask* task) {
   try {
-    if (window == EventLoop::kNoEvent) {
+    if (task != nullptr) {
+      (*task)(static_cast<int>(shard));
+    } else if (window == EventLoop::kNoEvent) {
       loops_[shard]->run_to_completion();
     } else {
       loops_[shard]->run_until(window);
@@ -108,26 +111,33 @@ void ShardedExecutor::run_shard(std::size_t shard, Nanos window) {
   }
 }
 
-bool ShardedExecutor::execute_round(Nanos window) {
+std::exception_ptr ShardedExecutor::run_round(Nanos window,
+                                              const ShardTask* task) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     round_deadline_ = window;
+    round_task_ = task;
     pending_ = workers_.size();
     ++round_;
   }
   round_cv_.notify_all();
-  run_shard(0, window);
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    done_cv_.wait(lock, [this] { return pending_ == 0; });
-  }
-  now_ = window == EventLoop::kNoEvent ? loops_[0]->now() : window;
+  run_shard(0, window, task);
+  std::unique_lock<std::mutex> lock(mu_);
+  done_cv_.wait(lock, [this] { return pending_ == 0; });
+  std::exception_ptr first;
   for (std::exception_ptr& error : errors_) {
-    if (!error) continue;
-    const std::exception_ptr first = error;
-    for (std::exception_ptr& e : errors_) e = nullptr;
+    if (!first) first = error;
+    error = nullptr;
+  }
+  return first;
+}
+
+bool ShardedExecutor::execute_round(Nanos window) {
+  const std::exception_ptr error = run_round(window, nullptr);
+  now_ = window == EventLoop::kNoEvent ? loops_[0]->now() : window;
+  if (error) {
     try {
-      std::rethrow_exception(first);
+      std::rethrow_exception(error);
     } catch (const EventStorm& storm) {
       on_storm_(storm.diagnostic);
       return false;
@@ -139,18 +149,26 @@ bool ShardedExecutor::execute_round(Nanos window) {
   return true;
 }
 
+void ShardedExecutor::for_each_shard(const ShardTask& task) {
+  if (const std::exception_ptr error = run_round(round_deadline_, &task)) {
+    std::rethrow_exception(error);
+  }
+}
+
 void ShardedExecutor::worker_main(std::size_t shard) {
   std::uint64_t seen = 0;
   for (;;) {
     Nanos window;
+    const ShardTask* task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       round_cv_.wait(lock, [this, seen] { return stop_ || round_ != seen; });
       if (stop_) return;
       seen = round_;
       window = round_deadline_;
+      task = round_task_;
     }
-    run_shard(shard, window);
+    run_shard(shard, window, task);
     bool last;
     {
       std::lock_guard<std::mutex> lock(mu_);

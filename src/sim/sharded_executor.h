@@ -130,6 +130,12 @@ class ShardedExecutor {
   /// Runs until every loop is idle and every channel is drained.
   void run_to_completion();
 
+  /// Runs `task(s)` once for every shard s, on the thread that runs s's
+  /// rounds (shard 0 on the calling thread), between rounds: it moves no
+  /// clock.  Rethrows the lowest failing shard's exception.
+  using ShardTask = std::function<void(int shard)>;
+  void for_each_shard(const ShardTask& task);
+
  private:
   struct StormState {
     Nanos last_now = -1;
@@ -150,8 +156,12 @@ class ShardedExecutor {
   bool execute_round(Nanos window);
   /// Clamps `window` so the next heartbeat tick is not skipped.
   Nanos clamp_to_heartbeat(Nanos window) const;
-  /// Runs `shard`'s loop to `window`, parking any exception in errors_.
-  void run_shard(std::size_t shard, Nanos window);
+  /// Hands every worker one round (`task` on each shard, or with no task
+  /// each loop run to `window`), runs shard 0 here, waits for all, and
+  /// returns the lowest shard's exception (null if none).
+  std::exception_ptr run_round(Nanos window, const ShardTask* task);
+  /// Runs `shard`'s part of a round, parking any exception in errors_.
+  void run_shard(std::size_t shard, Nanos window, const ShardTask* task);
   void worker_main(std::size_t shard);
 
   std::vector<EventLoop*> loops_;
@@ -165,13 +175,14 @@ class ShardedExecutor {
   std::function<void(const std::string&)> on_storm_;
 
   // Round barrier: the calling thread runs shard 0 itself and worker i
-  // runs shard i + 1.  Workers wait for round_ to advance, run their loop
-  // to round_deadline_, then count pending_ down; only the last one
-  // wakes the calling thread.  All fields below are guarded by mu_.
+  // runs shard i + 1.  Workers wait for round_ to advance, run round_task_
+  // or their loop to round_deadline_, then count pending_ down; only the
+  // last one wakes the calling thread.  Fields below are guarded by mu_.
   std::mutex mu_;
   std::condition_variable round_cv_;
   std::condition_variable done_cv_;
   std::uint64_t round_ = 0;
+  const ShardTask* round_task_ = nullptr;
   std::size_t pending_ = 0;
   bool stop_ = false;
   std::vector<std::exception_ptr> errors_;

@@ -1,9 +1,11 @@
-// The end-of-run page-leak sweep: its use-after-free branch, and a seeded
+// The end-of-run page-leak sweep: its use-after-free branch, the host
+// order of its verdict when every shard checks its own hosts, and a seeded
 // property test holding its verdict to a reference computed the way the
 // sweep used to work — hash sets over the public collectors and the
 // allocator's live pages.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_set>
@@ -122,6 +124,89 @@ TEST(PageSweepTest, FreedPageStillHeldIsAUseAfterFree) {
   EXPECT_EQ(violations[0].detail,
             "receiver: holds a reference to freed page id " +
                 std::to_string(first->id) + " — use after free");
+}
+
+/// A 9-host RPC incast run for 2 ms at `shards` shards, leaking one skb
+/// at each host in `leak_hosts`.  Hosts 2 and 7 sit on different shards
+/// at K = 2, 3 and 4.
+std::unique_ptr<Testbed> leaky_rpc_incast(int shards,
+                                          std::vector<int> leak_hosts) {
+  ExperimentConfig config;
+  config.topology.num_hosts = 9;
+  config.topology.use_switch = true;
+  config.traffic.pattern = Pattern::rpc_incast;
+  config.traffic.flows = 8;
+  config.shards = shards;
+  auto testbed = std::make_unique<Testbed>(config);
+  Workload workload = build_workload(*testbed, config.traffic);
+  workload.start();
+  for (int h : leak_hosts) testbed->host(h).stack().leak_next_skb();
+  testbed->run_until(2 * kMillisecond);
+  return testbed;
+}
+
+/// Frees, on an idle core, a page that `host`'s NIC holds by one
+/// reference, so the sweep finds a use after free there.
+void free_a_nic_page(Host& host) {
+  std::vector<const Page*> held;
+  host.nic().collect_held_pages(held);
+  Page* victim = nullptr;
+  for (const Page* page : held) {
+    if (page->refs == 1) victim = const_cast<Page*>(page);
+  }
+  ASSERT_NE(victim, nullptr);
+  Core* idle = nullptr;
+  for (int c = 0; c < host.num_cores() && idle == nullptr; ++c) {
+    if (host.core(c).idle()) idle = &host.core(c);
+  }
+  ASSERT_NE(idle, nullptr);
+  Context context{"test", false};
+  idle->post(context, [&](Core& core) {
+    host.allocator().release(core, victim);
+  });
+  ASSERT_EQ(victim->refs, 0);
+}
+
+// Each shard checks its own hosts; the verdict is still the first failing
+// host in host order, so it reads the same at any shard count.
+TEST(PageSweepTest, LeaksAtTwoShardsReportTheFirstHostAtAnyShardCount) {
+  const std::optional<std::string> serial =
+      page_leak_verdict(*leaky_rpc_incast(1, {2, 7}));
+  ASSERT_TRUE(serial.has_value());
+  EXPECT_EQ(serial->rfind("host2: ", 0), 0u) << *serial;
+  // Host 7 fails the check on its own too.
+  EXPECT_EQ(page_leak_verdict(*leaky_rpc_incast(1, {7}))
+                .value_or("clean")
+                .rfind("host7: ", 0),
+            0u);
+  for (int shards = 2; shards <= 4; ++shards) {
+    EXPECT_EQ(page_leak_verdict(*leaky_rpc_incast(shards, {2, 7})).value_or(
+                  "clean"),
+              *serial)
+        << shards << " shards";
+  }
+}
+
+// A use after free at host 7 is found first on its own shard, yet host 2's
+// leak comes first in host order and is the one reported.
+TEST(PageSweepTest, LeakAtAnEarlierHostOutranksALaterUseAfterFree) {
+  const std::optional<std::string> leak_only =
+      page_leak_verdict(*leaky_rpc_incast(1, {2}));
+  ASSERT_TRUE(leak_only.has_value());
+  EXPECT_EQ(leak_only->rfind("host2: ", 0), 0u) << *leak_only;
+  {
+    std::unique_ptr<Testbed> testbed = leaky_rpc_incast(1, {});
+    free_a_nic_page(testbed->host(7));
+    EXPECT_EQ(page_leak_verdict(*testbed).value_or("clean").rfind(
+                  "host7: holds a reference to freed page id ", 0),
+              0u);
+  }
+  for (int shards = 1; shards <= 4; ++shards) {
+    std::unique_ptr<Testbed> testbed = leaky_rpc_incast(shards, {2});
+    free_a_nic_page(testbed->host(7));
+    EXPECT_EQ(page_leak_verdict(*testbed).value_or("clean"), *leak_only)
+        << shards << " shards";
+  }
 }
 
 TEST(PageSweepProperty, RandomRunsMatchTheHashSetReference) {

@@ -2,13 +2,16 @@
 // channel.  Cluster-level bit-identity (serial vs sharded artifacts) is
 // pinned separately in tests/core/shard_pinning_test.cpp; here the
 // executor is exercised bare: window algebra, barrier-hook draining,
-// heartbeat clamping, storm budget, and delivery-key ordering.
+// heartbeat clamping, storm budget, delivery-key ordering, and tasks run
+// on each shard's thread between rounds (for_each_shard).
 #include "sim/sharded_executor.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "sim/contract.h"
@@ -143,6 +146,115 @@ TEST(ShardedExecutor, StormBudgetTripsOnFrozenClock) {
   ShardedExecutor executor({&a, &b}, /*lookahead=*/1'000);
   executor.set_storm_budget(10'000);
   EXPECT_THROW(executor.run_until(1'000'000), ContractViolation);
+}
+
+// for_each_shard runs each shard's task on the thread that runs that
+// shard's loop: shard 0 on the caller, every other shard on its worker.
+TEST(ShardedExecutor, ForEachShardRunsOnEachShardsThread) {
+  EventLoop a;
+  EventLoop b;
+  EventLoop c;
+  EventLoop* loops[] = {&a, &b, &c};
+  ShardedExecutor executor({&a, &b, &c}, /*lookahead=*/1'000);
+  std::vector<std::thread::id> task_thread(3);
+  std::vector<std::thread::id> loop_thread(3);
+  executor.for_each_shard([&](int shard) {
+    task_thread[static_cast<std::size_t>(shard)] = std::this_thread::get_id();
+  });
+  for (std::size_t s = 0; s < 3; ++s) {
+    loops[s]->schedule_at(100, [&loop_thread, s] {
+      loop_thread[s] = std::this_thread::get_id();
+    });
+  }
+  executor.run_until(1'000);
+  EXPECT_EQ(task_thread[0], std::this_thread::get_id());
+  EXPECT_EQ(task_thread, loop_thread);
+  EXPECT_NE(task_thread[1], task_thread[0]);
+  EXPECT_NE(task_thread[2], task_thread[0]);
+  EXPECT_NE(task_thread[2], task_thread[1]);
+}
+
+// Several shards throw: the lowest shard's exception reaches the caller,
+// the rest are dropped, and the executor keeps running rounds and tasks.
+TEST(ShardedExecutor, ForEachShardRethrowsTheLowestShardsException) {
+  EventLoop a;
+  EventLoop b;
+  EventLoop c;
+  ShardedExecutor executor({&a, &b, &c}, /*lookahead=*/1'000);
+  try {
+    executor.for_each_shard([](int shard) {
+      if (shard >= 1) throw std::runtime_error("shard " + std::to_string(shard));
+    });
+    ADD_FAILURE() << "no exception reached the caller";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "shard 1");
+  }
+  int fired = 0;
+  c.schedule_at(500, [&] { ++fired; });
+  executor.run_until(1'000);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(c.now(), 1'000);
+  std::vector<int> ran(3, 0);
+  executor.for_each_shard(
+      [&](int shard) { ++ran[static_cast<std::size_t>(shard)]; });
+  EXPECT_EQ(ran, (std::vector<int>{1, 1, 1}));
+}
+
+TEST(ShardedExecutor, ForEachShardRunsInlineOnOneShard) {
+  EventLoop loop;
+  ShardedExecutor executor({&loop}, /*lookahead=*/0);
+  std::vector<int> shards;
+  std::thread::id where;
+  executor.for_each_shard([&](int shard) {
+    shards.push_back(shard);
+    where = std::this_thread::get_id();
+  });
+  EXPECT_EQ(shards, (std::vector<int>{0}));
+  EXPECT_EQ(where, std::this_thread::get_id());
+  EXPECT_THROW(executor.for_each_shard(
+                   [](int) { throw std::runtime_error("inline"); }),
+               std::runtime_error);
+}
+
+// Tasks between runs see every loop at the executor's clock and move no
+// clock and no heartbeat; what a task schedules on its own loop runs in
+// the next run_until at its time.
+TEST(ShardedExecutor, ForEachShardInterleavesWithRunsWithoutMovingClocks) {
+  EventLoop a;
+  EventLoop b;
+  EventLoop* loops[] = {&a, &b};
+  ShardedExecutor executor({&a, &b}, /*lookahead=*/1'000);
+  std::vector<Nanos> ticks;
+  executor.set_heartbeat(1'000, [&](Nanos now) { ticks.push_back(now); });
+  // One log per shard: both loops run at once inside a round.
+  std::vector<std::string> fired[2];
+  b.schedule_at(2'500, [&] { fired[1].push_back("b@2500"); });
+  executor.run_until(1'000);
+  EXPECT_EQ(ticks, (std::vector<Nanos>{1'000}));
+
+  std::vector<Nanos> seen(2, -1);
+  executor.for_each_shard([&](int shard) {
+    EventLoop& loop = *loops[shard];
+    seen[static_cast<std::size_t>(shard)] = loop.now();
+    loop.schedule_at(1'200 + shard, [&fired, &loop, shard] {
+      fired[shard].push_back("task" + std::to_string(shard) + "@" +
+                             std::to_string(loop.now()));
+    });
+  });
+  EXPECT_EQ(seen, (std::vector<Nanos>{1'000, 1'000}));
+  EXPECT_EQ(executor.now(), 1'000);
+  EXPECT_EQ(a.now(), 1'000);
+  EXPECT_EQ(b.now(), 1'000);
+  EXPECT_EQ(ticks, (std::vector<Nanos>{1'000}));
+  EXPECT_TRUE(fired[0].empty() && fired[1].empty());
+
+  executor.run_until(3'000);
+  EXPECT_EQ(fired[0], (std::vector<std::string>{"task0@1200"}));
+  EXPECT_EQ(fired[1], (std::vector<std::string>{"task1@1201", "b@2500"}));
+  EXPECT_EQ(ticks, (std::vector<Nanos>{1'000, 2'000, 3'000}));
+  executor.for_each_shard([](int) {});
+  EXPECT_EQ(executor.now(), 3'000);
+  EXPECT_EQ(a.now(), 3'000);
 }
 
 TEST(ShardedExecutor, RunToCompletionDrainsChainedWork) {
