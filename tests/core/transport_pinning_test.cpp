@@ -27,6 +27,10 @@
 //    latency windows and the class rollup with its slowest hop, which
 //    only the hop join feeds.  Captured before request spans carried
 //    their class as an enum and the harvest merged hops with a heap.
+//  * TCP's receiver-driven incast, Homa RPCs larger than one grant, and
+//    a Homa flow that times out behind a link flap, which reach the
+//    grant limits of both transports and Homa's restart budget.
+//    Captured while those limits were config fields.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -311,6 +315,51 @@ TEST(TransportPinning, PoolPressureDescriptorShortRunBitIdentical) {
   });
   EXPECT_GT(metrics.faults.pool_denials, 0u);
   EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xeb65ae8133aad905ull);
+}
+
+// TCP's receiver-driven mode: eight flows share one receiver core, so
+// the grant scheduler's active cap, quantum and blind first window all
+// shape the run.
+TEST(TransportPinning, ReceiverDrivenIncast8ShortRunBitIdentical) {
+  ExperimentConfig config;
+  config.stack.receiver_driven = true;
+  config.traffic.pattern = Pattern::incast;
+  config.traffic.flows = 8;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 3 * kMillisecond;
+  const Metrics metrics = run_experiment(config);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x21f20f348b3be406ull);
+}
+
+// 1 MiB Homa RPCs, eight clients on one server core: each message needs
+// grants beyond its blind window, so the grant quantum and the per-core
+// active-message cap shape the run.
+TEST(TransportPinning, HomaLargeRpcIncast8ShortRunBitIdentical) {
+  ExperimentConfig config;
+  config.stack.transport.kind = TransportKind::homa;
+  config.traffic.pattern = Pattern::rpc_incast;
+  config.traffic.flows = 8;
+  config.traffic.rpc_size = kMiB;
+  config.warmup = 2 * kMillisecond;
+  config.duration = 3 * kMillisecond;
+  const Metrics metrics = run_experiment(config);
+  EXPECT_GT(metrics.rpc_transactions, 0u);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0xc71042989e7691e7ull);
+}
+
+// A Homa flow whose link goes dark for longer than the run: the sender
+// restarts its unscheduled window every two resend intervals until its
+// restart budget runs out and the socket dies with ETIMEDOUT (about
+// 20.5 ms into the 25 ms run).
+TEST(TransportPinning, HomaLinkFlapTimeoutBitIdentical) {
+  ExperimentConfig config;
+  config.stack.transport.kind = TransportKind::homa;
+  config.faults.link_flaps.push_back({2 * kMillisecond, 40 * kMillisecond, 0});
+  config.warmup = 1 * kMillisecond;
+  config.duration = 24 * kMillisecond;
+  const Metrics metrics = run_experiment(config);
+  EXPECT_GT(metrics.retransmits, 0u);
+  EXPECT_EQ(fnv1a(metrics_to_json(metrics)), 0x89a39cde30389c9bull);
 }
 
 /// Hashes of one traced run's obs artifacts and class rollup.

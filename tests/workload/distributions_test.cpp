@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "sim/rng.h"
@@ -38,6 +39,20 @@ std::vector<Bytes> sizes(const WorkloadConfig& wl, Bytes mean,
   return out;
 }
 
+/// FNV-1a over the draws, so a pin reads as one number.
+template <typename T>
+std::uint64_t fingerprint(const std::vector<T>& draws) {
+  std::uint64_t h = 14695981039346656037ull;
+  for (const T draw : draws) {
+    auto bits = static_cast<std::uint64_t>(draw);
+    for (int byte = 0; byte < 8; ++byte, bits >>= 8) {
+      h ^= bits & 0xff;
+      h *= 1099511628211ull;
+    }
+  }
+  return h;
+}
+
 TEST(DistributionsTest, PoissonSameSeedReplaysIdentically) {
   const WorkloadConfig wl = base_config();
   EXPECT_EQ(arrival_times(wl, 7, 2000), arrival_times(wl, 7, 2000));
@@ -63,6 +78,29 @@ TEST(DistributionsTest, BoundedParetoSameSeedReplaysIdentically) {
   wl.sizes = SizeDist::bounded_pareto;
   EXPECT_EQ(sizes(wl, 16 * kKiB, 7, 2000), sizes(wl, 16 * kKiB, 7, 2000));
   EXPECT_NE(sizes(wl, 16 * kKiB, 7, 2000), sizes(wl, 16 * kKiB, 8, 2000));
+}
+
+// The first draws of each shaped process, pinned: the MMPP burst
+// factor and sojourn means, the diurnal period and the log-normal sigma
+// have no other observer in the suite.
+TEST(DistributionsTest, MmppDrawsArePinned) {
+  WorkloadConfig wl = base_config();
+  wl.arrivals = ArrivalProcess::mmpp;
+  EXPECT_EQ(fingerprint(arrival_times(wl, 7, 2000)), 0xe3f803dd896da0f5ull);
+}
+
+TEST(DistributionsTest, DiurnalDrawsArePinned) {
+  WorkloadConfig wl = base_config();
+  wl.diurnal_amplitude = 0.5;
+  EXPECT_EQ(fingerprint(arrival_times(wl, 7, 2000)), 0x525512f9c55fc409ull);
+}
+
+TEST(DistributionsTest, LognormalDrawsArePinned) {
+  WorkloadConfig wl = base_config();
+  wl.sizes = SizeDist::lognormal;
+  wl.size_max = 4 * kMiB;  // no clamping: every draw shows sigma
+  EXPECT_EQ(fingerprint(sizes(wl, 16 * kKiB, 7, 2000)),
+            0x4d871f21903f6a7aull);
 }
 
 TEST(DistributionsTest, ArrivalsStrictlyIncrease) {
