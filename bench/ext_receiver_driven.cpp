@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
     config.traffic.flows = 8;
     config.traffic.rpc_size = 256 * kKiB;
     config.stack.transport.kind = TransportKind::homa;
-    config.stack.transport.homa.max_active = active;
+    config.stack.transport.homa_max_active = active;
     config.warmup = 5 * kMillisecond;
     config.duration = 20 * kMillisecond;
     const Metrics metrics = run_experiment(bench::quick_adjust(config, quick));

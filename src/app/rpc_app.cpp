@@ -6,6 +6,14 @@
 #include "sim/contract.h"
 
 namespace hostsim {
+namespace {
+
+/// Deterministic backoff jitter: a seeded uniform draw in [0, kJitter] of
+/// the computed backoff is added, decorrelating retry storms across
+/// clients without breaking run-to-run reproducibility.
+constexpr double kJitter = 0.5;
+
+}  // namespace
 
 RpcClient::RpcClient(Core& core, TransportSocket& socket, Bytes rpc_size,
                      const RpcResilienceConfig& policy, Rng rng,
@@ -182,7 +190,7 @@ bool RpcClient::handle_failure(Core& c) {
     const Nanos backoff = std::min<Nanos>(policy_.backoff_base << exponent,
                                           policy_.backoff_cap);
     delay = backoff +
-            static_cast<Nanos>(policy_.jitter * static_cast<double>(backoff) *
+            static_cast<Nanos>(kJitter * static_cast<double>(backoff) *
                                rng_.next_double());
   }
   if (delay > 0) {

@@ -27,10 +27,6 @@ struct RpcResilienceConfig {
   /// Exponential backoff between attempts: base * 2^(attempt-1), capped.
   Nanos backoff_base = 1 * kMillisecond;
   Nanos backoff_cap = 16 * kMillisecond;
-  /// Deterministic jitter: a seeded uniform draw in [0, jitter] of the
-  /// computed backoff is added, decorrelating retry storms across
-  /// clients without breaking run-to-run reproducibility.
-  double jitter = 0.5;
 
   /// Circuit breaker: after this many consecutive failures the client
   /// stops issuing requests for `breaker_cooldown`, then half-opens with

@@ -123,7 +123,6 @@ std::optional<std::string> check_host_rto(Host& host) {
 Link::Config link_config(const ExperimentConfig& config) {
   Link::Config link;
   link.gbps = config.link_gbps;
-  link.propagation = config.wire_propagation;
   link.loss_rate = config.loss_rate;
   link.ecn_threshold = config.ecn_threshold;
   return link;
@@ -136,7 +135,6 @@ Link::Config link_config(const ExperimentConfig& config) {
 /// HOSTSIM_SHARDS for a whole campaign, degenerate points included).
 /// Unsupported:
 ///   - the degenerate back-to-back topology (nothing to partition);
-///   - zero wire propagation (conservative sync needs lookahead);
 ///   - probabilistic faults (GE loss, corruption, pool pressure): they
 ///     draw from one injector RNG stream in cross-host arrival order,
 ///     which shard-local injectors cannot replay (window faults —
@@ -150,7 +148,6 @@ Link::Config link_config(const ExperimentConfig& config) {
 ///     on deterministic keys (see obs/observer.h).
 bool shardable(const ExperimentConfig& config) {
   if (config.topology.degenerate()) return false;
-  if (config.wire_propagation <= 0) return false;
   const FaultPlan& plan = config.faults;
   if (plan.gilbert_elliott.enabled || plan.corrupt_rate > 0.0 ||
       !plan.pool_pressure.empty()) {
@@ -172,8 +169,7 @@ Cluster::Cluster(const ExperimentConfig& config) : config_(config) {
   std::vector<EventLoop*> loop_ptrs;
   loop_ptrs.reserve(loops_.size());
   for (auto& loop : loops_) loop_ptrs.push_back(loop.get());
-  executor_ = std::make_unique<ShardedExecutor>(loop_ptrs,
-                                                config_.wire_propagation);
+  executor_ = std::make_unique<ShardedExecutor>(loop_ptrs, kWirePropagation);
   executor_->set_barrier_hook([this] { drain_channels(); });
   if (!config.topology.degenerate()) {
     // Sized before construction: the links' forward closures capture
@@ -420,7 +416,6 @@ void Cluster::build_cluster() {
   fabric_config.num_ports = num_hosts;
   fabric_config.port_gbps =
       topo.port_gbps > 0 ? topo.port_gbps : config_.link_gbps;
-  fabric_config.propagation = config_.wire_propagation;
   fabric_config.buffer_bytes = topo.switch_buffer;
   fabric_config.ecn_threshold_bytes = topo.switch_ecn_bytes;
   fabric_ = std::make_unique<Switch>(root, fabric_config);

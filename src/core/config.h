@@ -9,12 +9,8 @@
 #include "app/rpc_resilience.h"
 #include "cpu/cost_model.h"
 #include "hw/llc_model.h"
-#include "hw/nic.h"
 #include "hw/numa_topology.h"
-#include "net/cc/congestion_control.h"
-#include "net/grant_scheduler.h"
-#include "net/gso.h"
-#include "net/transport.h"
+#include "net/stack_config.h"
 #include "obs/obs_config.h"
 #include "sim/fault_injector.h"
 #include "sim/invariant_checker.h"
@@ -22,84 +18,6 @@
 #include "workload/workload_config.h"
 
 namespace hostsim {
-
-/// Host stack configuration (paper §2.1's optimization knobs).
-struct StackConfig {
-  bool tso = true;    ///< hardware segmentation offload
-  bool gso = true;    ///< software segmentation (used when TSO is off)
-  bool gro = true;    ///< software receive coalescing
-  bool jumbo = true;  ///< 9000B MTU instead of 1500B
-  bool arfs = true;   ///< hardware flow steering to the application core
-  bool dca = true;    ///< DDIO: DMA into the NIC-local LLC
-  bool iommu = false;
-  bool lro = false;   ///< hardware receive coalescing instead of GRO
-  CcAlgo cc = CcAlgo::cubic;
-
-  /// Receiver-side steering (paper Table 2).  When `arfs` is true the
-  /// hardware steers each flow's IRQs to its application core and this
-  /// field is ignored; when false, this selects the fallback: `rss`
-  /// (the paper's worst-case explicit NIC-remote mapping), or the
-  /// software paths `rps` (bounce to a hashed core) / `rfs` (bounce to
-  /// the application's core) that requeue protocol processing from the
-  /// IRQ core.
-  SteeringMode fallback_steering = SteeringMode::rss;
-
-  /// §4 zero-copy extensions: MSG_ZEROCOPY-style transmission (pins the
-  /// user buffer; no user->kernel copy, per-chunk completion events) and
-  /// TCP-mmap-style reception (no kernel->user copy; per-page remap).
-  bool tx_zerocopy = false;
-  bool rx_zerocopy = false;
-
-  /// Acknowledge every second in-order delivery instead of every one
-  /// (classic delayed ACKs; immediate ACK on out-of-order data).
-  bool delayed_ack = false;
-
-  /// §3.3/§4 receiver-driven transport projection: the receiver grants
-  /// credit to at most `grant_policy.max_active` flows per core at a
-  /// time (pHost/Homa-style), instead of TCP's sender-driven windows.
-  bool receiver_driven = false;
-  GrantPolicy grant_policy;
-
-  int nic_ring_size = 1024;       ///< rx descriptors per queue
-  Bytes tcp_rx_buf = 0;           ///< fixed receive buffer; 0 = autotune
-  Bytes tcp_rx_buf_max = 6400 * kKiB;  ///< autotune cap (tcp_rmem[2])
-  Bytes tcp_tx_buf = 4 * kMiB;
-
-  /// Consecutive RTO expirations before a connection is declared dead
-  /// with ETIMEDOUT (Linux tcp_retries2 analogue); 0 probes forever.
-  int max_consecutive_rtos = 8;
-
-  /// Protocol behind the net::Transport seam: classic TCP (default) or
-  /// the Homa-style receiver-driven message transport.
-  TransportConfig transport;
-
-  Bytes mtu_payload() const { return jumbo ? 9000 : 1500; }
-
-  SegmentationMode segmentation() const {
-    if (tso) return SegmentationMode::tso_hw;
-    if (gso) return SegmentationMode::gso_sw;
-    return SegmentationMode::none;
-  }
-
-  /// The paper's "no optimization" baseline: MTU-sized skbs end to end,
-  /// hash steering to a NIC-remote core, GSO explicitly disabled (the
-  /// paper modified the kernel for this; §3.1 footnote 5).
-  static StackConfig no_opt() {
-    StackConfig config;
-    config.tso = config.gso = config.gro = config.jumbo = config.arfs = false;
-    return config;
-  }
-
-  /// All commodity-NIC optimizations on (the paper's default).
-  static StackConfig all_opt() { return StackConfig{}; }
-
-  /// The paper's incremental fig. 3 ladder: none -> +TSO/GRO -> +jumbo
-  /// -> +aRFS.  `level` in [0, 3].
-  static StackConfig opt_level(int level);
-
-  /// Short label like "TSO/GRO+Jumbo+aRFS" for reports.
-  std::string label() const;
-};
 
 /// Workload shape (paper fig. 2 traffic patterns plus the §3.7 mixes).
 enum class Pattern : std::uint8_t {
@@ -166,7 +84,6 @@ struct ExperimentConfig {
   LlcConfig llc;  ///< cache geometry (ablate DDIO partitioning here)
   TopologyConfig topology;
   double link_gbps = 100.0;
-  Nanos wire_propagation = 1'000;
   double loss_rate = 0.0;      ///< in-network random drops (paper §3.6)
   Nanos ecn_threshold = 0;     ///< switch ECN marking threshold (DCTCP)
   Nanos warmup = 10 * kMillisecond;

@@ -5,29 +5,6 @@
 namespace hostsim {
 namespace {
 
-StackOptions stack_options(const ExperimentConfig& config, int host_id) {
-  StackOptions options;
-  options.trace_capacity = config.obs.trace_capacity;
-  options.host_id = host_id;
-  options.segmentation = config.stack.segmentation();
-  options.gro = config.stack.gro;
-  options.steering = config.stack.arfs ? SteeringMode::arfs
-                                       : config.stack.fallback_steering;
-  options.tx_zerocopy = config.stack.tx_zerocopy;
-  options.rx_zerocopy = config.stack.rx_zerocopy;
-  options.delayed_ack = config.stack.delayed_ack;
-  options.receiver_driven = config.stack.receiver_driven;
-  options.grant_policy = config.stack.grant_policy;
-  options.mss = config.stack.mtu_payload();
-  options.rcv_buf = config.stack.tcp_rx_buf;
-  options.rcv_buf_max = config.stack.tcp_rx_buf_max;
-  options.snd_buf = config.stack.tcp_tx_buf;
-  options.cc = config.stack.cc;
-  options.max_consecutive_rtos = config.stack.max_consecutive_rtos;
-  options.transport = config.stack.transport;
-  return options;
-}
-
 Nic::Config nic_config(const ExperimentConfig& config) {
   Nic::Config nic;
   nic.mtu_payload = config.stack.mtu_payload();
@@ -67,9 +44,9 @@ Host::Host(EventLoop& loop, const ExperimentConfig& config, Link& link,
   nic_ = std::make_unique<Nic>(loop, nic_config(config), topo_, core_ptrs,
                                llc_ptrs, *allocator_, *iommu_, link, side,
                                host_id_);
-  stack_ = std::make_unique<Stack>(loop, stack_options(config, host_id_),
-                                   topo_, core_ptrs, llc_ptrs, *allocator_,
-                                   *iommu_, *nic_);
+  stack_ = std::make_unique<Stack>(loop, config.stack, host_id_,
+                                   config.obs.trace_capacity, topo_, core_ptrs,
+                                   llc_ptrs, *allocator_, *iommu_, *nic_);
 }
 
 }  // namespace hostsim

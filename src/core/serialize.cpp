@@ -324,9 +324,9 @@ std::optional<JsonValue> JsonValue::parse(std::string_view text) {
 
 // --- Config serialization ---------------------------------------------------
 //
-// Schema 2: every field of ExperimentConfig except `shards` and `obs` is
-// written on every call, whatever its value, so the document describes
-// the run completely and nothing in it is implied by a default.
+// Every field of ExperimentConfig except `shards` and `obs` is written on
+// every call, whatever its value, so the document describes the run
+// completely and nothing in it is implied by a default.
 
 namespace {
 
@@ -356,24 +356,13 @@ void write_stack(JsonWriter& w, const StackConfig& s) {
   w.key("rx_zerocopy").value(s.rx_zerocopy);
   w.key("delayed_ack").value(s.delayed_ack);
   w.key("receiver_driven").value(s.receiver_driven);
-  w.key("grant_max_active").value(s.grant_policy.max_active);
-  w.key("grant_bytes").value(s.grant_policy.grant_bytes);
-  w.key("grant_unscheduled_bytes").value(s.grant_policy.unscheduled_bytes);
   w.key("nic_ring_size").value(s.nic_ring_size);
   w.key("tcp_rx_buf").value(s.tcp_rx_buf);
-  w.key("tcp_rx_buf_max").value(s.tcp_rx_buf_max);
-  w.key("tcp_tx_buf").value(s.tcp_tx_buf);
   w.key("max_consecutive_rtos").value(s.max_consecutive_rtos);
   const TransportConfig& t = s.transport;
   w.key("transport").begin_object();
   w.key("kind").value(to_string(t.kind));
-  w.key("homa_max_active").value(t.homa.max_active);
-  w.key("homa_grant_bytes").value(t.homa.grant_bytes);
-  w.key("homa_unscheduled_bytes").value(t.homa.unscheduled_bytes);
-  w.key("homa_rcv_buf").value(t.homa_rcv_buf);
-  w.key("homa_max_tx_msgs").value(t.homa_max_tx_msgs);
-  w.key("homa_resend_interval").value(t.homa_resend_interval);
-  w.key("homa_max_resends").value(t.homa_max_resends);
+  w.key("homa_max_active").value(t.homa_max_active);
   w.end_object();
   w.end_object();
 }
@@ -394,7 +383,6 @@ void write_traffic(JsonWriter& w, const TrafficConfig& t) {
   w.key("max_retries").value(r.max_retries);
   w.key("backoff_base").value(r.backoff_base);
   w.key("backoff_cap").value(r.backoff_cap);
-  w.key("jitter").value(r.jitter);
   w.key("breaker_threshold").value(r.breaker_threshold);
   w.key("breaker_cooldown").value(r.breaker_cooldown);
   w.end_object();
@@ -403,13 +391,8 @@ void write_traffic(JsonWriter& w, const TrafficConfig& t) {
   w.key("enabled").value(wl.enabled);
   w.key("arrivals").value(to_string(wl.arrivals));
   w.key("rate_rps").value(wl.rate_rps);
-  w.key("burst_factor").value(wl.burst_factor);
-  w.key("burst_on_mean").value(wl.burst_on_mean);
-  w.key("burst_off_mean").value(wl.burst_off_mean);
   w.key("diurnal_amplitude").value(wl.diurnal_amplitude);
-  w.key("diurnal_period").value(wl.diurnal_period);
   w.key("sizes").value(to_string(wl.sizes));
-  w.key("lognormal_sigma").value(wl.lognormal_sigma);
   w.key("pareto_alpha").value(wl.pareto_alpha);
   w.key("size_min").value(wl.size_min);
   w.key("size_max").value(wl.size_max);
@@ -563,7 +546,6 @@ std::string config_to_json(const ExperimentConfig& config) {
   w.key("switch_ecn_bytes").value(topology.switch_ecn_bytes);
   w.end_object();
   w.key("link_gbps").value(config.link_gbps);
-  w.key("wire_propagation").value(config.wire_propagation);
   w.key("loss_rate").value(config.loss_rate);
   w.key("ecn_threshold").value(config.ecn_threshold);
   w.key("warmup").value(config.warmup);

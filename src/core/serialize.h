@@ -9,10 +9,12 @@
 // is added, removed, or changes meaning — it is folded into the hash, so
 // stale cache entries from older schemas can never be returned.
 //
-// Schema 2 rule: config_to_json writes every field of ExperimentConfig
+// Since schema 2, config_to_json writes every field of ExperimentConfig
 // except `shards` and `obs`, every time — no field is dropped for being
-// at its default.  Metrics documents list each field once
-// (visit_metrics in serialize.cpp), which drives both directions.
+// at its default.  Schema 3 has no field that no run sets: those values
+// are constants next to their readers.  Metrics documents list each
+// field once (visit_metrics in serialize.cpp), which drives both
+// directions.
 #ifndef HOSTSIM_CORE_SERIALIZE_H
 #define HOSTSIM_CORE_SERIALIZE_H
 
@@ -29,7 +31,7 @@
 namespace hostsim {
 
 /// Config-serialization schema version (part of every cache key).
-inline constexpr std::uint32_t kConfigSchemaVersion = 2;
+inline constexpr std::uint32_t kConfigSchemaVersion = 3;
 
 /// Minimal JSON writer with canonical number formatting.
 class JsonWriter {

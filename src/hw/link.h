@@ -69,11 +69,16 @@ struct Frame {
   Bytes wire_bytes() const { return payload + kFrameHeaderBytes; }
 };
 
+/// One-way propagation of every simulated cable (host uplinks, the
+/// switch's downlinks, the back-to-back wire).  It is also the sharded
+/// executor's lookahead: no frame reaches another host sooner.
+inline constexpr Nanos kWirePropagation = 1'000;
+
 class Link {
  public:
   struct Config {
     double gbps = 100.0;
-    Nanos propagation = 1'000;    ///< one-way, back-to-back servers
+    Nanos propagation = kWirePropagation;  ///< one-way
     double loss_rate = 0.0;       ///< Bernoulli per-frame drop probability
     Nanos ecn_threshold = 0;      ///< mark CE when egress delay exceeds; 0=off
   };

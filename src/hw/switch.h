@@ -53,7 +53,7 @@ class Switch {
   struct Config {
     int num_ports = 2;
     double port_gbps = 100.0;      ///< egress serialization rate per port
-    Nanos propagation = 1'000;     ///< switch -> host downlink delay
+    Nanos propagation = kWirePropagation;  ///< switch -> host downlink
     Bytes buffer_bytes = 0;        ///< per-port FIFO bound; 0 = pass-through
     Bytes ecn_threshold_bytes = 0; ///< CE-mark at/above this occupancy; 0 = off
   };

@@ -32,11 +32,11 @@ void GrantScheduler::pump(Core& core, CoreQueue& queue) {
       ++it;
     }
   }
-  while (static_cast<int>(queue.active.size()) < policy_.max_active &&
+  while (static_cast<int>(queue.active.size()) < kMaxActive &&
          !queue.waiting.empty()) {
     TcpSocket* next = queue.waiting.front();
     queue.waiting.pop_front();
-    next->grant_credit(core, policy_.grant_bytes);
+    next->grant_credit(core, kGrantBytes);
     ++grants_issued_;
     queue.active.push_back(next);
   }

@@ -7,7 +7,7 @@
 // scheduler provides exactly that control on top of the existing stack:
 // when a stack runs in receiver-driven mode, a socket's advertised
 // window is no longer buffer-derived — the scheduler grants credit to at
-// most `max_active` flows per application core, round-robin, so DMA'd
+// most kMaxActive flows per application core, round-robin, so DMA'd
 // data is copied before competing flows can evict it from the DDIO ways
 // (pHost/Homa/NDP-style semantics at the flow-control layer).
 #ifndef HOSTSIM_NET_GRANT_SCHEDULER_H
@@ -25,20 +25,20 @@ namespace hostsim {
 
 class TcpSocket;
 
-struct GrantPolicy {
-  int max_active = 2;            ///< flows holding credit per app core
-  Bytes grant_bytes = 512 * kKiB;  ///< credit quantum per active flow
-  Bytes unscheduled_bytes = 64 * kKiB;  ///< blind first window per flow
-};
+/// Credit quantum a receiver grants an active flow (here) or message
+/// (HomaTransport) at a time.
+inline constexpr Bytes kGrantBytes = 512 * kKiB;
+/// Blind first window a flow or message may send before any grant.
+inline constexpr Bytes kUnscheduledBytes = 64 * kKiB;
 
 class GrantScheduler {
  public:
-  explicit GrantScheduler(const GrantPolicy& policy) : policy_(policy) {}
+  /// Flows per application core that hold credit at once.
+  static constexpr int kMaxActive = 2;
 
+  GrantScheduler() = default;
   GrantScheduler(const GrantScheduler&) = delete;
   GrantScheduler& operator=(const GrantScheduler&) = delete;
-
-  const GrantPolicy& policy() const { return policy_; }
 
   /// Registers a receiver-driven socket (called at socket creation).
   void enroll(TcpSocket& socket);
@@ -58,7 +58,6 @@ class GrantScheduler {
 
   void pump(Core& core, CoreQueue& queue);
 
-  GrantPolicy policy_;
   std::unordered_map<int, CoreQueue> per_core_;
   std::uint64_t grants_issued_ = 0;
 };

@@ -3,18 +3,40 @@
 #include <algorithm>
 #include <utility>
 
+#include "net/grant_scheduler.h"
 #include "net/stack.h"
 #include "sim/contract.h"
 
 namespace hostsim {
 namespace {
 
+/// Receiver-side overload guard: while this many unread bytes sit in
+/// completed-message queues, the receiver withholds new grants (the
+/// receiver-driven analogue of a closed advertised window).  Unlike TCP
+/// this bounds the *application's* backlog, not per-connection kernel
+/// memory — reassembly state stays capped by homa_max_active *
+/// kGrantBytes regardless.
+constexpr Bytes kRcvBuf = 1024 * kKiB;
+
+/// Sender-side ack clock: only the oldest this-many unacked messages may
+/// transmit their blind unscheduled windows; younger messages wait
+/// buffered.  Without it a message flood emits unscheduled bytes with no
+/// feedback at all and softirq load starves the receiving application
+/// (kernel contexts preempt user contexts per core).
+constexpr std::size_t kMaxTxMsgs = 4;
+
+/// Receiver-side stall detector: an active message with missing bytes
+/// and no arrivals for this long draws a RESEND request.
+constexpr Nanos kResendInterval = 1 * kMillisecond;
+
 /// Sender restart interval: deliberately behind the receiver's RESEND
 /// scan so receiver-driven repair wins whenever the receiver knows the
 /// message exists; the restart only covers total-blackout loss.
-Nanos restart_interval(const TransportConfig& config) {
-  return 2 * config.homa_resend_interval;
-}
+constexpr Nanos kRestartInterval = 2 * kResendInterval;
+
+/// Consecutive sender restarts with no progress before the message's
+/// socket is declared dead with ETIMEDOUT (like tcp_retries2).
+constexpr int kMaxResends = 8;
 
 }  // namespace
 
@@ -84,38 +106,32 @@ void HomaSocket::collect_protocol_pages(std::vector<const Page*>& held) const {
 // --------------------------------------------------------------------------
 
 Bytes HomaSocket::send_space() const {
-  return stack_->options().snd_buf - tx_buffered_;
+  return Stack::kSndBuf - tx_buffered_;
 }
 
 void HomaSocket::write(Core& core, Bytes accept) {
   TxMessage msg;
   msg.id = next_tx_msg_id_++;
   msg.len = accept;
-  msg.granted = std::min<Bytes>(
-      accept, stack_->options().transport.homa.unscheduled_bytes);
+  msg.granted = std::min<Bytes>(accept, kUnscheduledBytes);
   copy_from_user(core, accept, msg.pages);  // one user copy per message
   tx_messages_.push_back(std::move(msg));
   tx_buffered_ += accept;
   tx_written_ += accept;
-  // Ack clock: only the oldest `homa_max_tx_msgs` messages transmit;
-  // younger ones wait buffered until MSG_ACKs retire their elders.
-  if (tx_messages_.size() <= tx_window()) {
+  // Ack clock: only the oldest kMaxTxMsgs messages transmit; younger
+  // ones wait buffered until MSG_ACKs retire their elders.
+  if (tx_messages_.size() <= kMaxTxMsgs) {
     transmit_pending(core, tx_messages_.back());
   }
   note_tx_activity();
   arm_restart();
 }
 
-std::size_t HomaSocket::tx_window() const {
-  return static_cast<std::size_t>(
-      std::max(1, stack_->options().transport.homa_max_tx_msgs));
-}
-
 void HomaSocket::transmit_pending(Core& core, TxMessage& msg) {
   const Bytes limit = std::min(msg.granted, msg.len);
   while (msg.sent < limit) {
     const Bytes chunk =
-        std::min<Bytes>(stack_->options().max_skb_bytes, limit - msg.sent);
+        std::min<Bytes>(Stack::kMaxSkbBytes, limit - msg.sent);
     emit_range(core, msg, msg.sent, msg.sent + chunk, /*retransmit=*/false);
     msg.sent += chunk;
     tx_sent_ += chunk;
@@ -125,7 +141,7 @@ void HomaSocket::transmit_pending(Core& core, TxMessage& msg) {
 void HomaSocket::emit_range(Core& core, const TxMessage& msg, Bytes from,
                             Bytes to, bool retransmit) {
   charge_tx_skb(core, from, to - from, retransmit);
-  const Bytes mss = stack_->options().mss;
+  const Bytes mss = stack_->config().mtu_payload();
   const Nanos now = stack_->loop().now();
   Bytes offset = from;
   while (offset < to) {
@@ -144,7 +160,7 @@ void HomaSocket::emit_range(Core& core, const TxMessage& msg, Bytes from,
 
 void HomaSocket::arm_restart() {
   if (restart_timer_.armed() || tx_messages_.empty()) return;
-  restart_timer_.arm_after(restart_interval(stack_->options().transport));
+  restart_timer_.arm_after(kRestartInterval);
 }
 
 void HomaSocket::on_restart_fired() {
@@ -153,28 +169,23 @@ void HomaSocket::on_restart_fired() {
   stack_->core(app_core()).post(timer_ctx_, [this](Core& core) {
     restart_task_pending_ = false;
     if (dead() || tx_messages_.empty()) return;
-    const TransportConfig& config = stack_->options().transport;
-    const Nanos interval = restart_interval(config);
-    if (stack_->loop().now() - last_tx_activity_ < interval) {
+    if (stack_->loop().now() - last_tx_activity_ < kRestartInterval) {
       arm_restart();
       return;
     }
     // A whole interval of silence: either every unscheduled frame of the
     // oldest message was lost (the receiver cannot RESEND what it never
     // saw) or the peer is gone.
-    if (config.homa_max_resends > 0 &&
-        ++consecutive_restarts_ > config.homa_max_resends) {
+    if (++consecutive_restarts_ > kMaxResends) {
       abort(core, SocketError::etimedout);
       return;
     }
     TxMessage& msg = tx_messages_.front();
-    const Bytes window =
-        std::min({msg.sent, msg.len,
-                  static_cast<Bytes>(config.homa.unscheduled_bytes)});
+    const Bytes window = std::min({msg.sent, msg.len, kUnscheduledBytes});
     Bytes offset = 0;
     while (offset < window) {
       const Bytes chunk =
-          std::min<Bytes>(stack_->options().max_skb_bytes, window - offset);
+          std::min<Bytes>(Stack::kMaxSkbBytes, window - offset);
       emit_range(core, msg, offset, offset + chunk, /*retransmit=*/true);
       offset += chunk;
     }
@@ -215,7 +226,7 @@ void HomaSocket::handle_resend(Core& core, const Frame& frame) {
     Bytes offset = std::min<Bytes>(frame.seq, to);
     while (offset < to) {
       const Bytes chunk =
-          std::min<Bytes>(stack_->options().max_skb_bytes, to - offset);
+          std::min<Bytes>(Stack::kMaxSkbBytes, to - offset);
       emit_range(core, msg, offset, offset + chunk, /*retransmit=*/true);
       offset += chunk;
     }
@@ -245,7 +256,7 @@ void HomaSocket::handle_msg_ack(Core& core, const Frame& frame) {
     }
     // The ack clock advanced: start any message that just slid into the
     // transmit window (its unscheduled bytes have been waiting).
-    const std::size_t window = std::min(tx_window(), tx_messages_.size());
+    const std::size_t window = std::min(kMaxTxMsgs, tx_messages_.size());
     for (std::size_t i = 0; i < window; ++i) {
       TxMessage& waiting = tx_messages_[i];
       if (waiting.sent < std::min(waiting.granted, waiting.len)) {
@@ -279,8 +290,7 @@ void HomaSocket::push_grant(Core& core, std::int64_t msg_id) {
   auto it = rx_messages_.find(msg_id);
   if (it == rx_messages_.end()) return;
   RxMessage& msg = it->second;
-  const TransportConfig& config = stack_->options().transport;
-  if (config.homa_rcv_buf > 0 && rq_bytes() >= config.homa_rcv_buf) {
+  if (rq_bytes() >= kRcvBuf) {
     // The application is not keeping up: stop feeding it.  Stalled
     // senders stay alive off the receiver's periodic RESENDs (each one
     // counts as peer activity for the sender's restart detector), and
@@ -288,9 +298,7 @@ void HomaSocket::push_grant(Core& core, std::int64_t msg_id) {
     rx_backpressured_ = true;
     return;
   }
-  const GrantPolicy& policy = config.homa;
-  const Bytes target = std::min<Bytes>(
-      msg.len, msg.received + static_cast<Bytes>(policy.grant_bytes));
+  const Bytes target = std::min<Bytes>(msg.len, msg.received + kGrantBytes);
   if (target <= msg.granted_edge) return;
   msg.granted_edge = target;
   transport_->note_grant();
@@ -326,8 +334,7 @@ void HomaSocket::rx_data(Core& core, std::int64_t msg_id, Bytes msg_len,
   if (fresh) {
     msg.id = msg_id;
     msg.len = msg_len;
-    msg.granted_edge = std::min<Bytes>(
-        msg.len, stack_->options().transport.homa.unscheduled_bytes);
+    msg.granted_edge = std::min<Bytes>(msg.len, kUnscheduledBytes);
   }
   msg.last_arrival = stack_->loop().now();
 
@@ -368,8 +375,7 @@ void HomaSocket::rx_data(Core& core, std::int64_t msg_id, Bytes msg_len,
   }
   // Incomplete: keep the grant machinery moving and the stall detector
   // armed.
-  if (msg.len >
-      static_cast<Bytes>(stack_->options().transport.homa.unscheduled_bytes)) {
+  if (msg.len > kUnscheduledBytes) {
     if (!msg.enrolled) {
       msg.enrolled = true;
       transport_->sched_enroll(core, *this, msg.id);
@@ -378,7 +384,7 @@ void HomaSocket::rx_data(Core& core, std::int64_t msg_id, Bytes msg_len,
     }
   }
   if (!resend_timer_.armed()) {
-    resend_timer_.arm_after(stack_->options().transport.homa_resend_interval);
+    resend_timer_.arm_after(kResendInterval);
   }
 }
 
@@ -409,10 +415,9 @@ void HomaSocket::on_resend_scan_fired() {
   if (dead() || rx_messages_.empty()) return;
   stack_->core(app_core()).post(timer_ctx_, [this](Core& core) {
     if (dead() || rx_messages_.empty()) return;
-    const Nanos interval = stack_->options().transport.homa_resend_interval;
     const Nanos now = stack_->loop().now();
     for (auto& [id, msg] : rx_messages_) {
-      if (now - msg.last_arrival < interval) continue;
+      if (now - msg.last_arrival < kResendInterval) continue;
       // Lowest missing offset: the first gap in the held spans.
       std::int64_t edge = 0;
       for (const auto& [offset, skb] : msg.frags) {
@@ -438,7 +443,7 @@ void HomaSocket::on_resend_scan_fired() {
       msg.last_arrival = now;  // back off until the repair had a chance
     }
     if (!rx_messages_.empty()) {
-      resend_timer_.arm_after(interval);
+      resend_timer_.arm_after(kResendInterval);
     }
   });
 }
@@ -448,8 +453,7 @@ void HomaSocket::on_resend_scan_fired() {
 // --------------------------------------------------------------------------
 
 void HomaSocket::on_read(Core& core, Bytes /*copied*/) {
-  const Bytes rcv_buf = stack_->options().transport.homa_rcv_buf;
-  if (rx_backpressured_ && (rcv_buf == 0 || rq_bytes() < rcv_buf)) {
+  if (rx_backpressured_ && rq_bytes() < kRcvBuf) {
     rx_backpressured_ = false;
     transport_->sched_pump(core, app_core());
   }
@@ -535,9 +539,9 @@ void HomaTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
   auto it = pending.find(frame.flow);
   if (it != pending.end()) {
     PendingBatch& batch = it->second;
-    if (stack_->options_.gro && batch.msg_id == frame.msg_id &&
+    if (stack_->config_.gro && batch.msg_id == frame.msg_id &&
         batch.skb.end_seq() == skb.seq &&
-        batch.skb.len + skb.len <= stack_->options_.max_skb_bytes) {
+        batch.skb.len + skb.len <= Stack::kMaxSkbBytes) {
       batch.skb.len += skb.len;
       batch.skb.segments += skb.segments;
       batch.skb.sent_at = skb.sent_at;
@@ -550,7 +554,7 @@ void HomaTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
     pending.erase(it);
     deliver(core, frame.flow, std::move(done));
   }
-  if (!stack_->options_.gro) {
+  if (!stack_->config_.gro) {
     deliver(core, frame.flow,
             PendingBatch{frame.msg_id, frame.msg_len, std::move(skb)});
     return;
@@ -588,7 +592,7 @@ void HomaTransport::on_socket_destroyed(int /*flow*/) {
 void HomaTransport::sched_enroll(Core& core, HomaSocket& socket,
                                  std::int64_t msg_id) {
   CoreSched& sched = sched_[socket.app_core()];
-  const int max_active = stack_->options_.transport.homa.max_active;
+  const int max_active = stack_->config_.transport.homa_max_active;
   if (static_cast<int>(sched.active.size()) < max_active) {
     sched.active.push_back({&socket, msg_id});
     socket.push_grant(core, msg_id);
@@ -639,7 +643,7 @@ void HomaTransport::sched_purge(Core& core, HomaSocket& socket) {
 }
 
 void HomaTransport::promote(Core& core, CoreSched& sched) {
-  const int max_active = stack_->options_.transport.homa.max_active;
+  const int max_active = stack_->config_.transport.homa_max_active;
   while (static_cast<int>(sched.active.size()) < max_active &&
          !sched.waiting.empty()) {
     // SRPT: the waiting message with the fewest remaining bytes wins.

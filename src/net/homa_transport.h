@@ -8,18 +8,18 @@
 // GrantScheduler mode (StackConfig::receiver_driven).  On an 8:1 incast
 // (8 ms warm-up, 10 ms window) that mode takes the rx copy miss rate to
 // 0.000 at 56.7 Gbps per core; this transport measures 0.981 at 31.3
-// (0.969 at 32.5 with max_active = 1), and TCP 0.993 at 25.4.
+// (0.969 at 32.5 with homa_max_active = 1), and TCP 0.993 at 25.4.
 //
 //  * Messages, not byte streams: each TransportSocket::send() call
 //    delimits one message; the receiver reassembles and delivers whole
 //    messages to recv() in completion order (SRPT, so short messages
 //    overtake long ones — the opposite of TCP FIFO byte streams).
 //  * Blind unscheduled first window: a sender transmits the first
-//    `unscheduled_bytes` of a message immediately; the remainder moves
+//    kUnscheduledBytes of a message immediately; the remainder moves
 //    only under receiver grants.
 //  * Receiver grants with SRPT ordering and per-core active caps: each
-//    application core grants at most `max_active` incoming messages at
-//    once, shortest-remaining first, keeping `grant_bytes` of credit
+//    application core grants at most `homa_max_active` incoming messages
+//    at once, shortest-remaining first, keeping kGrantBytes of credit
 //    outstanding per active message.
 //  * No per-connection buffers: there is no advertised window and no
 //    receive-buffer autotuning; per-message reassembly state exists
@@ -28,7 +28,7 @@
 // Loss recovery is receiver-driven where possible (a stalled incomplete
 // message draws a RESEND naming its lowest missing offset) with a
 // sender-side restart timer as the blackout fallback (all-unscheduled
-// loss leaves the receiver unaware of the message); `homa_max_resends`
+// loss leaves the receiver unaware of the message); kMaxResends
 // consecutive silent restarts declare the socket dead with ETIMEDOUT.
 //
 // Deliberate simplification: protocol processing runs inline on the
@@ -117,8 +117,6 @@ class HomaSocket : public TransportSocket {
   void release_rx(Core& core) override;
   void collect_protocol_pages(std::vector<const Page*>& held) const override;
 
-  /// Sender ack-clock window (messages), at least 1.
-  std::size_t tx_window() const;
   /// Transmits [msg.sent, min(msg.granted, msg.len)) in max-skb chunks.
   void transmit_pending(Core& core, TxMessage& msg);
   void emit_range(Core& core, const TxMessage& msg, Bytes from, Bytes to,
@@ -160,7 +158,7 @@ class HomaSocket : public TransportSocket {
   /// draws a RESEND naming its lowest missing offset.
   Timer resend_timer_;
   /// True after a grant was withheld because the unread backlog crossed
-  /// `homa_rcv_buf`; recv() pumps the core's grant scheduler on drain.
+  /// kRcvBuf; recv() pumps the core's grant scheduler on drain.
   bool rx_backpressured_ = false;
 
   Context timer_ctx_{"homa-timer", /*kernel=*/true};

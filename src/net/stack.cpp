@@ -9,22 +9,28 @@
 #include "sim/contract.h"
 
 namespace hostsim {
+namespace {
 
-Stack::Stack(EventLoop& loop, const StackOptions& options,
-             const NumaTopology& topo, std::vector<Core*> cores,
-             std::vector<LlcModel*> llcs, PageAllocator& allocator,
-             Iommu& iommu, Nic& nic)
+/// Frames one NAPI poll may consume before yielding (net.core's
+/// dev_weight-style budget, counted in GRO segments).
+constexpr int kNapiBudget = 300;
+
+}  // namespace
+
+Stack::Stack(EventLoop& loop, const StackConfig& config, int host_id,
+             std::size_t trace_capacity, const NumaTopology& topo,
+             std::vector<Core*> cores, std::vector<LlcModel*> llcs,
+             PageAllocator& allocator, Iommu& iommu, Nic& nic)
     : loop_(&loop),
-      options_(options),
+      config_(config),
       topo_(topo),
       cores_(std::move(cores)),
       llcs_(std::move(llcs)),
       allocator_(&allocator),
       iommu_(&iommu),
       nic_(&nic),
-      tracer_(options.trace_capacity, options.host_id) {
-  require(options.mss > 0, "mss must be positive");
-  switch (options_.transport.kind) {
+      tracer_(trace_capacity, host_id) {
+  switch (config_.transport.kind) {
     case TransportKind::tcp:
       transport_ = std::make_unique<TcpTransport>(*this);
       break;
@@ -53,7 +59,7 @@ TransportSocket& Stack::socket(int flow) {
 }
 
 TcpSocket& Stack::tcp_socket(int flow) {
-  require(options_.transport.kind == TransportKind::tcp,
+  require(config_.transport.kind == TransportKind::tcp,
           "tcp_socket() requires the TCP transport");
   return static_cast<TcpSocket&>(socket(flow));
 }
@@ -76,7 +82,7 @@ void Stack::destroy_socket(int flow) {
   auto it = sockets_.find(flow);
   require(it != sockets_.end(), "destroying a socket that does not exist");
   require(it->second->dead(), "destroying a live socket");
-  require(!options_.receiver_driven,
+  require(!config_.receiver_driven,
           "socket destruction unsupported in receiver-driven mode");
   retire(it);
   transport_->on_socket_destroyed(flow);
@@ -310,7 +316,7 @@ void Stack::begin_measurement() { stats_.clear(); }
 
 int Stack::steer_target(const TransportSocket& socket,
                         const Core& irq_core) const {
-  switch (options_.steering) {
+  switch (config_.steering()) {
     case SteeringMode::arfs:
     case SteeringMode::rss:
       return irq_core.id();  // processing stays on the IRQ core
@@ -366,7 +372,7 @@ Skb Stack::data_skb(Core& core, Nic::PolledFrame& polled) {
   if (obs_ != nullptr && skb.obs_span >= 0) {
     obs_->span_stamp(skb.obs_span, obs::Stage::gro, loop_->now());
   }
-  if (options_.gro) {
+  if (config_.gro) {
     core.charge(CpuCategory::netdev, core.cost().gro_per_segment);
   }
   return skb;
@@ -381,7 +387,7 @@ void Stack::napi_poll(Core& core, int queue) {
   // is delivered before the passive close runs.
   std::vector<int> fin_flows;
 
-  int budget = options_.napi_budget;
+  int budget = kNapiBudget;
   while (budget > 0) {
     auto polled = nic_->poll_one(core, queue);
     if (!polled.has_value()) break;

@@ -26,11 +26,9 @@
 #include "mem/iommu.h"
 #include "mem/page_allocator.h"
 #include "mem/pool.h"
-#include "net/cc/congestion_control.h"
-#include "net/grant_scheduler.h"
 #include "net/gro.h"
-#include "net/gso.h"
 #include "net/skb.h"
+#include "net/stack_config.h"
 #include "net/transport.h"
 #include "obs/event_trace.h"
 #include "sim/stats.h"
@@ -45,41 +43,6 @@ class HomaTransport;
 namespace obs {
 class Observer;
 }  // namespace obs
-
-struct StackOptions {
-  SegmentationMode segmentation = SegmentationMode::tso_hw;
-  bool gro = true;
-  /// Effective steering mode: arfs (hardware, IRQ on the app core), rss
-  /// (hash/explicit IRQ placement, processing stays there), or the
-  /// software paths rps/rfs that requeue protocol processing from the
-  /// IRQ core to a hashed / the application's core.
-  SteeringMode steering = SteeringMode::arfs;
-  bool tx_zerocopy = false;   ///< MSG_ZEROCOPY-style transmission
-  bool rx_zerocopy = false;   ///< TCP-mmap-style reception
-  bool delayed_ack = false;   ///< ACK every 2nd in-order delivery
-  /// Receiver-driven credit flow control (paper §3.3/§4): the receiver
-  /// limits how many flows per core hold credit at once.
-  bool receiver_driven = false;
-  GrantPolicy grant_policy;
-  Nanos delack_timeout = 500'000;  ///< guarantee an ACK within this
-  Bytes mss = 1448;               ///< payload per wire frame (MTU-derived)
-  Bytes max_skb_bytes = 65536;    ///< TSO/GSO/GRO aggregate limit
-  int napi_budget = 300;          ///< frames per NAPI poll invocation
-  Bytes rcv_buf = 0;              ///< fixed rx buffer; 0 = autotune
-  Bytes rcv_buf_max = 6400 * kKiB;  ///< autotune cap (tcp_rmem[2])
-  Bytes snd_buf = 4 * kMiB;
-  CcAlgo cc = CcAlgo::cubic;
-  std::size_t trace_capacity = 0;  ///< flight-recorder ring size; 0 = off
-  int host_id = 0;                 ///< 0 = sender host, 1 = receiver host
-  Nanos min_rto = 2 * kMillisecond;  ///< stands in for TLP/RACK tail repair
-  /// Consecutive RTO expirations (no forward progress between them)
-  /// before the connection is declared dead with ETIMEDOUT, like Linux's
-  /// tcp_retries2.  0 disables the threshold (probe forever).
-  int max_consecutive_rtos = 8;
-  /// Which protocol implementation runs behind the net::Transport seam
-  /// (and its Homa parameters).  Defaults to the legacy TCP stack.
-  TransportConfig transport;
-};
 
 /// Host-level measurement state, reset at the start of the measurement
 /// window (after warmup).
@@ -127,10 +90,19 @@ struct ChurnStats {
 
 class Stack {
  public:
-  Stack(EventLoop& loop, const StackOptions& options,
-        const NumaTopology& topo, std::vector<Core*> cores,
-        std::vector<LlcModel*> llcs, PageAllocator& allocator, Iommu& iommu,
-        Nic& nic);
+  /// Per-socket send buffer, both transports (tcp_wmem-style).
+  static constexpr Bytes kSndBuf = 4 * kMiB;
+  /// Receive-buffer autotuning cap (Linux tcp_rmem[2]).
+  static constexpr Bytes kRcvBufMax = 6400 * kKiB;
+  /// TSO/GSO/GRO aggregate limit: the largest skb either transport builds.
+  static constexpr Bytes kMaxSkbBytes = 64 * kKiB;
+
+  /// `host_id` tags the flight recorder's events; `trace_capacity` is its
+  /// ring size (0 = off).
+  Stack(EventLoop& loop, const StackConfig& config, int host_id,
+        std::size_t trace_capacity, const NumaTopology& topo,
+        std::vector<Core*> cores, std::vector<LlcModel*> llcs,
+        PageAllocator& allocator, Iommu& iommu, Nic& nic);
   ~Stack();
 
   Stack(const Stack&) = delete;
@@ -238,7 +210,7 @@ class Stack {
 
   HostStats& stats() { return stats_; }
   Tracer& tracer() { return tracer_; }
-  const StackOptions& options() const { return options_; }
+  const StackConfig& config() const { return config_; }
   EventLoop& loop() { return *loop_; }
   Nic& nic() { return *nic_; }
   PageAllocator& allocator() { return *allocator_; }
@@ -288,7 +260,7 @@ class Stack {
   int steer_target(const TransportSocket& socket, const Core& irq_core) const;
 
   EventLoop* loop_;
-  StackOptions options_;
+  StackConfig config_;
   NumaTopology topo_;
   std::vector<Core*> cores_;
   std::vector<LlcModel*> llcs_;

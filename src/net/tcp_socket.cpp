@@ -13,18 +13,24 @@ namespace {
 /// rounding; should essentially never trigger).
 constexpr Bytes kRcvOverflowSlack = 256 * kKiB;
 
+/// RTO floor; stands in for TLP/RACK tail repair.
+constexpr Nanos kMinRto = 2 * kMillisecond;
 constexpr Nanos kMaxRto = 200 * kMillisecond;
+
+/// A delayed ACK goes out at the latest this long after its data.
+constexpr Nanos kDelackTimeout = 500 * kMicrosecond;
 
 }  // namespace
 
 TcpSocket::TcpSocket(Stack& stack, int flow, int app_core)
     : TransportSocket(stack, flow, app_core),
-      cc_(make_congestion_control(stack.options().cc, stack.options().mss)),
+      cc_(make_congestion_control(stack.config().cc,
+                                  stack.config().mtu_payload())),
       rto_timer_(stack.loop(), [this] { on_rto_fired(); }),
       pacer_timer_(stack.loop(), [this] { pacer_release(); }),
       delack_timer_(stack.loop(), [this] { on_delack_fired(); }) {
-  const StackOptions& options = stack.options();
-  rcv_buf_cur_ = options.rcv_buf > 0 ? options.rcv_buf : 256 * kKiB;
+  const Bytes fixed = stack.config().tcp_rx_buf;
+  rcv_buf_cur_ = fixed > 0 ? fixed : 256 * kKiB;
   rcv_wnd_edge_ = rcv_buf_cur_;
 }
 
@@ -70,15 +76,14 @@ void TcpSocket::collect_protocol_pages(std::vector<const Page*>& held) const {
 // --------------------------------------------------------------------------
 
 Bytes TcpSocket::send_space() const {
-  return stack_->options().snd_buf - (snd_buf_end_ - snd_una_);
+  return Stack::kSndBuf - (snd_buf_end_ - snd_una_);
 }
 
 void TcpSocket::write(Core& core, Bytes accept) {
   // One user copy per TSO chunk, each into its own kernel pages.
   Bytes remaining = accept;
   while (remaining > 0) {
-    const Bytes chunk_len = std::min<Bytes>(
-        remaining, stack_->options().max_skb_bytes);
+    const Bytes chunk_len = std::min<Bytes>(remaining, Stack::kMaxSkbBytes);
     TxChunk chunk;
     chunk.seq = snd_buf_end_;
     chunk.len = chunk_len;
@@ -91,10 +96,11 @@ void TcpSocket::write(Core& core, Bytes accept) {
 }
 
 void TcpSocket::tcp_output(Core& core) {
-  const StackOptions& options = stack_->options();
-  const Bytes unit = options.segmentation == SegmentationMode::none
-                         ? options.mss
-                         : options.max_skb_bytes;
+  const StackConfig& config = stack_->config();
+  const Bytes mss = config.mtu_payload();
+  const Bytes unit = config.segmentation() == SegmentationMode::none
+                         ? mss
+                         : Stack::kMaxSkbBytes;
   for (;;) {
     // SACK-style pipe: data the receiver already holds (below the
     // highest selective acknowledgment) is not in flight, so recovery
@@ -112,7 +118,7 @@ void TcpSocket::tcp_output(Core& core) {
     // dribbling sub-MSS segments as every ACK cracks the window open.
     // With nothing outstanding the segment goes out regardless — no ACKs
     // would arrive to reopen the window otherwise.
-    if (len < options.mss && len < data_avail && snd_nxt_ > snd_una_) break;
+    if (len < mss && len < data_avail && snd_nxt_ > snd_una_) break;
     emit_chunk(core, snd_nxt_, len, /*retransmit=*/false);
     snd_nxt_ += len;
   }
@@ -126,7 +132,7 @@ void TcpSocket::tcp_output(Core& core) {
 void TcpSocket::emit_chunk(Core& core, std::int64_t seq, Bytes len,
                            bool retransmit) {
   charge_tx_skb(core, seq, len, retransmit);
-  const Bytes mss = stack_->options().mss;
+  const Bytes mss = stack_->config().mtu_payload();
   const Nanos now = stack_->loop().now();
   Bytes remaining = len;
   std::int64_t frame_seq = seq;
@@ -182,8 +188,7 @@ void TcpSocket::pacer_release() {
 void TcpSocket::arm_rto() {
   if (rto_timer_.armed()) return;
   const Nanos rto =
-      std::min<Nanos>(std::max(stack_->options().min_rto, srtt_ + 4 * rttvar_) *
-                          rto_backoff_,
+      std::min<Nanos>(std::max(kMinRto, srtt_ + 4 * rttvar_) * rto_backoff_,
                       kMaxRto);
   rto_timer_.arm_after(rto);
 }
@@ -202,7 +207,7 @@ void TcpSocket::on_rto_fired() {
     // forward progress (each already at exponentially backed-off, capped
     // spacing) declares the peer unreachable — ETIMEDOUT, like Linux's
     // tcp_retries2 — instead of probing a dark host forever.
-    const int threshold = stack_->options().max_consecutive_rtos;
+    const int threshold = stack_->config().max_consecutive_rtos;
     if (threshold > 0 && consecutive_rtos_ >= threshold) {
       abort(core, SocketError::etimedout);
       return;
@@ -217,7 +222,8 @@ void TcpSocket::on_rto_fired() {
       // semantics), so discarded probes never count as data in flight,
       // and the congestion controller is left untouched.
       const Bytes probe =
-          std::min<Bytes>(stack_->options().mss, snd_buf_end_ - snd_nxt_);
+          std::min<Bytes>(stack_->config().mtu_payload(),
+                          snd_buf_end_ - snd_nxt_);
       stack_->tracer().record(stack_->loop().now(), TraceKind::window_probe,
                               flow(), snd_nxt_, probe);
       emit_chunk(core, snd_nxt_, probe, /*retransmit=*/false);
@@ -253,9 +259,9 @@ void TcpSocket::retransmit_next_unit(Core& core) {
   // no real stack produces).  With slow-start growth on repair ACKs this
   // restarts the ACK clock exponentially after an RTO.
   retransmit_nxt_ = std::max(retransmit_nxt_, snd_una_);
-  const Bytes mss = stack_->options().mss;
-  Bytes budget = std::clamp<Bytes>(cc_->cwnd() / 2, 2 * mss,
-                                   stack_->options().max_skb_bytes);
+  const Bytes mss = stack_->config().mtu_payload();
+  Bytes budget =
+      std::clamp<Bytes>(cc_->cwnd() / 2, 2 * mss, Stack::kMaxSkbBytes);
   while (budget > 0) {
     const Bytes len = std::min<Bytes>(
         {2 * mss, recovery_high_ - retransmit_nxt_, budget});
@@ -409,7 +415,7 @@ Bytes TcpSocket::advertised_window() const {
 }
 
 void TcpSocket::maybe_autotune_rcv_buf() {
-  if (stack_->options().rcv_buf > 0) return;  // fixed by configuration
+  if (stack_->config().tcp_rx_buf > 0) return;  // fixed by configuration
   // Linux dynamic right-sizing: the receiver estimates its "RTT" as the
   // time to receive one window's worth of data and sizes the buffer to
   // twice what was delivered in that interval.  Since one window arrives
@@ -418,7 +424,7 @@ void TcpSocket::maybe_autotune_rcv_buf() {
   if (autotune_delivered_ >= rcv_buf_cur_) {
     rcv_buf_cur_ = std::min<Bytes>(
         std::max<Bytes>(2 * autotune_delivered_, rcv_buf_cur_),
-        stack_->options().rcv_buf_max);
+        Stack::kRcvBufMax);
     autotune_delivered_ = 0;
   }
 }
@@ -427,7 +433,7 @@ void TcpSocket::set_receiver_driven(GrantScheduler& scheduler) {
   grant_scheduler_ = &scheduler;
   // Reset the window to the blind unscheduled allowance; further credit
   // arrives only through grant_credit().
-  rcv_wnd_edge_ = rcv_nxt_ + scheduler.policy().unscheduled_bytes;
+  rcv_wnd_edge_ = rcv_nxt_ + kUnscheduledBytes;
   scheduler.enroll(*this);
 }
 
@@ -546,10 +552,10 @@ void TcpSocket::rx_deliver(Core& core, Skb skb) {
   // skbs cover >= 2 MSS and are acknowledged immediately, as are
   // out-of-order situations.  A timer guarantees an eventual ACK.
   const bool in_order = skb_was_in_order;
-  if (stack_->options().delayed_ack && in_order && skb_segments < 2 &&
+  if (stack_->config().delayed_ack && in_order && skb_segments < 2 &&
       ofo_.empty() && ++delack_pending_ < 2) {
     if (!delack_timer_.armed()) {
-      delack_timer_.arm_after(stack_->options().delack_timeout);
+      delack_timer_.arm_after(kDelackTimeout);
     }
   } else {
     send_ack(core, echo_ts, ecn_echo);
@@ -575,7 +581,7 @@ void TcpSocket::on_read(Core& core, Bytes copied) {
     const Bytes fresh_space = std::max<Bytes>(
         0, rcv_buf_cur_ - 2 * (rq_bytes() + ofo_bytes_));
     const std::int64_t fresh_edge = rcv_nxt_ + fresh_space;
-    if (fresh_edge - rcv_wnd_edge_ >= 2 * stack_->options().mss) {
+    if (fresh_edge - rcv_wnd_edge_ >= 2 * stack_->config().mtu_payload()) {
       send_ack(core, /*echo_ts=*/-1, /*ecn_echo=*/false);
     }
   }

@@ -11,7 +11,7 @@ namespace hostsim {
 TcpTransport::TcpTransport(Stack& stack) : stack_(&stack) {
   gros_.reserve(stack_->cores_.size());
   for (std::size_t i = 0; i < stack_->cores_.size(); ++i) {
-    gros_.emplace_back(stack_->options_.gro, stack_->options_.max_skb_bytes);
+    gros_.emplace_back(stack_->config_.gro, Stack::kMaxSkbBytes);
   }
 }
 
@@ -20,10 +20,8 @@ TcpTransport::~TcpTransport() = default;
 std::unique_ptr<TransportSocket> TcpTransport::make_socket(int flow,
                                                            int app_core) {
   auto socket = std::make_unique<TcpSocket>(*stack_, flow, app_core);
-  if (stack_->options_.receiver_driven) {
-    if (grants_ == nullptr) {
-      grants_ = std::make_unique<GrantScheduler>(stack_->options_.grant_policy);
-    }
+  if (stack_->config_.receiver_driven) {
+    if (grants_ == nullptr) grants_ = std::make_unique<GrantScheduler>();
     socket->set_receiver_driven(*grants_);
   }
   return socket;

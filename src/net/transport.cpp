@@ -108,7 +108,7 @@ void TransportSocket::wake_reader(std::int32_t wake_span) {
 void TransportSocket::wake_writer() {
   if (tx_was_full_ && tx_waiter_ != nullptr &&
       send_space() >=
-          std::min<Bytes>(stack_->options().snd_buf / 4, 256 * kKiB)) {
+          std::min<Bytes>(Stack::kSndBuf / 4, 256 * kKiB)) {
     tx_was_full_ = false;
     tx_waiter_->notify();
   }
@@ -133,9 +133,9 @@ void TransportSocket::collect_held_pages(std::vector<const Page*>& held) const {
 
 void TransportSocket::charge_tx_skb(Core& core, std::int64_t seq, Bytes len,
                                     bool retransmit) {
-  const StackOptions& options = stack_->options();
+  const StackConfig& config = stack_->config();
   const CostModel& cost = core.cost();
-  const int frames = Gso::segment_count(len, options.mss);
+  const int frames = Gso::segment_count(len, config.mtu_payload());
   if (retransmit) {
     stack_->tracer().record(stack_->loop().now(), TraceKind::retransmit,
                             flow_, seq, len);
@@ -149,7 +149,7 @@ void TransportSocket::charge_tx_skb(Core& core, std::int64_t seq, Bytes len,
                     static_cast<Cycles>(cost.tcpip_cyc_per_byte *
                                         static_cast<double>(len)));
     core.charge(CpuCategory::netdev, cost.netdev_tx_per_skb);
-    Gso::charge(core, options.segmentation, frames);
+    Gso::charge(core, config.segmentation(), frames);
     stack_->iommu().charge_map(core, static_cast<double>(len) / kPageBytes);
   }
   core.charge(CpuCategory::netdev, cost.driver_tx_per_skb);
@@ -192,7 +192,7 @@ Bytes TransportSocket::send(Core& core, Bytes bytes) {
 
 void TransportSocket::copy_from_user(Core& core, Bytes len, PageList& pages) {
   const CostModel& cost = core.cost();
-  if (stack_->options().tx_zerocopy) {
+  if (stack_->config().tx_zerocopy) {
     // MSG_ZEROCOPY (§4): the user pages are pinned instead — no copy, no
     // kernel pages, just a pin per page + a completion notification.
     const auto pinned =
@@ -255,7 +255,7 @@ Bytes TransportSocket::recv(Core& core, Bytes max_bytes) {
     }
 
     bool any_remote = false;
-    if (stack_->options().rx_zerocopy) {
+    if (stack_->config().rx_zerocopy) {
       // TCP-mmap reception (§4): the kernel remaps the DMA'd pages into
       // the application's address space instead of copying — per-page
       // VMA work replaces per-byte copy cycles.

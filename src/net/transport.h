@@ -42,7 +42,6 @@
 #include "cpu/scheduler.h"
 #include "hw/nic.h"
 #include "mem/small_vec.h"
-#include "net/grant_scheduler.h"
 #include "net/skb.h"
 #include "sim/inline_function.h"
 #include "sim/units.h"
@@ -69,36 +68,17 @@ enum class TransportKind : std::uint8_t {
 
 std::string_view to_string(TransportKind kind);
 
-/// Transport selection and Homa parameters.  Defaults reproduce the
-/// legacy TCP stack exactly; the whole block is part of the canonical
-/// config JSON (and hash) whatever the kind.
+/// Transport selection, and the one Homa parameter the receiver-driven
+/// bench varies.  Defaults reproduce the legacy TCP stack exactly; the
+/// whole block is part of the canonical config JSON (and hash) whatever
+/// the kind.  Homa's other limits are constants in net/homa_transport.cpp,
+/// and its grant quantum and blind first window are the ones TCP's
+/// GrantScheduler uses (net/grant_scheduler.h).
 struct TransportConfig {
   TransportKind kind = TransportKind::tcp;
-  /// Homa receiver policy: per-core active-message cap, grant quantum,
-  /// and the blind unscheduled first window.  It reuses GrantPolicy, the
-  /// type that also parameterizes TCP's receiver-driven GrantScheduler
-  /// mode (StackConfig::receiver_driven) — a separate path, not one
-  /// HomaTransport replaces.
-  GrantPolicy homa;
-  /// Receiver-side overload guard: while more than this many unread
-  /// bytes sit in completed-message queues, the receiver withholds new
-  /// grants (the receiver-driven analogue of a closed advertised
-  /// window; 0 disables).  Unlike TCP this bounds the *application's*
-  /// backlog, not per-connection kernel memory — reassembly state stays
-  /// capped by `homa.max_active * homa.grant_bytes` regardless.
-  Bytes homa_rcv_buf = 1024 * kKiB;
-  /// Sender-side ack clock: only the oldest this-many unacked messages
-  /// may transmit their blind unscheduled windows; younger messages wait
-  /// buffered.  Without it a message flood emits unscheduled bytes with
-  /// no feedback at all and softirq load starves the receiving
-  /// application (kernel contexts preempt user contexts per core).
-  int homa_max_tx_msgs = 4;
-  /// Receiver-side stall detector: an active message with missing bytes
-  /// and no arrivals for this long draws a RESEND request.
-  Nanos homa_resend_interval = 1 * kMillisecond;
-  /// Consecutive sender restarts with no progress before the message's
-  /// socket is declared dead with ETIMEDOUT (like tcp_retries2).
-  int homa_max_resends = 8;
+  /// Homa receiver policy: messages per application core that hold
+  /// grants at once.
+  int homa_max_active = 2;
 };
 
 /// The pages backing one unit of transmitted user data (a TCP TSO chunk,

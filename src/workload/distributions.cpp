@@ -32,6 +32,18 @@ namespace {
 
 constexpr double kTwoPi = 6.283185307179586476925286766559;
 
+/// MMPP: the burst state multiplies the base rate by this factor; the
+/// states' sojourns are exponential with these means.
+constexpr double kBurstFactor = 4.0;
+constexpr Nanos kBurstOnMean = 2 * kMillisecond;
+constexpr Nanos kBurstOffMean = 8 * kMillisecond;
+
+/// Period of the diurnal rate curve.
+constexpr Nanos kDiurnalPeriod = 10 * kMillisecond;
+
+/// Sigma of ln(size) for log-normal request sizes.
+constexpr double kLognormalSigma = 1.0;
+
 }  // namespace
 
 ArrivalSampler::ArrivalSampler(const WorkloadConfig& config, Rng rng)
@@ -40,24 +52,19 @@ ArrivalSampler::ArrivalSampler(const WorkloadConfig& config, Rng rng)
   require(config_.diurnal_amplitude >= 0 && config_.diurnal_amplitude < 1,
           "diurnal amplitude must be in [0, 1)");
   double envelope = config_.rate_rps * (1.0 + config_.diurnal_amplitude);
-  if (config_.arrivals == ArrivalProcess::mmpp) {
-    require(config_.burst_factor >= 1, "MMPP burst factor must be >= 1");
-    require(config_.burst_on_mean > 0 && config_.burst_off_mean > 0,
-            "MMPP sojourn means must be positive");
-    envelope *= config_.burst_factor;
-  }
+  if (config_.arrivals == ArrivalProcess::mmpp) envelope *= kBurstFactor;
   lambda_max_ = envelope;
 }
 
 double ArrivalSampler::rate_at(Nanos t) {
   double rate = config_.rate_rps;
   if (config_.arrivals == ArrivalProcess::mmpp && bursting_) {
-    rate *= config_.burst_factor;
+    rate *= kBurstFactor;
   }
-  if (config_.diurnal_amplitude > 0 && config_.diurnal_period > 0) {
+  if (config_.diurnal_amplitude > 0) {
     rate *= 1.0 + config_.diurnal_amplitude *
                       std::sin(kTwoPi * static_cast<double>(t) /
-                               static_cast<double>(config_.diurnal_period));
+                               static_cast<double>(kDiurnalPeriod));
   }
   return rate;
 }
@@ -66,9 +73,7 @@ void ArrivalSampler::advance_state(Nanos t) {
   if (config_.arrivals != ArrivalProcess::mmpp) return;
   while (state_until_ <= t) {
     bursting_ = !bursting_;
-    const Nanos mean =
-        bursting_ ? config_.burst_on_mean : config_.burst_off_mean;
-    state_until_ += rng_.exponential(mean);
+    state_until_ += rng_.exponential(bursting_ ? kBurstOnMean : kBurstOffMean);
   }
 }
 
@@ -91,10 +96,9 @@ SizeSampler::SizeSampler(const WorkloadConfig& config, Bytes mean_size,
   require(config_.size_min > 0 && config_.size_max >= config_.size_min,
           "workload size bounds must satisfy 0 < min <= max");
   if (config_.sizes == SizeDist::lognormal) {
-    require(config_.lognormal_sigma > 0, "lognormal sigma must be positive");
     // E[exp(mu + sigma Z)] = exp(mu + sigma^2/2) == mean_size.
     lognormal_mu_ = std::log(static_cast<double>(mean_size_)) -
-                    config_.lognormal_sigma * config_.lognormal_sigma / 2;
+                    kLognormalSigma * kLognormalSigma / 2;
   }
   if (config_.sizes == SizeDist::bounded_pareto) {
     require(config_.pareto_alpha > 0, "pareto alpha must be positive");
@@ -113,7 +117,7 @@ Bytes SizeSampler::next() {
       const double z =
           std::sqrt(-2.0 * std::log(u1)) * std::cos(kTwoPi * u2);
       const double size =
-          std::exp(lognormal_mu_ + config_.lognormal_sigma * z);
+          std::exp(lognormal_mu_ + kLognormalSigma * z);
       return std::clamp(static_cast<Bytes>(size), config_.size_min,
                         config_.size_max);
     }

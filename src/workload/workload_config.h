@@ -19,14 +19,14 @@ namespace hostsim {
 /// Request arrival process of the open-loop generator.
 enum class ArrivalProcess : std::uint8_t {
   poisson,  ///< homogeneous Poisson at `rate_rps` (diurnal-modulated)
-  mmpp,     ///< 2-state Markov-modulated Poisson: bursts of
-            ///< rate_rps*burst_factor alternating with the base rate
+  mmpp,     ///< 2-state Markov-modulated Poisson: bursts at a multiple
+            ///< of rate_rps alternating with the base rate
 };
 
 /// Request size distribution of the open-loop generator.
 enum class SizeDist : std::uint8_t {
   fixed,           ///< every request is traffic.rpc_size bytes
-  lognormal,       ///< mean traffic.rpc_size, shape `lognormal_sigma`
+  lognormal,       ///< mean traffic.rpc_size, fixed shape
   bounded_pareto,  ///< heavy tail on [size_min, size_max], `pareto_alpha`
 };
 
@@ -39,19 +39,13 @@ struct WorkloadConfig {
   // --- Arrivals -----------------------------------------------------------
   ArrivalProcess arrivals = ArrivalProcess::poisson;
   double rate_rps = 50'000;  ///< mean offered request rate
-  /// MMPP burst state multiplies the base rate by this factor.
-  double burst_factor = 4.0;
-  Nanos burst_on_mean = 2 * kMillisecond;   ///< mean burst-state sojourn
-  Nanos burst_off_mean = 8 * kMillisecond;  ///< mean calm-state sojourn
   /// Sinusoidal rate modulation: rate *= 1 + amplitude*sin(2*pi*t/period).
   /// Amplitude 0 (default) disables the diurnal curve.
   double diurnal_amplitude = 0.0;
-  Nanos diurnal_period = 10 * kMillisecond;
 
   // --- Request sizes (request == response, echo semantics) ---------------
   SizeDist sizes = SizeDist::fixed;
-  double lognormal_sigma = 1.0;  ///< sigma of ln(size)
-  double pareto_alpha = 1.3;     ///< bounded-Pareto tail index
+  double pareto_alpha = 1.3;  ///< bounded-Pareto tail index
   Bytes size_min = 64;
   Bytes size_max = 256 * kKiB;
 

@@ -49,8 +49,7 @@ TEST_F(LongFlowFixture, ReceiverKeepsQueueBounded) {
   sender->start();
   testbed->run_until(20 * kMillisecond);
   // The application drains; the queue is bounded by the rcv buffer.
-  EXPECT_LE(rx_socket->readable(),
-            testbed->receiver().stack().options().rcv_buf_max);
+  EXPECT_LE(rx_socket->readable(), Stack::kRcvBufMax);
 }
 
 TEST_F(LongFlowFixture, DeliveredMatchesAcceptedMinusInFlight) {
@@ -60,9 +59,7 @@ TEST_F(LongFlowFixture, DeliveredMatchesAcceptedMinusInFlight) {
   const Bytes delivered = rx_socket->delivered_to_app();
   EXPECT_LE(delivered, accepted);
   // In-flight (socket buffers + wire) is bounded by snd_buf + rcv window.
-  EXPECT_LE(accepted - delivered,
-            testbed->sender().stack().options().snd_buf +
-                testbed->receiver().stack().options().rcv_buf_max);
+  EXPECT_LE(accepted - delivered, Stack::kSndBuf + Stack::kRcvBufMax);
 }
 
 }  // namespace

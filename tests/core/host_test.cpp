@@ -18,14 +18,17 @@ TEST(HostTest, AssemblesPaperTopology) {
   EXPECT_EQ(host.llc(0).capacity_bytes(), 256LL * 18 * 4096);
 }
 
-TEST(HostTest, StackOptionsDeriveFromConfig) {
+TEST(HostTest, StackReadsItsStackConfig) {
   ExperimentConfig config;
   config.stack.jumbo = false;
   config.stack.tso = false;
+  config.stack.arfs = false;
+  config.stack.fallback_steering = SteeringMode::rfs;
   Testbed testbed(config);
-  const StackOptions& options = testbed.receiver().stack().options();
-  EXPECT_EQ(options.mss, 1500);
-  EXPECT_EQ(options.segmentation, SegmentationMode::gso_sw);
+  const StackConfig& stack = testbed.receiver().stack().config();
+  EXPECT_EQ(stack.mtu_payload(), 1500);
+  EXPECT_EQ(stack.segmentation(), SegmentationMode::gso_sw);
+  EXPECT_EQ(stack.steering(), SteeringMode::rfs);
 }
 
 TEST(HostTest, NicConfigDerivesFromStackConfig) {

@@ -47,10 +47,9 @@ TEST(GrantSchedulerTest, CreditBoundsPerFlowInflight) {
   testbed.run_until(20 * kMillisecond);
   // No socket may ever hold more un-received credit than one grant
   // quantum plus the unscheduled allowance.
-  const GrantPolicy& policy = config.stack.grant_policy;
   for (int flow = 0; flow < 8; ++flow) {
     EXPECT_LE(testbed.receiver().stack().tcp_socket(flow).credit_outstanding(),
-              policy.grant_bytes + policy.unscheduled_bytes);
+              kGrantBytes + kUnscheduledBytes);
   }
 }
 

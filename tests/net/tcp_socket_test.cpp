@@ -55,7 +55,7 @@ TEST_F(SocketFixture, SendBoundedBySendBuffer) {
   on_core(testbed->sender(), 0, [this](Core& c) {
     const Bytes huge = 100 * kMiB;
     const Bytes accepted = tx->send(c, huge);
-    EXPECT_LE(accepted, testbed->sender().stack().options().snd_buf);
+    EXPECT_LE(accepted, Stack::kSndBuf);
     EXPECT_GT(accepted, 0);
   });
   run_for(kMillisecond);
@@ -69,7 +69,7 @@ TEST_F(SocketFixture, SendBufferFreesAsAcksArrive) {
     on_core(testbed->receiver(), 0, [this](Core& c) { rx->recv(c, kMiB); });
     run_for(kMillisecond);
   }
-  EXPECT_EQ(tx->send_space(), testbed->sender().stack().options().snd_buf);
+  EXPECT_EQ(tx->send_space(), Stack::kSndBuf);
   EXPECT_TRUE(tx->send_queue_empty());
 }
 
