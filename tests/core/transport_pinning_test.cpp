@@ -2,7 +2,7 @@
 // TransportConfig must not move a single bit of any default-transport
 // artifact.  Pins:
 //  * the default ExperimentConfig hash and fig03e / fig05 campaign point
-//    hashes under config schema 2 (cache keys: a shift here silently
+//    hashes under config schema 3 (cache keys: a shift here silently
 //    invalidates .hostsim-cache and every saved baseline),
 //  * full metrics-JSON fingerprints of short deterministic runs, which
 //    pin the simulation itself: single-flow and 8:1 incast (captured on
@@ -58,11 +58,11 @@ std::uint64_t fnv1a(const std::string& s) {
 
 TEST(TransportPinning, DefaultConfigHashUnchanged) {
   ExperimentConfig config;
-  EXPECT_EQ(hash_hex(config_hash(config)), "0x48f3d88d8622a4c7");
+  EXPECT_EQ(hash_hex(config_hash(config)), "0xd31002b3258c3eff");
   // A non-default transport must hash differently (the transport block
   // is part of the key).
   config.stack.transport.kind = TransportKind::homa;
-  EXPECT_NE(hash_hex(config_hash(config)), "0x48f3d88d8622a4c7");
+  EXPECT_NE(hash_hex(config_hash(config)), "0xd31002b3258c3eff");
 }
 
 TEST(TransportPinning, Fig03eCampaignPointHashes) {
@@ -73,11 +73,11 @@ TEST(TransportPinning, Fig03eCampaignPointHashes) {
   // Pin the corners and the legacy default point (ring=1024 autotune,
   // which coincides with the default config hash).
   EXPECT_EQ(hash_hex(config_hash(points.front().config)),
-            "0xf1370610d567d025");
+            "0x3747945b76badc49");
   EXPECT_EQ(hash_hex(config_hash(points[15].config)),
-            "0x48f3d88d8622a4c7");
+            "0xd31002b3258c3eff");
   EXPECT_EQ(hash_hex(config_hash(points.back().config)),
-            "0xb62e335965998274");
+            "0x5b0e480b5f2cb3f0");
 }
 
 TEST(TransportPinning, Fig05CampaignPointHashes) {
@@ -85,8 +85,8 @@ TEST(TransportPinning, Fig05CampaignPointHashes) {
   ASSERT_TRUE(campaign.has_value());
   const auto points = campaign->expand();
   ASSERT_EQ(points.size(), 4u);
-  const char* expected[] = {"0x41b70b6949768f85", "0x3b0b7d8cf1f9cab2",
-                            "0xd7ac2f846c654e2b", "0x01c5777893d0459e"};
+  const char* expected[] = {"0x460a95df0cca38e5", "0xaa4e207495043634",
+                            "0x40ee5fbc7250263b", "0x14dd23c1b7472558"};
   for (std::size_t i = 0; i < points.size(); ++i) {
     EXPECT_EQ(hash_hex(config_hash(points[i].config)), expected[i])
         << points[i].label();
