@@ -1,5 +1,7 @@
 #include "core/patterns.h"
 
+#include <algorithm>
+
 #include "sim/contract.h"
 
 namespace hostsim {
@@ -99,6 +101,43 @@ RpcClient::Counters Workload::rpc_recovery_totals() const {
   return totals;
 }
 
+std::optional<std::string> check_flows_fit(const TrafficConfig& traffic,
+                                           int num_hosts, int cores) {
+  const int n = traffic.flows;
+  const int sender_cores = (num_hosts - 1) * cores;
+  int most = 1;
+  const char* per = "";  // each flow takes one of these
+  switch (traffic.pattern) {
+    case Pattern::single_flow:
+      if (n == 1) return std::nullopt;
+      return "--flows=" + std::to_string(n) +
+             ": single-flow runs exactly one flow";
+    case Pattern::incast:
+    case Pattern::rpc_incast:
+      most = sender_cores;
+      per = "sender core";
+      break;
+    case Pattern::outcast:
+      most = cores;
+      per = "receiver core";
+      break;
+    case Pattern::one_to_one:
+    case Pattern::all_to_all:
+      most = std::min(sender_cores, cores);
+      per = "sender core and receiver core";
+      break;
+    case Pattern::mixed:
+    case Pattern::open_loop:
+      return std::nullopt;  // no per-core placement to run out of
+  }
+  if (n >= 1 && n <= most) return std::nullopt;
+  return "--flows=" + std::to_string(n) + ": " +
+         std::string(to_string(traffic.pattern)) + " takes 1 to " +
+         std::to_string(most) + " flows on " + std::to_string(num_hosts) +
+         " hosts of " + std::to_string(cores) + " cores (one per " + per +
+         ")";
+}
+
 /// Expands the paper's patterns at (host, core) granularity: hosts
 /// 0..H-2 send, host H-1 receives.  Flow i's sending endpoint
 /// round-robins over the sender hosts first (host i % S, core i / S):
@@ -106,8 +145,11 @@ RpcClient::Counters Workload::rpc_recovery_totals() const {
 /// placement; with more, "incast" becomes a true cross-host fan-in
 /// through the switch.
 Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
-  Workload workload;
   const int cores = cluster.config().topo.num_cores();
+  const std::optional<std::string> misfit =
+      check_flows_fit(traffic, cluster.num_hosts(), cores);
+  require(!misfit, misfit ? misfit->c_str() : "");
+  Workload workload;
   const int senders = cluster.num_hosts() - 1;
   const int rx_host = cluster.num_hosts() - 1;
   const int n = traffic.flows;
@@ -118,13 +160,10 @@ Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
 
   switch (traffic.pattern) {
     case Pattern::single_flow: {
-      require(n == 1, "single-flow pattern has exactly one flow");
       add_long_flow(cluster, workload, traffic, {0, 0}, {rx_host, rx});
       break;
     }
     case Pattern::one_to_one: {
-      require(n >= 1 && n <= senders * cores && n <= cores,
-              "flows must fit the sender hosts' cores and receiver cores");
       for (int i = 0; i < n; ++i) {
         add_long_flow(cluster, workload, traffic, src_of(i),
                          {rx_host, i});
@@ -132,8 +171,6 @@ Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
       break;
     }
     case Pattern::incast: {
-      require(n >= 1 && n <= senders * cores,
-              "flows must fit the sender hosts' cores");
       for (int i = 0; i < n; ++i) {
         add_long_flow(cluster, workload, traffic, src_of(i),
                          {rx_host, rx});
@@ -141,15 +178,12 @@ Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
       break;
     }
     case Pattern::outcast: {
-      require(n >= 1 && n <= cores, "flows must fit the receiver cores");
       for (int i = 0; i < n; ++i) {
         add_long_flow(cluster, workload, traffic, {0, 0}, {rx_host, i});
       }
       break;
     }
     case Pattern::all_to_all: {
-      require(n >= 1 && n <= senders * cores && n <= cores,
-              "n x n must fit the sender hosts' cores and receiver cores");
       // The paper could not install n*n explicit steering entries; frames
       // fall back to RSS hashing when aRFS is off (§3.5).
       for (int i = 0; i < n; ++i) {
@@ -161,8 +195,6 @@ Workload build_workload(Cluster& cluster, const TrafficConfig& traffic) {
       break;
     }
     case Pattern::rpc_incast: {
-      require(n >= 1 && n <= senders * cores,
-              "clients must fit the sender hosts' cores");
       for (int i = 0; i < n; ++i) {
         add_rpc_pair(cluster, workload, traffic, src_of(i), {rx_host, rx});
       }

@@ -4,6 +4,8 @@
 #define HOSTSIM_CORE_PATTERNS_H
 
 #include <memory>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "app/long_flow_app.h"
@@ -38,6 +40,15 @@ struct Workload {
   /// Summed resilience counters across all RPC clients.
   RpcClient::Counters rpc_recovery_totals() const;
 };
+
+/// Why `traffic.flows` does not fit a run of `num_hosts` hosts with
+/// `cores` cores each, as one line naming the pattern's bound, or
+/// std::nullopt when it fits.  The long-flow and RPC patterns place at
+/// most one flow per sender core (hosts 0..H-2) and, for one-to-one,
+/// outcast and all-to-all, per receiver core; build_workload requires
+/// this check to pass.
+std::optional<std::string> check_flows_fit(const TrafficConfig& traffic,
+                                           int num_hosts, int cores);
 
 /// Builds the applications and flows for `traffic` on `cluster`.
 /// Placement follows the paper: cores are used in id order, so the first

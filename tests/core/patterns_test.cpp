@@ -120,5 +120,37 @@ TEST(PatternsTest, MixedCombinesLongFlowWithRpcsOnOneCore) {
   }
 }
 
+// Hosts 0..H-2 send: incast fills every sender core, one-to-one and
+// all-to-all are also held to the receiver's cores, outcast only to
+// them; mixed and open-loop share cores and have no bound here.
+TEST(PatternsTest, FlowsFitTheirCores) {
+  const auto fits = [](Pattern pattern, int flows, int hosts) {
+    TrafficConfig traffic;
+    traffic.pattern = pattern;
+    traffic.flows = flows;
+    return !check_flows_fit(traffic, hosts, 24).has_value();
+  };
+  EXPECT_TRUE(fits(Pattern::incast, 192, 9));
+  EXPECT_FALSE(fits(Pattern::incast, 193, 9));
+  EXPECT_TRUE(fits(Pattern::rpc_incast, 48, 3));
+  EXPECT_FALSE(fits(Pattern::rpc_incast, 49, 3));
+  for (Pattern pattern : {Pattern::one_to_one, Pattern::all_to_all,
+                          Pattern::outcast}) {
+    EXPECT_TRUE(fits(pattern, 24, 9));
+    EXPECT_FALSE(fits(pattern, 25, 9));
+    EXPECT_FALSE(fits(pattern, 0, 9));
+  }
+  EXPECT_TRUE(fits(Pattern::single_flow, 1, 2));
+  EXPECT_FALSE(fits(Pattern::single_flow, 2, 2));
+  EXPECT_TRUE(fits(Pattern::mixed, 100, 2));
+  EXPECT_TRUE(fits(Pattern::open_loop, 100, 3));
+  TrafficConfig incast;
+  incast.pattern = Pattern::incast;
+  incast.flows = 30;
+  EXPECT_EQ(check_flows_fit(incast, 2, 24).value_or(""),
+            "--flows=30: incast takes 1 to 24 flows on 2 hosts of 24 cores "
+            "(one per sender core)");
+}
+
 }  // namespace
 }  // namespace hostsim

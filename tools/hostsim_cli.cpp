@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/patterns.h"
 #include "core/report.h"
 #include "flags.h"
 #include "sim/fault_spec.h"
@@ -122,9 +123,10 @@ observability:
   std::exit(exit_code);
 }
 
-/// Applies one fault-spec parse result; malformed specs exit with the
-/// parser's one-line actionable message instead of the generic usage.
-void fault_spec(const std::optional<std::string>& error) {
+/// Applies one check's result (a fault-spec parse, a fault target, a
+/// pattern's flow bound): a failed check exits 2 with its one-line
+/// actionable message instead of the generic usage.
+void exit_on_error(const std::optional<std::string>& error) {
   if (error) {
     std::fprintf(stderr, "%s\n", error->c_str());
     std::exit(2);
@@ -251,19 +253,19 @@ int main(int argc, char** argv) {
       config.topology.port_gbps = num_flag(*v, "--port-gbps", 0);
       config.topology.use_switch = true;
     } else if (auto v = flag_value(arg, "--ge")) {
-      fault_spec(parse_ge_spec(*v, config.faults));
+      exit_on_error(parse_ge_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--flap")) {
-      fault_spec(parse_flap_spec(*v, config.faults));
+      exit_on_error(parse_flap_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--corrupt")) {
       config.faults.corrupt_rate = num_flag(*v, "--corrupt", 0, 1);
     } else if (auto v = flag_value(arg, "--stall")) {
-      fault_spec(parse_stall_spec(*v, config.faults));
+      exit_on_error(parse_stall_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--pressure")) {
-      fault_spec(parse_pressure_spec(*v, config.faults));
+      exit_on_error(parse_pressure_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--crash")) {
-      fault_spec(parse_crash_spec(*v, config.faults));
+      exit_on_error(parse_crash_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--blackhole")) {
-      fault_spec(parse_blackhole_spec(*v, config.faults));
+      exit_on_error(parse_blackhole_spec(*v, config.faults));
     } else if (auto v = flag_value(arg, "--retries")) {
       config.traffic.resilience.enabled = true;
       config.traffic.resilience.max_retries =
@@ -315,7 +317,9 @@ int main(int argc, char** argv) {
     invalid_flag("--flows", "0",
                  "an integer >= 1; 0 only with --pattern=mixed");
   }
-  fault_spec(check_fault_targets(config.faults, config.topology.num_hosts));
+  exit_on_error(check_fault_targets(config.faults, config.topology.num_hosts));
+  exit_on_error(check_flows_fit(config.traffic, config.topology.num_hosts,
+                                config.topo.num_cores()));
   if (config.obs.enabled() && !config.obs.out_dir.empty()) {
     create_dir_or_exit(config.obs.out_dir, "obs");
   }
