@@ -65,7 +65,6 @@ const Span* SpanTracer::complete(std::int32_t id) {
   span.completed = true;
   ++completed_;
   fold(span, aggregate_);
-  fold(span, per_flow_[span.flow]);
   return &span;
 }
 
@@ -116,22 +115,6 @@ std::vector<StageSummary> SpanTracer::summarize(const StageHistograms& h) {
 
 std::vector<StageSummary> SpanTracer::summary() const {
   return summarize(aggregate_);
-}
-
-std::vector<StageSummary> SpanTracer::flow_summary(int flow) const {
-  auto it = per_flow_.find(flow);
-  if (it == per_flow_.end()) return {};
-  return summarize(it->second);
-}
-
-std::vector<int> SpanTracer::flows() const {
-  std::vector<int> out;
-  out.reserve(per_flow_.size());
-  for (const auto& [flow, hists] : per_flow_) {
-    (void)hists;
-    out.push_back(flow);
-  }
-  return out;
 }
 
 }  // namespace hostsim::obs

@@ -18,7 +18,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -79,7 +78,7 @@ class SpanTracer {
   void stamp(std::int32_t id, Stage stage, Nanos now);
 
   /// Marks the span finished and folds its stage durations into the
-  /// aggregate and per-flow histograms.  Stamp `copy` first.  Returns
+  /// aggregate histograms.  Stamp `copy` first.  Returns
   /// the completed span (or nullptr for a no-op call) so callers can
   /// feed downstream consumers like the latency monitor.
   const Span* complete(std::int32_t id);
@@ -94,12 +93,6 @@ class SpanTracer {
   /// Aggregate per-stage breakdown over completed spans (stages with no
   /// samples are omitted; a trailing "total" row covers end-to-end).
   std::vector<StageSummary> summary() const;
-
-  /// Same breakdown restricted to one flow.
-  std::vector<StageSummary> flow_summary(int flow) const;
-
-  /// Flows with at least one completed span, ascending.
-  std::vector<int> flows() const;
 
   /// Per-stage + end-to-end histogram bundle; public so the Observer
   /// can merge per-host tracers into one cluster-wide breakdown
@@ -126,7 +119,6 @@ class SpanTracer {
   std::size_t max_spans_;
   std::vector<Span> spans_;
   StageHistograms aggregate_;
-  std::map<int, StageHistograms> per_flow_;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t capped_ = 0;

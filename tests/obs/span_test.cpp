@@ -113,7 +113,7 @@ TEST(SpanTracerTest, MaxSpansCapsRetention) {
   EXPECT_EQ(tracer.capped(), 12u);
 }
 
-TEST(SpanTracerTest, PerFlowSummariesPartitionTheAggregate) {
+TEST(SpanTracerTest, SpansOfEveryFlowFoldIntoTheAggregate) {
   SpanTracer tracer(1, 1.0, 64);
   for (int flow = 0; flow < 2; ++flow) {
     const std::int32_t id = tracer.maybe_start(0, flow, 0, 1448, 0);
@@ -121,9 +121,6 @@ TEST(SpanTracerTest, PerFlowSummariesPartitionTheAggregate) {
     tracer.stamp(id, Stage::copy, 100 * (flow + 1));
     tracer.complete(id);
   }
-  EXPECT_EQ(tracer.flows(), (std::vector<int>{0, 1}));
-  EXPECT_EQ(tracer.flow_summary(0).back().p50, 100);
-  EXPECT_EQ(tracer.flow_summary(1).back().p50, 200);
   EXPECT_EQ(tracer.summary().back().count, 2u);
 }
 
