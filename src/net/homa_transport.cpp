@@ -516,11 +516,10 @@ void HomaTransport::deliver(Core& core, int flow, PendingBatch&& batch) {
 
 void HomaTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
   const Frame& frame = polled.frame;
-  const CostModel& cost = core.cost();
 
   if (frame.is_ack || frame.is_grant || frame.is_resend || frame.is_rst) {
-    // Header-only control: copybreak-class skb, dispatched inline.
-    core.charge(CpuCategory::skb_mgmt, cost.skb_alloc / 3);
+    // Header-only control: copybreak-class skb (charged by
+    // Stack::napi_poll), dispatched inline.
     stack_->allocator_->release(core, polled.fragments);
     auto* socket = static_cast<HomaSocket*>(stack_->find_socket(frame.flow));
     if (socket == nullptr || socket->dead()) {

@@ -405,12 +405,18 @@ void Stack::napi_poll(Core& core, int queue) {
       continue;
     }
 
-    if (polled->frame.is_syn) {
-      // Handshake frames: header-only, like the copybreak path.  Handled
-      // in the stack (connection lifecycle is transport-independent) and
-      // before ACK processing — a SYN-ACK must not reach the client
-      // socket's ACK machinery.
+    if (polled->frame.is_syn || polled->frame.is_ack) {
+      // Header-only frame (SYN, FIN, ACK, RST, Homa control; each sender
+      // sets one of the two flags): the driver's copybreak path builds a
+      // small skb inline and frees it on the spot, no page-backed
+      // fragments.
       core.charge(CpuCategory::skb_mgmt, cost.skb_alloc / 3);
+    }
+
+    if (polled->frame.is_syn) {
+      // Handshake frames are handled in the stack (connection lifecycle
+      // is transport-independent) and before ACK processing — a SYN-ACK
+      // must not reach the client socket's ACK machinery.
       if (polled->frame.is_ack) {
         handle_syn_ack(core, polled->frame);
       } else {
@@ -421,9 +427,7 @@ void Stack::napi_poll(Core& core, int queue) {
     }
 
     if (polled->frame.is_ack && polled->frame.is_fin) {
-      // FINs are stack-owned too; header-only, same copybreak charge the
-      // ACK path would have paid.
-      core.charge(CpuCategory::skb_mgmt, cost.skb_alloc / 3);
+      // FINs are stack-owned too.
       fin_flows.push_back(polled->frame.flow);
       allocator_->release(core, polled->fragments);
       continue;

@@ -80,9 +80,8 @@ void TcpTransport::rx_frame(Core& core, int queue, Nic::PolledFrame polled) {
   const CostModel& cost = core.cost();
 
   if (polled.frame.is_ack) {
-    // Copybreak fast path: header-only skb built inline and freed on
-    // the spot, no page-backed fragments.  RSTs ride this path too.
-    core.charge(CpuCategory::skb_mgmt, cost.skb_alloc / 3);
+    // Copybreak fast path (charged by Stack::napi_poll).  RSTs ride this
+    // path too.
     auto it = stack_->sockets_.find(polled.frame.flow);
     if (it != stack_->sockets_.end()) {
       TcpSocket* socket = static_cast<TcpSocket*>(it->second.get());
