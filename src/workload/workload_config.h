@@ -3,7 +3,7 @@
 //
 // `enabled` is the master switch: false is the default, and the only
 // state legacy patterns ever see.  The section is part of the canonical
-// config JSON either way (config schema 2).  The engine only forks RNG
+// config JSON either way (since schema 2).  The engine only forks RNG
 // streams when enabled, so run event sequences of legacy experiments —
 // and their metrics documents — are untouched.
 #ifndef HOSTSIM_WORKLOAD_WORKLOAD_CONFIG_H
