@@ -196,7 +196,7 @@ TEST_F(SocketFixture, RetransmitTimeoutRecoversTailLoss) {
   tx = static_cast<TcpSocket*>(endpoints.at_sender);
   rx = static_cast<TcpSocket*>(endpoints.at_receiver);
   on_core(testbed->sender(), 0, [this](Core& c) { tx->send(c, 64 * kKiB); });
-  // RTO backoff doubles; give it time (min_rto=10ms).
+  // RTO backoff doubles from a 2 ms floor; give it time.
   for (int i = 0; i < 100; ++i) {
     on_core(testbed->receiver(), 0, [this](Core& c) { rx->recv(c, kMiB); });
     run_for(10 * kMillisecond);
