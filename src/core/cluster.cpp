@@ -1,6 +1,7 @@
 #include "core/cluster.h"
 
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <utility>
 #include <vector>
@@ -135,24 +136,15 @@ Link::Config link_config(const ExperimentConfig& config) {
 /// HOSTSIM_SHARDS for a whole campaign, degenerate points included).
 /// Unsupported:
 ///   - the degenerate back-to-back topology (nothing to partition);
-///   - probabilistic faults (GE loss, corruption, pool pressure): they
-///     draw from one injector RNG stream in cross-host arrival order,
-///     which shard-local injectors cannot replay (window faults —
-///     flaps, stalls, crashes, blackholes — are RNG-free and fine; the
-///     per-link Bernoulli loss_rate draws from per-link streams and is
-///     also fine);
 ///   - the open-loop / resilient-RPC workloads (their engines post
-///     tasks across hosts mid-run).  Observability shards cleanly:
-///     tracers and monitors are per host (single writer), samplers run
-///     per shard over shard-owned gauges, and the harvest views merge
-///     on deterministic keys (see obs/observer.h).
+///     tasks across hosts mid-run).
+/// Faults shard: every random fault draw comes from the stream of the
+/// link it hits, which lives on one shard.  Observability shards
+/// cleanly too: tracers and monitors are per host (single writer),
+/// samplers run per shard over shard-owned gauges, and the harvest views
+/// merge on deterministic keys (see obs/observer.h).
 bool shardable(const ExperimentConfig& config) {
   if (config.topology.degenerate()) return false;
-  const FaultPlan& plan = config.faults;
-  if (plan.gilbert_elliott.enabled || plan.corrupt_rate > 0.0 ||
-      !plan.pool_pressure.empty()) {
-    return false;
-  }
   if (config.traffic.pattern == Pattern::open_loop) return false;
   if (config.traffic.resilience.enabled) return false;
   return true;
@@ -327,15 +319,18 @@ void Cluster::build_faults() {
           "fault window names a link, host or port outside the cluster");
   // Constructed after the links and hosts so the fault fork leaves their
   // stream assignments — and therefore every fault-free run — untouched.
-  // Shard 0 takes the stream a serial run forks; the other shards take
-  // sub-forks of it, which nothing draws from (shardable() bans every
-  // RNG-drawing fault at K > 1).
-  Rng fault_rng = loops_[0]->rng().fork();
+  // Every shard's injector derives the same per-link streams from this
+  // one fork and draws only on its own links.  Host h's uplink is link
+  // h, or the one wire back-to-back.
+  const Rng fault_rng = loops_[0]->rng().fork();
+  std::vector<int> host_uplinks(hosts_.size(), 0);
+  if (!config_.topology.degenerate()) {
+    std::iota(host_uplinks.begin(), host_uplinks.end(), 0);
+  }
   for (int s = 0; s < num_shards(); ++s) {
     shard_faults_.push_back(std::make_unique<FaultInjector>(
-        *loops_[static_cast<std::size_t>(s)], shard_fault_plan(s),
-        s == 0 ? fault_rng : fault_rng.fork(),
-        /*count_global_windows=*/s == 0));
+        *loops_[static_cast<std::size_t>(s)], shard_fault_plan(s), fault_rng,
+        host_uplinks, /*count_global_windows=*/s == 0));
     register_crash_handler(*shard_faults_.back());
   }
   // Link i is host i's cable (the degenerate wire is link 0).
@@ -372,11 +367,12 @@ void Cluster::register_crash_handler(FaultInjector& injector) {
 }
 
 FaultPlan Cluster::shard_fault_plan(int shard) const {
-  // The probabilistic faults pass through (shardable() admits them only
-  // at K = 1).  Each window lands on the shard owning its link/host/port
-  // (build_faults() checked they all exist); global windows — link < 0
-  // flaps and host < 0 stalls — replicate everywhere so every consulting
-  // component sees them locally.  At K = 1 the plan is unchanged.
+  // The probabilistic faults pass through: each shard draws them on its
+  // own links' streams.  Each window lands on the shard owning its
+  // link/host/port (build_faults() checked they all exist); global
+  // windows — link < 0 flaps and host < 0 stalls — replicate everywhere
+  // so every consulting component sees them locally.  At K = 1 the plan
+  // is unchanged.
   FaultPlan plan = config_.faults;
   const auto owned = [this, shard](int host) {
     return host < 0 || shard_of_host_[static_cast<std::size_t>(host)] == shard;

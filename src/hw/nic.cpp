@@ -61,7 +61,9 @@ Nic::Nic(EventLoop& loop, const Config& config, const NumaTopology& topo,
 
 void Nic::set_fault_injector(FaultInjector* faults) {
   faults_ = faults;
-  for (RxQueue& queue : queues_) queue.pool->set_fault_injector(faults);
+  for (RxQueue& queue : queues_) {
+    queue.pool->set_fault_injector(faults, host_id_);
+  }
 }
 
 void Nic::steer_flow(int flow, int queue) {

@@ -90,7 +90,8 @@ class Nic {
   void set_rx_handler(RxHandler handler) { rx_handler_ = std::move(handler); }
 
   /// Attaches the run's fault injector (rx-ring stalls, page-pool
-  /// pressure); propagated to every queue's page pool.
+  /// pressure); propagated, with this NIC's host id, to every queue's
+  /// page pool.
   void set_fault_injector(FaultInjector* faults);
 
   /// Attaches the run's observability hub (null = disabled; the hooks

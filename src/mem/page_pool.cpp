@@ -12,7 +12,7 @@ FragmentVec PagePool::alloc_span(Core& core, Bytes bytes) {
   Bytes remaining = bytes;
   while (remaining > 0) {
     if (current_ == nullptr || used_in_current_ >= kPageBytes) {
-      if (faults_ != nullptr && !faults_->pool_alloc_allowed()) {
+      if (faults_ != nullptr && !faults_->pool_alloc_allowed(host_)) {
         // Allocation denied (memory-pressure window).  Roll back the
         // partially carved span so the caller sees a clean failure.
         allocator_->release(core, fragments);

@@ -32,8 +32,12 @@ class PagePool {
   /// this like a failed GFP_ATOMIC allocation and retry later.
   FragmentVec alloc_span(Core& core, Bytes bytes);
 
-  /// Attaches the run's fault injector (page-pool pressure windows).
-  void set_fault_injector(FaultInjector* faults) { faults_ = faults; }
+  /// Attaches the run's fault injector (page-pool pressure windows) for
+  /// the pool's host.
+  void set_fault_injector(FaultInjector* faults, int host) {
+    faults_ = faults;
+    host_ = host;
+  }
 
   /// Page the pool is currently carving from (nullptr when exhausted);
   /// the pool holds one reference to it.  Used by the leak sweep.
@@ -43,6 +47,7 @@ class PagePool {
   PageAllocator* allocator_;
   Iommu* iommu_;
   FaultInjector* faults_ = nullptr;
+  int host_ = 0;
   Page* current_ = nullptr;
   Bytes used_in_current_ = 0;
 };

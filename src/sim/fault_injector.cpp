@@ -26,11 +26,18 @@ GilbertElliottConfig GilbertElliottConfig::for_average_loss(
 }
 
 FaultInjector::FaultInjector(EventLoop& loop, FaultPlan plan, Rng rng,
+                             std::vector<int> host_uplinks,
                              bool count_global_windows)
     : loop_(&loop),
       plan_(std::move(plan)),
-      rng_(rng),
+      host_uplinks_(std::move(host_uplinks)),
       count_global_windows_(count_global_windows) {
+  require(!host_uplinks_.empty(), "the injector needs the hosts' uplinks");
+  const int num_links =
+      *std::max_element(host_uplinks_.begin(), host_uplinks_.end()) + 1;
+  links_.push_back({rng});
+  for (int i = 1; i < num_links; ++i) links_.push_back({rng.fork()});
+
   const GilbertElliottConfig& ge = plan_.gilbert_elliott;
   require(ge.p_enter_bad >= 0 && ge.p_enter_bad <= 1 && ge.p_exit_bad >= 0 &&
               ge.p_exit_bad <= 1,
@@ -144,28 +151,29 @@ FaultInjector::WireFault FaultInjector::on_frame(int link, int direction) {
     ++counters_.flap_drops;
     return WireFault::drop_flap;
   }
+  LinkStream& stream = links_.at(static_cast<std::size_t>(link));
   const GilbertElliottConfig& ge = plan_.gilbert_elliott;
   if (ge.enabled) {
-    GeState& state = ge_.at(static_cast<std::size_t>(direction));
+    bool& bad = stream.ge_bad.at(static_cast<std::size_t>(direction));
     // Advance the chain first, then draw the state's loss probability:
     // this makes the *first* frame of a bad period eligible to drop, so
     // short windows still produce bursts.
-    if (state.bad) {
-      if (rng_.chance(ge.p_exit_bad)) state.bad = false;
+    if (bad) {
+      if (stream.rng.chance(ge.p_exit_bad)) bad = false;
     } else {
-      if (rng_.chance(ge.p_enter_bad)) state.bad = true;
+      if (stream.rng.chance(ge.p_enter_bad)) bad = true;
     }
-    if (state.bad) {
-      if (rng_.chance(ge.loss_bad)) {
+    if (bad) {
+      if (stream.rng.chance(ge.loss_bad)) {
         ++counters_.bursty_drops;
         return WireFault::drop_bursty;
       }
-    } else if (ge.loss_good > 0 && rng_.chance(ge.loss_good)) {
+    } else if (ge.loss_good > 0 && stream.rng.chance(ge.loss_good)) {
       ++counters_.random_drops;
       return WireFault::drop_random;
     }
   }
-  if (plan_.corrupt_rate > 0 && rng_.chance(plan_.corrupt_rate)) {
+  if (plan_.corrupt_rate > 0 && stream.rng.chance(plan_.corrupt_rate)) {
     ++counters_.corrupt_frames;
     return WireFault::corrupt;
   }
@@ -196,9 +204,12 @@ bool FaultInjector::port_blackholed(int port) const {
          blackholed_ports_.end();
 }
 
-bool FaultInjector::pool_alloc_allowed() {
+bool FaultInjector::pool_alloc_allowed(int host) {
   if (pressure_depth_ <= 0) return true;
-  if (!rng_.chance(pressure_deny_)) return true;
+  const int link = host_uplinks_.at(static_cast<std::size_t>(host));
+  if (!links_[static_cast<std::size_t>(link)].rng.chance(pressure_deny_)) {
+    return true;
+  }
   ++counters_.pool_denials;
   return false;
 }

@@ -4,10 +4,11 @@
 // (Gilbert–Elliott) wire loss, link flaps, frame corruption, NIC rx-ring
 // stalls, and page-pool pressure windows.  The FaultInjector executes the
 // plan against the event loop: window-shaped faults (flaps, stalls,
-// pressure) are scheduled as events at construction, while probabilistic
-// faults (loss, corruption) are drawn from a dedicated RNG stream forked
-// from the run's root seed.  Every fault is therefore a pure function of
-// (configuration, seed) and tier-1 runs stay byte-for-byte reproducible.
+// pressure) are scheduled as events at construction, while the random
+// draws (GE loss, corruption, pressure denials) come from one stream per
+// link, derived from a dedicated fork of the run's root seed.  Every
+// fault is therefore a pure function of (configuration, seed) and tier-1
+// runs stay byte-for-byte reproducible.
 //
 // Layering: this is a sim-level component; hw/mem components consult it
 // through narrow hooks (Link per frame, Nic per receive, PagePool per
@@ -144,15 +145,20 @@ class FaultInjector {
     corrupt,      ///< deliver, but flag the frame checksum-failed
   };
 
-  /// Schedules the plan's window faults on `loop` and draws the
-  /// probabilistic ones from `rng`, a dedicated (seed-deterministic)
-  /// stream.  A cluster builds one per shard over the plan filtered to
-  /// the shard's hosts/links, which replicates global windows
-  /// (LinkFlap::link < 0, host-less ring stalls) into every shard;
-  /// `count_global_windows` is true on exactly one shard so the merged
-  /// `flaps` counter matches serial.
+  /// Schedules the plan's window faults on `loop` and gives each link
+  /// its own random-fault stream: link 0 draws from `rng`, a dedicated
+  /// (seed-deterministic) stream, and link i > 0 from the i-th fork of a
+  /// copy of it, so every injector built from the same `rng` derives the
+  /// same streams.  `host_uplinks[h]` is host h's link ({0, 0}
+  /// back-to-back, the identity in a switched cluster), whose stream
+  /// draws h's pool-pressure denials; the links are 0..max of it.  A
+  /// cluster builds one per shard over the plan filtered to the shard's
+  /// hosts/links, which replicates global windows (LinkFlap::link < 0,
+  /// host-less ring stalls) into every shard; `count_global_windows` is
+  /// true on exactly one shard so the merged `flaps` counter matches
+  /// serial.
   FaultInjector(EventLoop& loop, FaultPlan plan, Rng rng,
-                bool count_global_windows);
+                std::vector<int> host_uplinks, bool count_global_windows);
 
   FaultInjector(const FaultInjector&) = delete;
   FaultInjector& operator=(const FaultInjector&) = delete;
@@ -161,28 +167,17 @@ class FaultInjector {
 
   // --- Link hooks ---------------------------------------------------------
 
-  /// Advances the per-direction loss chain and classifies one frame on
-  /// `link`.  `direction` is the link direction index (0 or 1).  The
-  /// Gilbert–Elliott chains are per-direction and shared across links — a
-  /// deliberate simplification that keeps the two-host RNG draw sequence
-  /// (and thus every legacy figure) bit-identical.
+  /// Advances `link`'s Gilbert–Elliott chain for `direction` (0 or 1)
+  /// and classifies one frame, drawing only from `link`'s stream.
   WireFault on_frame(int link, int direction);
-
-  /// Back-to-back convenience: the single wire is link 0.
-  WireFault on_frame(int direction) { return on_frame(0, direction); }
 
   /// True when neither a global flap nor a flap targeting `link` is open.
   bool link_up(int link) const;
-  bool link_up() const { return link_up(0); }
 
   // --- NIC hook -----------------------------------------------------------
 
   /// True while `queue` on `host` is inside a ring-stall window.
   bool ring_stalled(int host, int queue) const;
-
-  /// Back-to-back convenience: the sole receiver is host 0's peer, and
-  /// legacy plans never set RingStall::host, so any host index matches.
-  bool ring_stalled(int queue) const { return ring_stalled(0, queue); }
 
   /// Counts one frame dropped because of a ring stall.
   void note_ring_stall_drop() { ++counters_.ring_stall_drops; }
@@ -217,8 +212,9 @@ class FaultInjector {
 
   // --- Page-pool hook -----------------------------------------------------
 
-  /// False when a pressure window denies this rx page allocation.
-  bool pool_alloc_allowed();
+  /// False when a pressure window denies this rx page allocation on
+  /// `host`; the draw comes from the stream of `host`'s uplink.
+  bool pool_alloc_allowed(int host);
 
   // --- Accounting ---------------------------------------------------------
 
@@ -226,17 +222,20 @@ class FaultInjector {
   FaultCounters& counters() { return counters_; }
 
  private:
-  struct GeState {
-    bool bad = false;
+  /// One link's random-fault state: its stream and, per direction,
+  /// whether its GE chain is in the bad state.
+  struct LinkStream {
+    Rng rng;
+    std::array<bool, 2> ge_bad{};
   };
 
   EventLoop* loop_;
   FaultPlan plan_;
-  Rng rng_;
+  std::vector<int> host_uplinks_;
+  std::vector<LinkStream> links_;  // by link id
   bool count_global_windows_ = true;
   FaultCounters counters_;
 
-  std::array<GeState, 2> ge_;   // one chain per link direction
   int link_down_depth_ = 0;     // >0 while a global (link==-1) flap is open
   std::vector<int> down_links_; // links with an open targeted flap (multiset)
   int stall_all_depth_ = 0;     // >0 while a host==-1,queue==-1 stall is open

@@ -1,12 +1,15 @@
 // Sharding property: a random plan of window faults — global and
 // targeted link flaps, ring stalls, host crashes and port blackholes —
-// yields byte-identical artifacts at every shard count.  This is what
-// Cluster::build_faults() must keep: one injector per shard over the
-// shard-filtered plan behaves exactly like the serial run's single
-// injector over the whole plan.  The watchdog is armed so its one
-// heartbeat path runs at every shard count too.
+// yields byte-identical artifacts at every shard count, and so does one
+// that adds the random faults (GE loss, corruption, pool pressure).
+// This is what Cluster::build_faults() must keep: one injector per shard
+// over the shard-filtered plan, drawing on its own links' streams,
+// behaves exactly like the serial run's single injector over the whole
+// plan.  The watchdog is armed so its one heartbeat path runs at every
+// shard count too.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -97,6 +100,47 @@ ExperimentConfig random_plan_config(std::uint64_t seed) {
   return config;
 }
 
+/// random_plan_config(seed)'s window faults plus random GE loss,
+/// corruption and one pool-pressure window: every kind of random fault
+/// draw, on every link.
+ExperimentConfig random_draw_config(std::uint64_t seed) {
+  ExperimentConfig config = random_plan_config(seed);
+  Rng rng(seed + 1000);
+  FaultPlan& plan = config.faults;
+  plan.gilbert_elliott = GilbertElliottConfig::for_average_loss(
+      1e-3 + 4e-3 * rng.next_double(), 2.0 + 8.0 * rng.next_double());
+  plan.corrupt_rate = 2e-3 * rng.next_double();
+  const auto [at, length] = draw_window(rng);
+  plan.pool_pressure.push_back(
+      PoolPressure{at, length, 0.2 + 0.6 * rng.next_double()});
+  return config;
+}
+
+/// Every FaultCounters field, for whole-struct comparison.
+std::array<std::uint64_t, 11> fields(const FaultCounters& c) {
+  return {c.random_drops, c.bursty_drops, c.flap_drops, c.corrupt_frames,
+          c.flaps, c.ring_stall_drops, c.pool_denials, c.watchdog_trips,
+          c.host_crashes, c.crash_drops, c.blackhole_drops};
+}
+
+/// Runs `config` serially and at 2 and 4 shards: every artifact and
+/// fault counter must match the serial run's.  Returns the serial run's
+/// fault counters.
+FaultCounters expect_shards_match_serial(const ExperimentConfig& config) {
+  const Artifacts serial = run_with_shards(config, 1);
+  EXPECT_EQ(serial.faults.watchdog_trips, 0u);
+  for (int shards : {2, 4}) {
+    const Artifacts sharded = run_with_shards(config, shards);
+    EXPECT_EQ(serial.metrics_json, sharded.metrics_json)
+        << "metrics diverged at " << shards << " shards";
+    EXPECT_EQ(serial.trace_csv, sharded.trace_csv)
+        << "trace diverged at " << shards << " shards";
+    EXPECT_EQ(fields(serial.faults), fields(sharded.faults))
+        << "fault counters diverged at " << shards << " shards";
+  }
+  return serial.faults;
+}
+
 TEST(ShardProperty, RandomWindowFaultPlansMatchSerial) {
   std::uint64_t fault_events = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
@@ -106,31 +150,31 @@ TEST(ShardProperty, RandomWindowFaultPlansMatchSerial) {
     ExperimentConfig four = config;
     four.shards = 4;
     ASSERT_EQ(Cluster(four).num_shards(), 4);
-
-    const Artifacts serial = run_with_shards(config, 1);
-    EXPECT_EQ(serial.faults.watchdog_trips, 0u);
-    fault_events += serial.faults.flaps + serial.faults.host_crashes +
-                    serial.faults.ring_stall_drops +
-                    serial.faults.blackhole_drops;
-    for (int shards : {2, 4}) {
-      const Artifacts sharded = run_with_shards(config, shards);
-      EXPECT_EQ(serial.metrics_json, sharded.metrics_json)
-          << "metrics diverged at " << shards << " shards";
-      EXPECT_EQ(serial.trace_csv, sharded.trace_csv)
-          << "trace diverged at " << shards << " shards";
-      const FaultCounters& a = serial.faults;
-      const FaultCounters& b = sharded.faults;
-      EXPECT_EQ(a.flaps, b.flaps);
-      EXPECT_EQ(a.flap_drops, b.flap_drops);
-      EXPECT_EQ(a.ring_stall_drops, b.ring_stall_drops);
-      EXPECT_EQ(a.host_crashes, b.host_crashes);
-      EXPECT_EQ(a.crash_drops, b.crash_drops);
-      EXPECT_EQ(a.blackhole_drops, b.blackhole_drops);
-      EXPECT_EQ(a.watchdog_trips, b.watchdog_trips);
-    }
+    const FaultCounters serial = expect_shards_match_serial(config);
+    fault_events += serial.flaps + serial.host_crashes +
+                    serial.ring_stall_drops + serial.blackhole_drops;
   }
   // The plans must actually have bitten for the property to mean much.
   EXPECT_GT(fault_events, 0u);
+}
+
+TEST(ShardProperty, RandomDrawFaultPlansMatchSerial) {
+  FaultCounters drawn;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("plan seed " + std::to_string(seed));
+    const ExperimentConfig config = random_draw_config(seed);
+    // Each link draws from its own stream, so random faults shard too.
+    ExperimentConfig four = config;
+    four.shards = 4;
+    ASSERT_EQ(Cluster(four).num_shards(), 4);
+    const FaultCounters serial = expect_shards_match_serial(config);
+    drawn.bursty_drops += serial.bursty_drops;
+    drawn.corrupt_frames += serial.corrupt_frames;
+    drawn.pool_denials += serial.pool_denials;
+  }
+  EXPECT_GT(drawn.bursty_drops, 0u);
+  EXPECT_GT(drawn.corrupt_frames, 0u);
+  EXPECT_GT(drawn.pool_denials, 0u);
 }
 
 }  // namespace

@@ -246,6 +246,7 @@ TEST_F(NicFixture, PolledFramesCarryWholeDescriptorsProperty) {
         plan.pool_pressure.push_back(
             {loop->now() + 200'000, 400'000, /*deny_prob=*/0.5});
         FaultInjector faults(*loop, plan, loop->rng().fork(),
+                             /*host_uplinks=*/{0, 0},
                              /*count_global_windows=*/true);
         if (pressure) nic->set_fault_injector(&faults);
 

@@ -172,6 +172,7 @@ TEST(SwitchTest, PortFlapDropsOnlyThatPortsTraffic) {
   FaultPlan plan;
   plan.link_flaps.push_back({1000, 1000, /*link=*/1});
   FaultInjector faults(loop, plan, loop.rng().fork(),
+                       /*host_uplinks=*/{0, 1, 2},
                        /*count_global_windows=*/true);
   Switch::Config config;
   config.num_ports = 3;
