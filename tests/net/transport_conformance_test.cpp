@@ -112,8 +112,13 @@ TEST_P(TransportConformance, ByteConservationUnderRandomDriving) {
                              static_cast<Nanos>(rng.next_below(300'000)));
   }
   // Drain: loss recovery (fast retransmit / RTO / RESEND + restart)
-  // needs generous simulated time, not wall time.
-  for (int i = 0; i < 300 && rx->delivered_to_app() < sent; ++i) {
+  // needs generous simulated time, not wall time.  The sender's queue
+  // empties only when the last acknowledgment reaches it, which can be
+  // after the receiver holds every byte.
+  const auto drained = [&] {
+    return rx->delivered_to_app() >= sent && tx->send_queue_empty();
+  };
+  for (int i = 0; i < 300 && !drained(); ++i) {
     testbed.receiver().core(0).post(
         ctx, [rx](Core& c) { rx->recv(c, 10 * kMiB); });
     testbed.run_until(testbed.now() + 5 * kMillisecond);
