@@ -120,7 +120,6 @@ class Cluster {
   Link& link(int index) {
     return *links_.at(static_cast<std::size_t>(index));
   }
-  int num_links() const { return static_cast<int>(links_.size()); }
 
   /// The switch fabric; nullptr in the degenerate back-to-back topology.
   Switch* fabric() { return fabric_.get(); }

@@ -67,7 +67,6 @@ void Link::transmit(Side from, Frame frame) {
   }
 
   ++delivered_;
-  bytes_delivered_ += frame.payload;
   if (forwards_[to]) {
     forwards_[to](tx_end + config_.propagation, loop_->now(),
                   std::move(frame));

@@ -126,7 +126,6 @@ class Link {
   std::uint64_t delivered() const { return delivered_; }
   std::uint64_t dropped() const { return dropped_; }
   std::uint64_t ecn_marked() const { return ecn_marked_; }
-  Bytes bytes_delivered() const { return bytes_delivered_; }
 
  private:
   EventLoop* loop_;
@@ -142,7 +141,6 @@ class Link {
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t ecn_marked_ = 0;
-  Bytes bytes_delivered_ = 0;
 };
 
 

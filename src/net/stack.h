@@ -173,7 +173,6 @@ class Stack {
   void close(Core& core, int flow, Nanos time_wait);
 
   const ChurnStats& churn() const { return churn_; }
-  std::size_t time_wait_count() const { return time_wait_.size(); }
 
   /// Called by a socket's abort() to account a connection teardown;
   /// `destroyed_rx` is receive-queue bytes destroyed before delivery.

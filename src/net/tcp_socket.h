@@ -36,9 +36,6 @@ class TcpSocket : public TransportSocket {
   Bytes send_space() const override;
   bool send_queue_empty() const override { return snd_una_ == snd_buf_end_; }
 
-  /// Consecutive RTO expirations with no forward progress.
-  int consecutive_rtos() const { return consecutive_rtos_; }
-
   // --- Receiver-driven mode (paper §3.3/§4) ----------------------------
 
   /// Switches the receive side to scheduler-granted credit: the
@@ -60,10 +57,8 @@ class TcpSocket : public TransportSocket {
   std::int64_t snd_nxt() const { return snd_nxt_; }
   /// Bytes in flight (sent, not yet cumulatively acked).
   Bytes inflight() const override { return snd_nxt_ - snd_una_; }
-  std::int64_t snd_buf_end() const { return snd_buf_end_; }
   std::int64_t rcv_nxt() const { return rcv_nxt_; }
   Bytes ofo_bytes() const override { return ofo_bytes_; }
-  bool in_recovery() const { return in_recovery_; }
   /// True while the retransmission timer is armed in the event loop.
   bool rto_armed() const { return rto_timer_.armed(); }
   /// True between the RTO timer firing and its softirq task running.

@@ -26,11 +26,8 @@ class ArrivalSampler {
   ArrivalSampler(const WorkloadConfig& config, Rng rng);
 
   /// Absolute time of the next arrival after the previous one (the
-  /// first call samples from t = `start`).
+  /// first call samples from t = 0).
   Nanos next();
-
-  /// Resets the clock origin (call once before the first next()).
-  void seek(Nanos start) { t_ = start; }
 
  private:
   double rate_at(Nanos t);      ///< instantaneous rate in requests/sec
