@@ -5,6 +5,7 @@
 #include <iostream>
 
 #include "core/serialize.h"
+#include "obs/export.h"
 #include "sim/contract.h"
 
 namespace hostsim {
@@ -77,19 +78,6 @@ void print_paper_line(const std::string& what, double measured,
             << "   (paper: " << paper_note << ")\n";
 }
 
-std::string csv_escape(std::string_view field) {
-  if (field.find_first_of(",\"\n\r") == std::string_view::npos) {
-    return std::string(field);
-  }
-  std::string escaped = "\"";
-  for (char c : field) {
-    if (c == '"') escaped += '"';
-    escaped += c;
-  }
-  escaped += '"';
-  return escaped;
-}
-
 std::string metrics_csv_comment(const ExperimentConfig& config) {
   std::string comment = "# hostsim metrics csv";
   comment += " seed=" + std::to_string(config.seed);
@@ -122,7 +110,7 @@ std::string metrics_csv_row(const Metrics& m) {
   std::string row;
   auto add = [&row](const std::string& cell) {
     if (!row.empty()) row += ",";
-    row += csv_escape(cell);
+    row += obs::CsvWriter::escape(cell);
   };
   add(Table::num(m.total_gbps, 3));
   add(Table::num(m.throughput_per_core_gbps, 3));

@@ -5,7 +5,6 @@
 
 #include <iosfwd>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/config.h"
@@ -44,12 +43,8 @@ void print_section(const std::string& title);
 void print_paper_line(const std::string& what, double measured,
                       const std::string& unit, const std::string& paper_note);
 
-/// RFC-4180 field escaping: quotes (doubling embedded quotes) any field
-/// containing a comma, quote, or newline; returns others unchanged.
-std::string csv_escape(std::string_view field);
-
 /// CSV export of Metrics (for spreadsheets / plotting scripts).  Every
-/// field passes through csv_escape().
+/// field passes through obs::CsvWriter::escape().
 std::string metrics_csv_header();
 std::string metrics_csv_row(const Metrics& metrics);
 

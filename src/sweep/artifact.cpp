@@ -6,6 +6,7 @@
 
 #include "core/report.h"
 #include "core/serialize.h"
+#include "obs/export.h"
 #include "sim/contract.h"
 
 namespace hostsim::sweep {
@@ -69,7 +70,7 @@ std::string campaign_to_csv(const CampaignResult& result,
          " simulated=" + std::to_string(result.simulated) + "\n";
   csv += "point,seed,config_hash," + metrics_csv_header() + "\n";
   for (const PointResult& point : result.points) {
-    csv += csv_escape(point.point.label()) + "," +
+    csv += obs::CsvWriter::escape(point.point.label()) + "," +
            std::to_string(point.point.config.seed) + "," +
            hash_hex(point.config_hash) + "," +
            metrics_csv_row(point.metrics) + "\n";

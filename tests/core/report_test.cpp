@@ -46,21 +46,6 @@ TEST(BreakdownTest, CellsAreFractionsOfTotal) {
   EXPECT_EQ(cells[7], "0.0%");
 }
 
-TEST(CsvEscapeTest, PlainFieldsPassThrough) {
-  EXPECT_EQ(csv_escape("plain"), "plain");
-  EXPECT_EQ(csv_escape("42.5"), "42.5");
-  EXPECT_EQ(csv_escape(""), "");
-  EXPECT_EQ(csv_escape("with space"), "with space");
-}
-
-TEST(CsvEscapeTest, QuotesFieldsWithSpecialCharacters) {
-  EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
-  EXPECT_EQ(csv_escape("cr\rhere"), "\"cr\rhere\"");
-  EXPECT_EQ(csv_escape("\""), "\"\"\"\"");
-}
-
 TEST(CsvTest, HeaderAndRowHaveSameFieldCount) {
   const std::string header = metrics_csv_header();
   const std::string row = metrics_csv_row(Metrics{});

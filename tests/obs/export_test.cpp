@@ -29,9 +29,14 @@ std::string slurp(const fs::path& path) {
 
 TEST(CsvWriterTest, EscapesPerRfc4180) {
   EXPECT_EQ(CsvWriter::escape("plain"), "plain");
+  EXPECT_EQ(CsvWriter::escape("42.5"), "42.5");
+  EXPECT_EQ(CsvWriter::escape(""), "");
+  EXPECT_EQ(CsvWriter::escape("with space"), "with space");
   EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
   EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
   EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
+  EXPECT_EQ(CsvWriter::escape("cr\rhere"), "\"cr\rhere\"");
+  EXPECT_EQ(CsvWriter::escape("\""), "\"\"\"\"");
 }
 
 TEST(CsvWriterTest, RowsAreCommaJoined) {
