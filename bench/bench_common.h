@@ -61,38 +61,31 @@ inline sweep::RunnerOptions env_runner_options() {
   return options;
 }
 
-/// Executes `campaign` with the environment's runner options and returns
-/// the metrics in campaign point order.
-inline std::vector<Metrics> run_campaign_metrics(
-    const sweep::Campaign& campaign) {
-  const sweep::CampaignResult result =
-      sweep::run_campaign(campaign, env_runner_options());
-  std::vector<Metrics> metrics;
-  metrics.reserve(result.points.size());
-  for (const sweep::PointResult& point : result.points) {
-    metrics.push_back(point.metrics);
-  }
-  return metrics;
-}
+/// One fig. 5-8 sweep: each point's flow count and metrics, in point
+/// order.
+struct FlowsSweep {
+  std::vector<int> flows;
+  std::vector<Metrics> results;
+};
 
-/// Runs `pattern` for each flow count and prints the fig. 5/6/7/8-style
-/// summary table.  Returns the metrics in flow-count order.
-inline std::vector<Metrics> flows_sweep(Pattern pattern,
-                                        const std::vector<int>& flow_counts,
-                                        ExperimentConfig base = {}) {
-  sweep::Campaign campaign;
-  campaign.name = "flows_sweep";
-  campaign.base = base;
-  campaign.base.traffic.pattern = pattern;
-  campaign.axes.push_back(sweep::Axis::flows(flow_counts));
-  const std::vector<Metrics> results = run_campaign_metrics(campaign);
+/// Runs the built-in flows campaign `name` (fig05_one_to_one,
+/// fig06_incast, fig07_outcast or fig08_all_to_all) and prints the
+/// fig. 5/6/7/8-style summary table.
+inline FlowsSweep flows_sweep(std::string_view name) {
+  const sweep::CampaignResult result =
+      sweep::run_campaign(*sweep::find_campaign(name), env_runner_options());
+  FlowsSweep sweep;
+  for (const sweep::PointResult& point : result.points) {
+    sweep.flows.push_back(point.point.config.traffic.flows);
+    sweep.results.push_back(point.metrics);
+  }
 
   Table table({"flows", "total (Gbps)", "tput/core (Gbps)",
                "tput/snd-core (Gbps)", "snd cores", "rcv cores", "rx miss",
                "mean skb (KB)"});
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const Metrics& metrics = results[i];
-    table.add_row({std::to_string(flow_counts[i]),
+  for (std::size_t i = 0; i < sweep.results.size(); ++i) {
+    const Metrics& metrics = sweep.results[i];
+    table.add_row({std::to_string(sweep.flows[i]),
                    Table::num(metrics.total_gbps),
                    Table::num(metrics.throughput_per_core_gbps),
                    Table::num(metrics.throughput_per_sender_core_gbps),
@@ -102,7 +95,7 @@ inline std::vector<Metrics> flows_sweep(Pattern pattern,
                    Table::num(metrics.mean_skb_bytes / 1024.0)});
   }
   table.print();
-  return results;
+  return sweep;
 }
 
 /// Prints receiver- or sender-side Table-1 breakdowns per flow count.

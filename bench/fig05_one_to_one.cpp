@@ -15,28 +15,8 @@
 
 int main() {
   using namespace hostsim;
-  const std::vector<int> flows = {1, 8, 16, 24};
-
   print_section("Fig 5(a): one-to-one throughput per core");
-  const sweep::Campaign campaign =
-      *sweep::find_campaign("fig05_one_to_one");
-  const auto results = bench::run_campaign_metrics(campaign);
-  {
-    Table table({"flows", "total (Gbps)", "tput/core (Gbps)",
-                 "tput/snd-core (Gbps)", "snd cores", "rcv cores", "rx miss",
-                 "mean skb (KB)"});
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      const Metrics& metrics = results[i];
-      table.add_row({std::to_string(flows[i]), Table::num(metrics.total_gbps),
-                     Table::num(metrics.throughput_per_core_gbps),
-                     Table::num(metrics.throughput_per_sender_core_gbps),
-                     Table::num(metrics.sender_cores_used, 2),
-                     Table::num(metrics.receiver_cores_used, 2),
-                     Table::percent(metrics.rx_copy_miss_rate),
-                     Table::num(metrics.mean_skb_bytes / 1024.0)});
-    }
-    table.print();
-  }
+  const auto [flows, results] = bench::flows_sweep("fig05_one_to_one");
   print_paper_line(
       "throughput-per-core drop 1 -> 24 flows",
       (1.0 - results.back().throughput_per_core_gbps /

@@ -10,12 +10,8 @@
 
 int main() {
   using namespace hostsim;
-  const std::vector<int> flows = {1, 8, 16, 24};
-
   print_section("Fig 6(a,c): incast throughput per core & miss rate");
-  ExperimentConfig base;
-  base.warmup = 25 * kMillisecond;  // let every flow's DRS buffer open
-  const auto results = bench::flows_sweep(Pattern::incast, flows, base);
+  const auto [flows, results] = bench::flows_sweep("fig06_incast");
   print_paper_line(
       "throughput-per-core drop 1 -> 8 flows",
       (1.0 - results[1].throughput_per_core_gbps /

@@ -11,12 +11,8 @@
 
 int main() {
   using namespace hostsim;
-  const std::vector<int> flows = {1, 8, 16, 24};
-
   print_section("Fig 7(a,c): outcast throughput per sender core");
-  ExperimentConfig base;
-  base.warmup = 25 * kMillisecond;  // let every flow's DRS buffer open
-  const auto results = bench::flows_sweep(Pattern::outcast, flows, base);
+  const auto [flows, results] = bench::flows_sweep("fig07_outcast");
   print_paper_line("peak throughput-per-sender-core",
                    results[1].throughput_per_sender_core_gbps, "Gbps", "~89");
   print_paper_line("sender copy-destination miss at 24 flows",

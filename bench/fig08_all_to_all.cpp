@@ -10,14 +10,8 @@
 
 int main() {
   using namespace hostsim;
-  const std::vector<int> flows = {1, 8, 16, 24};
-
   print_section("Fig 8(a): all-to-all throughput per core (n x n flows)");
-  // Larger fleets need a longer warmup for 576 flows to reach steady
-  // state before the measurement window opens.
-  ExperimentConfig base;
-  base.warmup = 25 * kMillisecond;
-  const auto results = bench::flows_sweep(Pattern::all_to_all, flows, base);
+  const auto [flows, results] = bench::flows_sweep("fig08_all_to_all");
   print_paper_line(
       "throughput-per-core drop 1x1 -> 24x24",
       (1.0 - results.back().throughput_per_core_gbps /
