@@ -29,9 +29,19 @@ std::string slurp(const fs::path& path) {
 
 TEST(CsvWriterTest, EscapesPerRfc4180) {
   EXPECT_EQ(CsvWriter::escape("plain"), "plain");
+  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
+}
+
+TEST(CsvEscapeTest, PlainFieldsPassThrough) {
+  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
   EXPECT_EQ(CsvWriter::escape("42.5"), "42.5");
   EXPECT_EQ(CsvWriter::escape(""), "");
   EXPECT_EQ(CsvWriter::escape("with space"), "with space");
+}
+
+TEST(CsvEscapeTest, QuotesFieldsWithSpecialCharacters) {
   EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
   EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
   EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
